@@ -108,12 +108,6 @@ class CandidateIndex:
     def __contains__(self, candidate_id: int) -> bool:
         return int(candidate_id) in self._row_of
 
-    def embedding_for(self, candidate_id: int) -> np.ndarray:
-        try:
-            return self.matrix[self._row_of[int(candidate_id)]]
-        except KeyError as exc:
-            raise MissingCandidate(f"candidate id {exc} is not indexed") from exc
-
     def scores_for(self, query: np.ndarray, candidate_ids: Sequence[int]) -> np.ndarray:
         """Inner products of the query against specific candidates, in order."""
         try:

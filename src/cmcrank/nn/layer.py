@@ -1,8 +1,9 @@
 """Post-norm transformer encoder layer with manually derived gradients.
 
 Sublayer order is attention -> add&norm -> GELU feed-forward -> add&norm.
-``encoder_layer_forward`` is the pure inference entry point; training code
-uses the recorded variant whose tape feeds ``encoder_layer_backward``.
+``encoder_layer_forward`` is the one forward for inference and training.
+Given a ``tape`` list it appends what ``encoder_layer_backward`` needs,
+attention first, and the backward pops those entries in reverse order.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from ..errors import InvalidConfig, InvalidShape
 from . import ops
-from .attention import attention_backward, attention_forward, multi_head_self_attention
+from .attention import attention_backward, multi_head_self_attention
 
 #: Names of the array-valued fields of LayerParams, in serialization order.
 LAYER_ARRAY_FIELDS = (
@@ -137,39 +138,39 @@ class GradientSet(dict):
         for name in self:
             self[name] = self[name] * factor
 
-    def reset(self) -> None:
-        for name in self:
-            self[name][...] = 0
 
+def encoder_layer_forward(x: np.ndarray, params: LayerParams,
+                          tape: list | None = None) -> np.ndarray:
+    """Deterministic forward through one post-norm encoder layer.
 
-def encoder_layer_forward(x: np.ndarray, params: LayerParams) -> np.ndarray:
-    """Deterministic forward through one post-norm encoder layer."""
+    With a ``tape`` list, appends the entries ``encoder_layer_backward``
+    pops.
+    """
     if np.ndim(x) != 2 or np.shape(x)[0] < 1:
         raise InvalidShape(f"encoder layer expects a non-empty (L, d) matrix, got {np.shape(x)}")
-    a = multi_head_self_attention(x, params)
-    u = ops.layer_norm(x + a, params.ln1_gain, params.ln1_bias)
-    h1, _ = ops.linear_forward(u, params.w_1, params.b_1)
-    h2, _ = ops.linear_forward(ops.gelu(h1), params.w_2, params.b_2)
-    return ops.layer_norm(u + h2, params.ln2_gain, params.ln2_bias)
-
-
-def encoder_layer_forward_recorded(x: np.ndarray, params: LayerParams):
-    """Forward keeping every intermediate needed by the backward pass."""
-    if np.ndim(x) != 2 or np.shape(x)[0] < 1:
-        raise InvalidShape(f"encoder layer expects a non-empty (L, d) matrix, got {np.shape(x)}")
-    a, attn_cache = attention_forward(x, params)
+    a = multi_head_self_attention(x, params, tape)
     u, ln1_cache = ops.layer_norm_forward(x + a, params.ln1_gain, params.ln1_bias)
     h1, lin1_cache = ops.linear_forward(u, params.w_1, params.b_1)
     g = ops.gelu(h1)
     h2, lin2_cache = ops.linear_forward(g, params.w_2, params.b_2)
     y, ln2_cache = ops.layer_norm_forward(u + h2, params.ln2_gain, params.ln2_bias)
-    tape = (attn_cache, ln1_cache, h1, g, lin1_cache, lin2_cache, ln2_cache)
-    return y, tape
+    if tape is not None:
+        tape.append((ln1_cache, h1, lin1_cache, lin2_cache, ln2_cache))
+    return y
 
 
-def encoder_layer_backward(dy: np.ndarray, tape):
-    """Gradients of one encoder layer; returns (dx, GradientSet)."""
-    attn_cache, ln1_cache, h1, g, lin1_cache, lin2_cache, ln2_cache = tape
+def encoder_layer_forward_recorded(x: np.ndarray, params: LayerParams):
+    """Taped forward: returns the output and the tape for backward."""
+    tape: list = []
+    return encoder_layer_forward(x, params, tape), tape
+
+
+def encoder_layer_backward(dy: np.ndarray, tape: list):
+    """Gradients of one encoder layer; returns (dx, GradientSet).
+
+    Pops the entries :func:`encoder_layer_forward` appended to ``tape``.
+    """
+    ln1_cache, h1, lin1_cache, lin2_cache, ln2_cache = tape.pop()
 
     d_s2, d_ln2_gain, d_ln2_bias = ops.layer_norm_backward(dy, ln2_cache)
     d_u = d_s2
@@ -179,7 +180,7 @@ def encoder_layer_backward(dy: np.ndarray, tape):
     d_u = d_u + d_u2
 
     d_s1, d_ln1_gain, d_ln1_bias = ops.layer_norm_backward(d_u, ln1_cache)
-    dx_attn, attn_grads = attention_backward(d_s1, attn_cache)
+    dx_attn, attn_grads = attention_backward(d_s1, tape)
     dx = d_s1 + dx_attn
 
     grads = GradientSet(attn_grads)

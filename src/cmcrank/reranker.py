@@ -10,12 +10,15 @@ post-norm encoder layer.
 Because nothing in the stack depends on sequence position, permuting the
 candidates permutes the scores identically and the top-1 candidate id is
 invariant.  One forward pass covers all K candidates of a query.
+``cmc_forward`` serves inference and training alike: given a ``tape`` list
+it appends each layer's entries, and ``CmcTape.backward`` pops them in
+reverse order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +28,7 @@ from .errors import (FormatError, InvalidConfig, InvalidShape, MissingCandidate,
 from .index import RankedList, rank_by_score
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.layer import (LAYER_ARRAY_FIELDS, GradientSet, LayerParams,
-                       encoder_layer_backward, encoder_layer_forward,
-                       encoder_layer_forward_recorded)
+                       encoder_layer_backward, encoder_layer_forward)
 
 MAX_CANDIDATES = 16384
 DEFAULT_MODEL_DIM = 64
@@ -124,13 +126,11 @@ class ScoreVector:
 class CmcTape:
     """One-shot record of a forward pass, consumed by ``backward``."""
 
-    def __init__(self, sequence_in: np.ndarray, layer_tapes, layer_inputs,
-                 ctx: ContextualizedSet, extra_skip: bool):
-        self._sequence_in = sequence_in
-        self._layer_tapes = layer_tapes
-        self._layer_inputs = layer_inputs
+    def __init__(self, tape: list, ctx: ContextualizedSet, params: CmcParams):
+        self._tape = tape
         self._ctx = ctx
-        self._extra_skip = extra_skip
+        self._layer_count = len(params.layers)
+        self._extra_skip = params.extra_skip
         self._spent = False
 
     @property
@@ -160,8 +160,8 @@ class CmcTape:
 
         grads = GradientSet()
         d_out = d_seq
-        for i in reversed(range(len(self._layer_tapes))):
-            dx, layer_grads = encoder_layer_backward(d_out, self._layer_tapes[i])
+        for i in reversed(range(self._layer_count)):
+            dx, layer_grads = encoder_layer_backward(d_out, self._tape)
             if self._extra_skip:
                 dx = dx + d_out
             grads.accumulate(layer_grads, prefix=f"layers.{i}.")
@@ -191,29 +191,25 @@ def _sequence_from(params: CmcParams, h_query: np.ndarray,
 
 
 def cmc_forward(params: CmcParams, h_query: np.ndarray,
-                h_candidates: np.ndarray | Sequence[np.ndarray]) -> ContextualizedSet:
-    """Contextualize the query with its K candidates in one pass."""
+                h_candidates: np.ndarray | Sequence[np.ndarray],
+                tape: list | None = None) -> ContextualizedSet:
+    """Contextualize the query with its K candidates in one pass.
+
+    With a ``tape`` list, appends each layer's entries for the backward.
+    """
     x = _sequence_from(params, h_query, h_candidates)
     for layer in params.layers:
-        y = encoder_layer_forward(x, layer)
+        y = encoder_layer_forward(x, layer, tape)
         x = x + y if params.extra_skip else y
     return ContextualizedSet(h_query=x[0], h_candidates=x[1:])
 
 
 def cmc_forward_recorded(params: CmcParams, h_query: np.ndarray,
                          h_candidates: np.ndarray | Sequence[np.ndarray]) -> CmcTape:
-    """Forward pass that records the tape needed for gradients."""
-    x = _sequence_from(params, h_query, h_candidates)
-    sequence_in = x
-    tapes = []
-    inputs = []
-    for layer in params.layers:
-        inputs.append(x)
-        y, tape = encoder_layer_forward_recorded(x, layer)
-        tapes.append(tape)
-        x = x + y if params.extra_skip else y
-    ctx = ContextualizedSet(h_query=x[0], h_candidates=x[1:])
-    return CmcTape(sequence_in, tapes, inputs, ctx, params.extra_skip)
+    """Taped forward: returns the tape needed for gradients."""
+    tape: list = []
+    ctx = cmc_forward(params, h_query, h_candidates, tape)
+    return CmcTape(tape, ctx, params)
 
 
 def cmc_score(ctx: ContextualizedSet) -> ScoreVector:
@@ -223,7 +219,7 @@ def cmc_score(ctx: ContextualizedSet) -> ScoreVector:
 
 
 def rerank(params: CmcParams, h_query: np.ndarray, ranked: RankedList,
-           candidate_embeddings: EmbeddingTable | Mapping[int, np.ndarray],
+           candidate_embeddings: EmbeddingTable,
            k_out: int) -> RankedList:
     """Re-score every candidate in ``ranked`` and return the top ``k_out``.
 
@@ -236,11 +232,7 @@ def rerank(params: CmcParams, h_query: np.ndarray, ranked: RankedList,
         return RankedList(ids=np.empty(0, dtype=np.uint64),
                           scores=np.empty(0, dtype=np.float32))
     try:
-        if isinstance(candidate_embeddings, EmbeddingTable):
-            rows = candidate_embeddings.batch(ranked.ids)
-        else:
-            rows = np.stack([np.asarray(candidate_embeddings[int(c)], dtype=np.float32)
-                             for c in ranked.ids])
+        rows = candidate_embeddings.batch(ranked.ids)
     except KeyError as exc:
         raise MissingCandidate(f"no embedding for candidate id {exc}") from exc
 

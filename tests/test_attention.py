@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cmcrank.errors import InvalidConfig, InvalidShape
-from cmcrank.nn import LayerParams, multi_head_self_attention
-from cmcrank.nn.attention import _attention_blocked
+from cmcrank.nn import LayerParams, attention_forward, multi_head_self_attention
+from cmcrank.nn import attention as attention_module
 
 
 def naive_attention(x, params):
@@ -70,11 +70,23 @@ class TestAttention:
         with pytest.raises(InvalidShape):
             multi_head_self_attention(np.empty((0, 8), dtype=np.float32), params)
 
-    def test_blocked_path_matches_full_path(self):
-        """The memory-bounded path is the same math in a different order."""
+    def test_row_blocks_match_naive_oracle(self, monkeypatch):
+        """Query rows run in blocks of _BLOCK_ROWS; with blocks of 4 over
+        10 rows the last block is ragged (4, 4, 2)."""
+        monkeypatch.setattr(attention_module, "_BLOCK_ROWS", 4)
         rng = np.random.default_rng(3)
         params = LayerParams.init(16, 4, rng=rng)
-        x = rng.standard_normal((50, 16)).astype(np.float32)
-        full = multi_head_self_attention(x, params)
-        blocked = _attention_blocked(x, params)
-        np.testing.assert_allclose(blocked, full, atol=1e-5)
+        x = rng.standard_normal((10, 16)).astype(np.float32)
+        np.testing.assert_allclose(multi_head_self_attention(x, params),
+                                   naive_attention(x, params), atol=1e-5)
+
+    def test_taped_forward_is_bit_identical(self):
+        """Recording for backward must not change the arithmetic, also when
+        the sequence spans several row blocks (L = 513: a query plus 512
+        candidates)."""
+        rng = np.random.default_rng(4)
+        params = LayerParams.init(16, 4, rng=rng)
+        x = rng.standard_normal((513, 16)).astype(np.float32)
+        assert x.shape[0] > 2 * attention_module._BLOCK_ROWS
+        taped, _ = attention_forward(x, params)
+        assert np.array_equal(taped, multi_head_self_attention(x, params))

@@ -5,6 +5,7 @@ import pytest
 from cmcrank.errors import StateError
 from cmcrank.nn import (finite_difference_gradient, gradients_close,
                         linear_backward, linear_forward)
+from cmcrank.nn import attention as attention_module
 from cmcrank.reranker import CmcParams, cmc_forward_recorded, cmc_score
 from cmcrank.training import compute_loss
 
@@ -102,10 +103,16 @@ class TestBackward:
         with pytest.raises(StateError):
             tape.backward(d_scores)
 
-    def test_matches_finite_differences_small_instance(self):
+    @pytest.mark.parametrize("block_rows", [
+        pytest.param(attention_module._BLOCK_ROWS, id="one_block"),
+        pytest.param(2, id="three_blocks"),
+    ])
+    def test_matches_finite_differences_small_instance(self, monkeypatch, block_rows):
         """Full-loss gradients on a model_dim-8 instance, float32 backward
         against the float64-evaluated central-difference oracle (h = 1e-3
-        steps on the float32 parameters)."""
+        steps on the float32 parameters).  With blocks of 2 the 5-row
+        sequence records its attention probabilities from three blocks."""
+        monkeypatch.setattr(attention_module, "_BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(4)
         params, hq, hc, retr, gold = make_instance(rng, model_dim=8, k=4)
         tape = cmc_forward_recorded(params, hq, hc)
