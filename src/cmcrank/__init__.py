@@ -7,9 +7,8 @@ that reranker, and an evaluation / latency-benchmark harness.
 """
 
 from . import errors
-from .encoders import (Encoder, EncoderSpec, EmbeddingTable, TokenSequence,
-                       encode, load_embedding_file, load_embedding_text,
-                       save_embedding_file)
+from .encoders import (EmbeddingTable, encode, load_embedding_file,
+                       load_embedding_text, save_embedding_file)
 from .evaluation import (BenchReport, BenchRow, EvalRecord, SyntheticDataset,
                          SyntheticTaskSpec, bench_latency, compute_metrics,
                          generate_synthetic, metrics_to_csv,
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "Encoder", "EncoderSpec", "EmbeddingTable", "TokenSequence", "encode",
+    "EmbeddingTable", "encode",
     "load_embedding_file", "load_embedding_text", "save_embedding_file",
     "BenchReport", "BenchRow", "EvalRecord", "SyntheticDataset",
     "SyntheticTaskSpec", "bench_latency", "compute_metrics",

@@ -1,9 +1,12 @@
-"""Single-vector query/candidate encoders and the embedding file format.
+"""Query vectors, the id-addressed embedding table and the embedding file format.
 
-Two encoder kinds are supported: ``precomputed`` passes externally produced
-vectors through unchanged (the primary path), while ``trainable-lookup``
-embeds token ids through a lookup table and aggregates them, which is
-enough to exercise end-to-end training without any pretrained model.
+Queries arrive as precomputed vectors; ``encode`` checks their shape.
+``EmbeddingTable`` holds candidate ids sorted ascending as uint64, with
+the matrix rows in the same order, and resolves ids to rows by binary
+search.  Ids that are already strictly increasing (every file this package
+writes, and the synthetic task) are taken as they are, so the table
+aliases the caller's matrix, a memory map included, instead of copying it.
+Negative or non-integer ids are rejected, never wrapped.
 
 Embedding file layout (little-endian):
 
@@ -18,122 +21,67 @@ import source and converted to the same in-memory representation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (DuplicateId, FormatError, InvalidConfig, InvalidShape,
-                     InvalidToken)
+from .errors import (DuplicateId, FormatError, InvalidInput, InvalidShape,
+                     MissingCandidate)
 from .fileio import (atomic_write_bytes, expect_magic, pack_u16, pack_u32,
                      pack_u64, read_exact, read_u16, read_u32, read_u64)
 
 EMBEDDING_MAGIC = b"CMCE"
 EMBEDDING_VERSION = 1
 
-KIND_PRECOMPUTED = "precomputed"
-KIND_TRAINABLE = "trainable-lookup"
-AGG_FIRST = "first-position"
-AGG_MEAN = "mean"
+
+def encode(vector, dim: int) -> np.ndarray:
+    """A raw query vector as float32, checked to have shape ``(dim,)``."""
+    vec = np.asarray(vector, dtype=np.float32)
+    if vec.shape != (dim,):
+        raise InvalidShape(f"embedding has shape {vec.shape}, expected ({dim},)")
+    return vec
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """A role-tagged sequence of vocabulary ids."""
-
-    role: str  # "query" or "candidate"
-    ids: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.role not in ("query", "candidate"):
-            raise InvalidConfig(f"unknown token-sequence role {self.role!r}")
-        if len(self.ids) == 0:
-            raise InvalidShape("token sequence must be non-empty")
-        if any(t < 0 for t in self.ids):
-            raise InvalidToken("token ids must be nonnegative")
+# ---------------------------------------------------------------------------
+# Candidate ids
 
 
-@dataclass(frozen=True)
-class EncoderSpec:
-    """Configuration of one encoder (query- or candidate-side)."""
-
-    kind: str
-    dim: int
-    vocab_size: int | None = None
-    aggregation: str = AGG_FIRST
-    max_len: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in (KIND_PRECOMPUTED, KIND_TRAINABLE):
-            raise InvalidConfig(f"unknown encoder kind {self.kind!r}")
-        if self.dim < 1:
-            raise InvalidConfig("encoder dim must be positive")
-        if self.aggregation not in (AGG_FIRST, AGG_MEAN):
-            raise InvalidConfig(f"unknown aggregation {self.aggregation!r}")
-        if self.kind == KIND_TRAINABLE and (self.vocab_size is None or self.vocab_size < 1):
-            raise InvalidConfig("trainable-lookup encoder needs a positive vocab_size")
-
-
-class Encoder:
-    """An encoder instance; trainable kinds own their lookup table.
-
-    Query and candidate encoders are independent instances, so mutating one
-    encoder's table can never change the other's outputs.
-    """
-
-    def __init__(self, spec: EncoderSpec, rng: np.random.Generator | None = None):
-        self.spec = spec
-        self.table: np.ndarray | None = None
-        if spec.kind == KIND_TRAINABLE:
-            rng = rng if rng is not None else np.random.default_rng(0)
-            self.table = (0.02 * rng.standard_normal(
-                (spec.vocab_size, spec.dim))).astype(np.float32)
-
-    @classmethod
-    def precomputed(cls, dim: int) -> "Encoder":
-        return cls(EncoderSpec(kind=KIND_PRECOMPUTED, dim=dim))
-
-    @classmethod
-    def trainable_lookup(cls, dim: int, vocab_size: int,
-                         aggregation: str = AGG_FIRST,
-                         max_len: int | None = None,
-                         seed: int = 0) -> "Encoder":
-        spec = EncoderSpec(kind=KIND_TRAINABLE, dim=dim, vocab_size=vocab_size,
-                           aggregation=aggregation, max_len=max_len)
-        return cls(spec, rng=np.random.default_rng(seed))
-
-    def encode(self, item) -> np.ndarray:
-        return encode(self, item)
+def _as_ids(ids) -> np.ndarray:
+    """Ids as uint64, the dtype lookups must compare in: an int64 needle
+    would make ``np.searchsorted`` compare in float64, which merges ids
+    above 2**53.  Negative and non-integer ids raise ``InvalidInput``."""
+    arr = np.asarray(ids)
+    if arr.dtype == np.uint64:
+        return arr
+    if arr.size == 0:
+        return arr.astype(np.uint64)
+    if arr.dtype.kind in "fO":
+        # numpy types a list that mixes ids of 2**63 and above with smaller
+        # ones as float64, so such input is checked item by item.
+        arr = np.asarray(ids, dtype=object)
+        if not all(isinstance(v, (int, np.integer)) and 0 <= v < 2 ** 64
+                   for v in arr.flat):
+            raise InvalidInput("candidate ids must be integers in [0, 2**64)")
+    elif arr.dtype.kind not in "iu":
+        raise InvalidInput(f"candidate ids must be integers, got dtype {arr.dtype}")
+    elif arr.min() < 0:
+        raise InvalidInput(f"candidate id {int(arr.min())} is negative")
+    return arr.astype(np.uint64)
 
 
-def encode(encoder: Encoder, item) -> np.ndarray:
-    """Produce the single-vector embedding for one input.
-
-    Precomputed encoders require a raw vector and pass it through
-    unchanged; trainable encoders require a TokenSequence.
-    """
-    spec = encoder.spec
-    if spec.kind == KIND_PRECOMPUTED:
-        if isinstance(item, TokenSequence):
-            raise InvalidShape("precomputed encoder takes a raw vector, not tokens")
-        vec = np.asarray(item, dtype=np.float32)
-        if vec.shape != (spec.dim,):
-            raise InvalidShape(f"embedding has shape {vec.shape}, expected ({spec.dim},)")
-        return vec
-
-    if not isinstance(item, TokenSequence):
-        raise InvalidShape("trainable-lookup encoder takes a TokenSequence")
-    if spec.max_len is not None and len(item.ids) > spec.max_len:
-        raise InvalidShape(f"sequence length {len(item.ids)} exceeds max_len {spec.max_len}")
-    ids = np.asarray(item.ids, dtype=np.int64)
-    if ids.max() >= spec.vocab_size:
-        raise InvalidToken(
-            f"token id {int(ids.max())} outside vocabulary of size {spec.vocab_size}")
-    rows = encoder.table[ids]
-    if spec.aggregation == AGG_FIRST:
-        return rows[0].copy()
-    return rows.mean(axis=0)
+def _sorted_ids(ids) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ids sorted ascending, and the permutation that sorted them (None if
+    they already were).  A repeated id raises ``DuplicateId`` naming it."""
+    ids = _as_ids(ids)
+    if np.all(ids[1:] > ids[:-1]):
+        return ids, None
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    repeats = np.flatnonzero(ids[1:] == ids[:-1])
+    if len(repeats):
+        raise DuplicateId(f"candidate id {int(ids[repeats[0]])} appears more than once")
+    return ids, order
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +92,10 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("id", "<u8"), ("vec", "<f4", (dim,))], align=False)
 
 
-def _check_ids_unique(ids: np.ndarray) -> None:
-    if len(np.unique(ids)) != len(ids):
-        unique, counts = np.unique(ids, return_counts=True)
-        dup = unique[counts > 1][0]
-        raise DuplicateId(f"candidate id {int(dup)} appears more than once")
-
-
 def save_embedding_file(path: str | Path, ids: Sequence[int] | np.ndarray,
                         embeddings: np.ndarray, dim: int | None = None) -> None:
     """Write ids and their float32 vectors; bit-exact under reload."""
-    ids = np.asarray(ids, dtype=np.uint64)
+    ids = _as_ids(ids)
     matrix = np.ascontiguousarray(embeddings, dtype="<f4")
     if matrix.ndim != 2 and not (matrix.size == 0 and len(ids) == 0):
         raise InvalidShape(f"embeddings must be (count, dim), got {matrix.shape}")
@@ -165,7 +106,7 @@ def save_embedding_file(path: str | Path, ids: Sequence[int] | np.ndarray,
     if matrix.size and matrix.shape != (len(ids), dim):
         raise InvalidShape(
             f"embeddings shape {matrix.shape} does not match {len(ids)} ids x dim {dim}")
-    _check_ids_unique(ids)
+    _sorted_ids(ids)
 
     records = np.empty(len(ids), dtype=_record_dtype(dim))
     records["id"] = ids
@@ -194,7 +135,7 @@ def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     ids = records["id"].astype(np.uint64)
     matrix = (records["vec"].astype(np.float32) if count
               else np.empty((0, dim), dtype=np.float32))
-    _check_ids_unique(ids)
+    _sorted_ids(ids)
     return ids, matrix.reshape(count, dim)
 
 
@@ -222,22 +163,21 @@ def load_embedding_text(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     for lineno, row in enumerate(rows, 1):
         if row.shape[0] != dim:
             raise FormatError(f"record {lineno} has {row.shape[0]} values, expected {dim}")
-    ids_arr = np.asarray(ids, dtype=np.uint64)
-    _check_ids_unique(ids_arr)
+    ids_arr = _as_ids(ids)
+    _sorted_ids(ids_arr)
     return ids_arr, np.vstack(rows)
 
 
 class EmbeddingTable:
-    """Id-addressable view over (ids, matrix) used by rerankers and training."""
+    """Id-addressable rows: ``ids`` sorted ascending, ``matrix`` row-aligned."""
 
-    def __init__(self, ids: np.ndarray | Iterable[int], matrix: np.ndarray):
-        self.ids = np.asarray(ids, dtype=np.uint64)
-        self.matrix = np.asarray(matrix, dtype=np.float32)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.ids):
+    def __init__(self, ids: Sequence[int] | np.ndarray, matrix: np.ndarray):
+        matrix = np.ascontiguousarray(matrix, dtype=np.float32)
+        self.ids, order = _sorted_ids(ids)
+        if matrix.ndim != 2 or matrix.shape[0] != len(self.ids):
             raise InvalidShape(
-                f"embedding matrix {self.matrix.shape} does not match {len(self.ids)} ids")
-        _check_ids_unique(self.ids)
-        self._row_of = {int(cid): i for i, cid in enumerate(self.ids)}
+                f"embedding matrix {matrix.shape} does not match {len(self.ids)} ids")
+        self.matrix = matrix if order is None else matrix[order]
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EmbeddingTable":
@@ -251,14 +191,26 @@ class EmbeddingTable:
         return len(self.ids)
 
     def __contains__(self, candidate_id: int) -> bool:
-        return int(candidate_id) in self._row_of
+        try:
+            self._rows([candidate_id])
+        except MissingCandidate:
+            return False
+        return True
 
-    def row_indices(self, candidate_ids: Iterable[int]) -> np.ndarray:
-        return np.asarray([self._row_of[int(c)] for c in candidate_ids], dtype=np.int64)
+    def _rows(self, candidate_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Matrix row of each id, in order; an absent id raises
+        ``MissingCandidate``."""
+        needles = _as_ids(candidate_ids)
+        rows = np.searchsorted(self.ids, needles)
+        if len(self.ids):
+            absent = self.ids[np.minimum(rows, len(self.ids) - 1)] != needles
+        else:
+            absent = np.ones(needles.shape, dtype=bool)
+        if absent.any():
+            raise MissingCandidate(
+                f"candidate id {int(needles[absent][0])} is not indexed")
+        return rows
 
-    def get(self, candidate_id: int) -> np.ndarray:
-        return self.matrix[self._row_of[int(candidate_id)]]
-
-    def batch(self, candidate_ids: Iterable[int]) -> np.ndarray:
-        """Rows for the given ids, in order; KeyError surfaces to callers."""
-        return self.matrix[self.row_indices(candidate_ids)]
+    def batch(self, candidate_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Rows for the given ids, in order."""
+        return self.matrix[self._rows(candidate_ids)]

@@ -34,10 +34,6 @@ class DuplicateId(CmcRankError):
     """An id appeared more than once where ids must be unique."""
 
 
-class InvalidToken(CmcRankError):
-    """A token id is outside the encoder's vocabulary."""
-
-
 class MissingCandidate(CmcRankError):
     """A candidate id could not be resolved to an embedding."""
 
@@ -56,7 +52,3 @@ class InvalidInput(CmcRankError):
 
 class UndefinedMetric(CmcRankError):
     """A metric's denominator is empty for the given evaluation set."""
-
-
-class EncodeError(CmcRankError):
-    """A query or candidate could not be encoded."""

@@ -2,7 +2,10 @@
 
 Candidates are stored as one float32 vector each.  Search is a full scan
 (desk-scale corpora keep that fast) so results are exact and, with ties
-broken by ascending id, fully deterministic.
+broken by ascending id, fully deterministic.  ``CandidateIndex`` is an
+``EmbeddingTable``: ids are held sorted ascending as uint64 and resolved
+to rows by binary search, and a matrix whose ids are already sorted is
+aliased, not copied.
 
 Index file layout (little-endian):
 
@@ -16,7 +19,8 @@ Index file layout (little-endian):
 
 The matrix region is exactly count * dim * 4 bytes: single-vector storage,
 nothing else per candidate.  ``open_index`` memory-maps that region
-read-only after verifying the checksum.
+read-only after verifying the checksum; the stored ids are strictly
+increasing, so the index keeps the map instead of a copy.
 """
 from __future__ import annotations
 
@@ -27,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DuplicateId, FormatError, InvalidShape, MissingCandidate
+from .encoders import EmbeddingTable
+from .errors import FormatError, InvalidShape
 from .fileio import (atomic_write_bytes, expect_magic, pack_u16, pack_u32,
                      pack_u64, read_u16, read_u32, read_u64)
 
@@ -80,42 +85,12 @@ def rank_by_score(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedList:
                       scores=scores[chosen].astype(np.float32, copy=False))
 
 
-class CandidateIndex:
-    """In-memory (or memory-mapped) candidate embeddings with exact search."""
-
-    def __init__(self, ids: Sequence[int] | np.ndarray, matrix: np.ndarray):
-        ids = np.asarray(ids, dtype=np.uint64)
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2:
-            raise InvalidShape(f"index matrix must be 2-D, got shape {matrix.shape}")
-        if matrix.shape[0] != len(ids):
-            raise InvalidShape(
-                f"{len(ids)} ids but {matrix.shape[0]} embedding rows")
-        if len(np.unique(ids)) != len(ids):
-            raise DuplicateId("candidate ids must be unique")
-        order = np.argsort(ids, kind="stable")
-        self.ids = ids[order]
-        self.matrix = matrix[order] if len(order) else matrix
-        self._row_of = {int(c): i for i, c in enumerate(self.ids)}
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __contains__(self, candidate_id: int) -> bool:
-        return int(candidate_id) in self._row_of
+class CandidateIndex(EmbeddingTable):
+    """Candidate embeddings (in memory or memory-mapped) with exact search."""
 
     def scores_for(self, query: np.ndarray, candidate_ids: Sequence[int]) -> np.ndarray:
         """Inner products of the query against specific candidates, in order."""
-        try:
-            rows = np.asarray([self._row_of[int(c)] for c in candidate_ids],
-                              dtype=np.int64)
-        except KeyError as exc:
-            raise MissingCandidate(f"candidate id {exc} is not indexed") from exc
-        return self.matrix[rows] @ np.asarray(query, dtype=np.float32)
+        return self.matrix[self._rows(candidate_ids)] @ np.asarray(query, dtype=np.float32)
 
     def search(self, query: np.ndarray, k: int) -> RankedList:
         return search_topk(self, query, k)
@@ -169,11 +144,7 @@ def open_index(path: str | Path) -> CandidateIndex:
     else:
         matrix = np.empty((0, dim), dtype=np.float32)
 
-    index = CandidateIndex.__new__(CandidateIndex)
-    index.ids = ids
-    index.matrix = matrix
-    index._row_of = {int(c): i for i, c in enumerate(index.ids)}
-    return index
+    return CandidateIndex(ids, matrix)
 
 
 def search_topk(index: CandidateIndex, query: np.ndarray, k: int) -> RankedList:

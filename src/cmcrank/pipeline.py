@@ -20,8 +20,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .encoders import Encoder, EmbeddingTable, encode
-from .errors import EncodeError, InvalidConfig
+from .encoders import EmbeddingTable, encode
+from .errors import CmcRankError, InvalidConfig
 from .index import CandidateIndex, RankedList, search_topk
 from .reranker import CmcParams, rerank
 
@@ -105,46 +105,33 @@ class Pipeline:
     """Bound pipeline: an index, reranker params, and candidate embeddings."""
 
     def __init__(self, index: CandidateIndex, params: CmcParams,
-                 candidates: EmbeddingTable,
-                 query_encoder_retrieve: Encoder | None = None,
-                 query_encoder_rerank: Encoder | None = None):
+                 candidates: EmbeddingTable):
         self.index = index
         self.params = params
         self.candidates = candidates
-        self.query_encoder_retrieve = (
-            query_encoder_retrieve or Encoder.precomputed(index.dim))
-        self.query_encoder_rerank = (
-            query_encoder_rerank or Encoder.precomputed(params.model_dim))
-
-    def _encode_query(self, encoder: Encoder, query) -> np.ndarray:
-        try:
-            return encode(encoder, query)
-        except Exception as exc:
-            raise EncodeError(f"query could not be encoded: {exc}") from exc
 
     def run_query(self, cfg: PipelineConfig, query_id: int, query) -> PipelineResult:
-        """Run all stages for one query; per-stage wall time in microseconds."""
-        # The two stage encoders are independent of each other; any overlap
-        # in their execution must leave the results bit-identical.
-        q_retrieve = self._encode_query(self.query_encoder_retrieve, query)
-        q_rerank = self._encode_query(self.query_encoder_rerank, query)
+        """Run all stages for one query; per-stage wall time in microseconds.
+
+        The one query vector serves both stages, so the index dim and the
+        reranker's model dim must agree; the reranker checks its side."""
+        q = encode(query, self.index.dim)
 
         t0 = time.perf_counter()
-        retrieved = search_topk(self.index, q_retrieve, cfg.k_retrieve)
+        retrieved = search_topk(self.index, q, cfg.k_retrieve)
         t1 = time.perf_counter()
 
         k_prime = min(cfg.k_prime, len(retrieved))
-        reranked = rerank(self.params, q_rerank, retrieved, self.candidates, k_prime)
+        reranked = rerank(self.params, q, retrieved, self.candidates, k_prime)
         t2 = time.perf_counter()
 
         final_us = 0.0
         if cfg.mode == MODE_INTERMEDIATE and len(reranked):
-            qrec = QueryRecord(query_id=query_id, embedding=q_rerank)
+            qrec = QueryRecord(query_id=query_id, embedding=q)
             best_id, best_key = -1, None
-            for cid in reranked.ids:
+            for cid, row in zip(reranked.ids, self.candidates.batch(reranked.ids)):
                 cid = int(cid)
-                crec = CandidateRecord(candidate_id=cid,
-                                       embedding=self.candidates.get(cid))
+                crec = CandidateRecord(candidate_id=cid, embedding=row)
                 score = float(cfg.final_scorer(qrec, crec))
                 key = (-score, cid)
                 if best_key is None or key < best_key:
@@ -173,8 +160,9 @@ class Pipeline:
         """Map run_query over the batch; optionally in a worker pool.
 
         Returns (results, aggregate metrics, per-query errors).  Metrics are
-        empty unless golds are supplied; a failing query is collected in the
-        error map rather than aborting the batch.
+        empty unless golds are supplied; a query that fails on its data (a
+        ``CmcRankError``) is collected in the error map rather than aborting
+        the batch, while any other exception is a bug and propagates.
         """
         from .evaluation import EvalRecord, compute_metrics
 
@@ -185,7 +173,7 @@ class Pipeline:
             query_id, query = queries[i]
             try:
                 results[i] = self.run_query(cfg, query_id, query)
-            except Exception as exc:  # collected, not fatal to the batch
+            except CmcRankError as exc:
                 errors[query_id] = exc
 
         if threads and threads > 1 and len(queries) > 1:

@@ -23,8 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoders import EmbeddingTable
-from .errors import (FormatError, InvalidConfig, InvalidShape, MissingCandidate,
-                     StateError)
+from .errors import FormatError, InvalidConfig, InvalidShape, StateError
 from .index import RankedList, rank_by_score
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.layer import (LAYER_ARRAY_FIELDS, GradientSet, LayerParams,
@@ -231,11 +230,7 @@ def rerank(params: CmcParams, h_query: np.ndarray, ranked: RankedList,
     if len(ranked) == 0 or k_out <= 0:
         return RankedList(ids=np.empty(0, dtype=np.uint64),
                           scores=np.empty(0, dtype=np.float32))
-    try:
-        rows = candidate_embeddings.batch(ranked.ids)
-    except KeyError as exc:
-        raise MissingCandidate(f"no embedding for candidate id {exc}") from exc
-
+    rows = candidate_embeddings.batch(ranked.ids)
     ctx = cmc_forward(params, np.asarray(h_query, dtype=np.float32), rows)
     scores = cmc_score(ctx).scores
     return rank_by_score(ranked.ids, scores, k_out)

@@ -1,86 +1,24 @@
-"""Encoders: pass-through, lookup aggregation, and the embedding file format."""
+"""Encoders: query shape check, the embedding file format, id lookup."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmcrank.encoders import (EmbeddingTable, Encoder, TokenSequence, encode,
-                              load_embedding_file, load_embedding_text,
-                              save_embedding_file)
-from cmcrank.errors import (DuplicateId, FormatError, InvalidShape,
-                            InvalidToken)
+from cmcrank.encoders import (EmbeddingTable, encode, load_embedding_file,
+                              load_embedding_text, save_embedding_file)
+from cmcrank.errors import (DuplicateId, FormatError, InvalidInput,
+                            InvalidShape, MissingCandidate)
+from cmcrank.index import CandidateIndex
 
 
 class TestEncode:
     def test_precomputed_passthrough(self):
-        enc = Encoder.precomputed(dim=4)
         v = np.array([1.0, -2.0, 0.5, 3.0], dtype=np.float32)
-        np.testing.assert_array_equal(encode(enc, v), v)
+        np.testing.assert_array_equal(encode(v, 4), v)
 
     def test_precomputed_dim_mismatch(self):
-        enc = Encoder.precomputed(dim=4)
         with pytest.raises(InvalidShape):
-            encode(enc, np.zeros(5, dtype=np.float32))
-
-    def test_first_position_single_token(self):
-        enc = Encoder.trainable_lookup(dim=6, vocab_size=10, seed=1)
-        out = encode(enc, TokenSequence(role="query", ids=(7,)))
-        np.testing.assert_array_equal(out, enc.table[7])
-
-    def test_first_position_ignores_rest(self):
-        enc = Encoder.trainable_lookup(dim=6, vocab_size=10, seed=1)
-        a = encode(enc, TokenSequence(role="query", ids=(3, 1, 2)))
-        b = encode(enc, TokenSequence(role="query", ids=(3, 9, 8)))
-        np.testing.assert_array_equal(a, b)
-
-    def test_mean_of_two_rows(self):
-        enc = Encoder.trainable_lookup(dim=6, vocab_size=10,
-                                       aggregation="mean", seed=2)
-        out = encode(enc, TokenSequence(role="candidate", ids=(2, 5)))
-        expected = (enc.table[2] + enc.table[5]) / 2.0
-        np.testing.assert_allclose(out, expected, rtol=1e-6)
-
-    def test_mean_is_order_invariant(self):
-        enc = Encoder.trainable_lookup(dim=4, vocab_size=20,
-                                       aggregation="mean", seed=3)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            ids = tuple(rng.integers(0, 20, size=5).tolist())
-            perm = tuple(np.array(ids)[rng.permutation(5)].tolist())
-            a = encode(enc, TokenSequence(role="query", ids=ids))
-            b = encode(enc, TokenSequence(role="query", ids=perm))
-            np.testing.assert_allclose(a, b, atol=1e-6)
-
-    def test_token_out_of_vocabulary(self):
-        enc = Encoder.trainable_lookup(dim=4, vocab_size=5, seed=4)
-        with pytest.raises(InvalidToken):
-            encode(enc, TokenSequence(role="query", ids=(5,)))
-
-    def test_max_len_enforced(self):
-        enc = Encoder.trainable_lookup(dim=4, vocab_size=5, max_len=2, seed=5)
-        with pytest.raises(InvalidShape):
-            encode(enc, TokenSequence(role="query", ids=(1, 2, 3)))
-
-    def test_encoders_are_independent(self):
-        """Mutating the query encoder's table never changes candidate output."""
-        qry = Encoder.trainable_lookup(dim=4, vocab_size=5, seed=6)
-        can = Encoder.trainable_lookup(dim=4, vocab_size=5, seed=6)
-        seq = TokenSequence(role="candidate", ids=(1,))
-        before = encode(can, seq).copy()
-        qry.table[...] = 99.0
-        np.testing.assert_array_equal(encode(can, seq), before)
-
-    def test_deterministic(self):
-        enc = Encoder.trainable_lookup(dim=4, vocab_size=8, seed=7)
-        seq = TokenSequence(role="query", ids=(1, 2))
-        assert encode(enc, seq).tobytes() == encode(enc, seq).tobytes()
-
-    def test_token_sequence_validation(self):
-        from cmcrank.errors import InvalidConfig
-        with pytest.raises(InvalidConfig):
-            TokenSequence(role="passage", ids=(1,))
-        with pytest.raises(InvalidShape):
-            TokenSequence(role="query", ids=())
-        with pytest.raises(InvalidToken):
-            TokenSequence(role="query", ids=(-1,))
+            encode(np.zeros(5, dtype=np.float32), 4)
 
 
 class TestEmbeddingFile:
@@ -147,6 +85,83 @@ class TestEmbeddingTable:
         ids = [10, 20, 30]
         matrix = np.arange(9, dtype=np.float32).reshape(3, 3)
         table = EmbeddingTable(ids, matrix)
-        np.testing.assert_array_equal(table.get(20), matrix[1])
+        np.testing.assert_array_equal(table.batch([20]), matrix[[1]])
         np.testing.assert_array_equal(table.batch([30, 10]), matrix[[2, 0]])
         assert 20 in table and 99 not in table
+        with pytest.raises(MissingCandidate):
+            table.batch([10, 99])
+
+    def test_sorted_input_is_aliased_not_copied(self):
+        matrix = np.arange(6, dtype=np.float32).reshape(3, 2)
+        assert EmbeddingTable([1, 2, 3], matrix).matrix is matrix
+        table = EmbeddingTable([3, 1, 2], matrix)
+        assert table.ids.tolist() == [1, 2, 3]
+        np.testing.assert_array_equal(table.matrix, matrix[[1, 2, 0]])
+
+    @pytest.mark.parametrize("table_type", [EmbeddingTable, CandidateIndex])
+    def test_negative_and_non_integer_ids_rejected(self, table_type):
+        matrix = np.zeros((2, 2), dtype=np.float32)
+        with pytest.raises(InvalidInput):
+            table_type(np.array([-1, 2]), matrix)
+        with pytest.raises(InvalidInput):
+            table_type([1.5, 2.0], matrix)
+        table = table_type([1, 2], matrix)
+        with pytest.raises(InvalidInput):
+            table.batch([-1])
+        assert len(table_type([], np.empty((0, 2), dtype=np.float32))) == 0
+
+    def test_ids_above_2_pow_53_resolve_exactly(self):
+        """An int64 needle would be compared in float64, where 2**53 + 1
+        rounds to 2**53 and resolves to the wrong row."""
+        ids = np.array([2 ** 53, 2 ** 53 + 1], dtype=np.uint64)
+        table = EmbeddingTable(ids, np.array([[0.0], [1.0]], dtype=np.float32))
+        assert table.batch(np.array([2 ** 53 + 1], dtype=np.int64)).tolist() == [[1.0]]
+        assert 2 ** 53 + 2 not in table
+
+    def test_list_mixing_ids_above_2_pow_63_with_small_ones(self):
+        """numpy types such a list as float64; it must still resolve exactly."""
+        table = EmbeddingTable([5, 2 ** 64 - 1], np.array([[0.0], [1.0]], dtype=np.float32))
+        assert table.batch([2 ** 64 - 1, 5]).tolist() == [[1.0], [0.0]]
+
+
+ID_LISTS = st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1),
+                    min_size=1, max_size=40, unique=True)
+
+
+class TestIdLookupProperties:
+    """Every id-addressed store agrees with a dict built from its input."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=ID_LISTS, absent=st.integers(min_value=0, max_value=2 ** 64 - 1),
+           data=st.data())
+    def test_lookups_match_dict_oracle(self, ids, absent, data):
+        rng = np.random.default_rng(len(ids))
+        matrix = rng.standard_normal((len(ids), 3)).astype(np.float32)
+        oracle = {cid: matrix[i] for i, cid in enumerate(ids)}
+        query = rng.standard_normal(3).astype(np.float32)
+        wanted = data.draw(st.lists(st.sampled_from(ids), max_size=20))
+        needles = np.array(wanted, dtype=np.uint64)
+        expected = np.array([oracle[c] for c in wanted],
+                            dtype=np.float32).reshape(len(wanted), 3)
+        # Neighbours of stored ids probe both sides of every binary-search step.
+        probes = {absent} | {c + d for c in ids for d in (-1, 1) if 0 <= c + d < 2 ** 64}
+        index = CandidateIndex(np.array(ids, dtype=np.uint64), matrix)
+        for table in (EmbeddingTable(np.array(ids, dtype=np.uint64), matrix), index):
+            np.testing.assert_array_equal(table.batch(needles), expected)
+            for probe in probes:
+                assert (probe in table) == (probe in oracle)
+                if probe not in oracle:
+                    with pytest.raises(MissingCandidate):
+                        table.batch(np.append(needles, np.uint64(probe)))
+        np.testing.assert_array_equal(index.scores_for(query, needles), expected @ query)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ids=ID_LISTS, data=st.data())
+    def test_repeated_id_is_named(self, ids, data):
+        repeated = data.draw(st.sampled_from(ids))
+        with_dup = np.array(ids + [repeated], dtype=np.uint64)
+        with_dup = with_dup[np.random.default_rng(len(ids)).permutation(len(with_dup))]
+        matrix = np.zeros((len(with_dup), 2), dtype=np.float32)
+        for table_type in (EmbeddingTable, CandidateIndex):
+            with pytest.raises(DuplicateId, match=f"id {repeated} "):
+                table_type(with_dup, matrix)

@@ -151,6 +151,19 @@ class TestRunBatch:
         assert len(results) == 2
         assert 999 in errors
 
+    def test_programming_error_propagates(self, world):
+        """Only data errors are collected per query; a bug ends the batch."""
+        data, pipe, golds, queries = world
+
+        def broken_scorer(query, candidate):
+            raise TypeError("scorer bug")
+
+        cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="intermediate",
+                             final_scorer=broken_scorer)
+        for threads in (None, 2):
+            with pytest.raises(TypeError, match="scorer bug"):
+                pipe.run_batch(cfg, queries[:3], threads=threads)
+
 
 class TestStageLatency:
     def test_rerank_overhead_bounded_on_reference_corpus(self):
