@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Subcommands: build-index, generate-synthetic, train, rerank, evaluate,
-bench.  Common flags: --seed, --threads, --config, --show-config.
+bench.  Common flags: --seed, --config, --show-config; rerank also takes
+--threads.
 
 Exit codes: 0 success, 1 usage error (message on stderr), 2 data or format
 error.  Output files are written atomically; input files are never
@@ -16,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, training
-from .encoders import (EmbeddingTable, load_embedding_file, load_embedding_text,
-                       save_embedding_file)
+from .encoders import (EMBEDDING_MAGIC, EmbeddingTable, load_embedding_file,
+                       load_embedding_text, save_embedding_file)
 from .errors import CmcRankError
 from .fileio import atomic_write_text
 from .index import CandidateIndex, build_index, open_index
@@ -106,7 +107,7 @@ def _load_embeddings_any(path: str):
     """Binary embedding file, or the text form as a fallback."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == b"CMCE":
+    if magic == EMBEDDING_MAGIC:
         return load_embedding_file(path)
     return load_embedding_text(path)
 
@@ -299,8 +300,6 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--threads", type=int, default=1,
-                       help="max worker threads for batch stages")
         p.add_argument("--config", help="key=value config file; flags win")
         p.add_argument("--show-config", action="store_true", dest="show_config")
 
@@ -361,6 +360,8 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--scorer", choices=["none", "gold-oracle", "noisy-oracle"],
                    default="none")
     p.add_argument("--gold", help="gold assignment file (query_id gold_id lines)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="max worker threads over the query batch")
     common(p)
     p.set_defaults(func=_cmd_rerank)
 

@@ -1,45 +1,61 @@
 """Query vectors, the id-addressed embedding table and the embedding file format.
 
-Queries arrive as precomputed vectors; ``encode`` checks their shape.
-``EmbeddingTable`` holds candidate ids sorted ascending as uint64, with
-the matrix rows in the same order, and resolves ids to rows by binary
-search.  Ids that are already strictly increasing (every file this package
-writes, and the synthetic task) are taken as they are, so the table
-aliases the caller's matrix, a memory map included, instead of copying it.
-Negative or non-integer ids are rejected, never wrapped.
+Queries arrive as precomputed vectors; ``encode`` checks their shape and
+that they are finite.  ``EmbeddingTable`` holds candidate ids sorted
+ascending as uint64, with the matrix rows in the same order, and resolves
+ids to rows by binary search.  Ids that are already strictly increasing
+(every index file, and the synthetic task) are taken as they are, so the
+table aliases the caller's matrix, a memory map included, instead of
+copying it.  Negative or non-integer ids are rejected, never wrapped.
 
-Embedding file layout (little-endian):
+Embedding file layout (little-endian); an index file is one whose ids are
+strictly increasing:
 
     magic   4 bytes  b"CMCE"
-    version u16      currently 1
+    version u16      currently 2; version-1 files are rejected
     dim     u32
     count   u64
-    then count records of (id u64, dim x f32)
+    crc32   u32      over the id and matrix regions
+    pad     2 bytes  so both regions below start 8-byte aligned
+    ids     count x u64, in the writer's order
+    matrix  count x dim x f32, row-major
+
+``load_embedding_file`` checks the file size before reading the payload,
+streams the checksum over a read-only map, rejects non-finite rows, and
+returns views of that map.
 
 A line-oriented text form ("id v1,v2,..." per line) is accepted as an
 import source and converted to the same in-memory representation.
 """
 from __future__ import annotations
 
+import mmap
+import os
+import struct
+import zlib
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (DuplicateId, FormatError, InvalidInput, InvalidShape,
-                     MissingCandidate)
-from .fileio import (atomic_write_bytes, expect_magic, pack_u16, pack_u32,
-                     pack_u64, read_exact, read_u16, read_u32, read_u64)
+                     MissingCandidate, NumericError)
+from .fileio import atomic_write, read_exact
 
 EMBEDDING_MAGIC = b"CMCE"
-EMBEDDING_VERSION = 1
+EMBEDDING_VERSION = 2
+_HEADER = struct.Struct("<4sHIQI2x")  # magic, version, dim, count, crc32, pad
+HEADER_BYTES = _HEADER.size
+_CHUNK_BYTES = 4 << 20
 
 
 def encode(vector, dim: int) -> np.ndarray:
-    """A raw query vector as float32, checked to have shape ``(dim,)``."""
+    """A raw query vector as float32, checked to be finite with shape ``(dim,)``."""
     vec = np.asarray(vector, dtype=np.float32)
     if vec.shape != (dim,):
         raise InvalidShape(f"embedding has shape {vec.shape}, expected ({dim},)")
+    if not np.isfinite(vec).all():
+        raise NumericError("query embedding has a NaN or infinite value")
     return vec
 
 
@@ -88,14 +104,18 @@ def _sorted_ids(ids) -> tuple[np.ndarray, np.ndarray | None]:
 # Embedding persistence
 
 
-def _record_dtype(dim: int) -> np.dtype:
-    return np.dtype([("id", "<u8"), ("vec", "<f4", (dim,))], align=False)
+def _reject_nonfinite(ids: np.ndarray, rows: np.ndarray, first: int = 0) -> None:
+    """Raise ``NumericError`` naming the id of the first row with a NaN or
+    infinite value; ``rows`` holds the rows of ``ids[first:]``."""
+    if not np.isfinite(rows).all():
+        row = first + int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise NumericError(f"embedding of candidate id {int(ids[row])} is not finite")
 
 
 def save_embedding_file(path: str | Path, ids: Sequence[int] | np.ndarray,
                         embeddings: np.ndarray, dim: int | None = None) -> None:
     """Write ids and their float32 vectors; bit-exact under reload."""
-    ids = _as_ids(ids)
+    ids = np.ascontiguousarray(_as_ids(ids), dtype="<u8")
     matrix = np.ascontiguousarray(embeddings, dtype="<f4")
     if matrix.ndim != 2 and not (matrix.size == 0 and len(ids) == 0):
         raise InvalidShape(f"embeddings must be (count, dim), got {matrix.shape}")
@@ -108,35 +128,43 @@ def save_embedding_file(path: str | Path, ids: Sequence[int] | np.ndarray,
             f"embeddings shape {matrix.shape} does not match {len(ids)} ids x dim {dim}")
     _sorted_ids(ids)
 
-    records = np.empty(len(ids), dtype=_record_dtype(dim))
-    records["id"] = ids
-    if len(ids):
-        records["vec"] = matrix
-    atomic_write_bytes(path, b"".join([
-        EMBEDDING_MAGIC, pack_u16(EMBEDDING_VERSION),
-        pack_u32(dim), pack_u64(len(ids)), records.tobytes(),
-    ]))
+    crc = zlib.crc32(matrix, zlib.crc32(ids))
+    header = _HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_VERSION, dim, len(ids), crc)
+    atomic_write(path, header, ids, matrix)
 
 
 def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Load a binary embedding file; returns (ids u64, matrix count x dim f32)."""
+    """Map a binary embedding file read-only and verify it; returns
+    (ids u64, matrix count x dim f32) as read-only views of the map."""
     with open(path, "rb") as fh:
-        expect_magic(fh, EMBEDDING_MAGIC)
-        version = read_u16(fh, "version")
+        magic, version, dim, count, stored_crc = _HEADER.unpack(
+            read_exact(fh, HEADER_BYTES, "embedding-file header"))
+        if magic != EMBEDDING_MAGIC:
+            raise FormatError(f"bad magic: expected {EMBEDDING_MAGIC!r}, got {magic!r}")
         if version != EMBEDDING_VERSION:
-            raise FormatError(f"unsupported embedding-file version {version}")
-        dim = read_u32(fh, "dim")
-        count = read_u64(fh, "count")
-        record = 8 + 4 * dim
-        raw = read_exact(fh, record * count, "embedding records")
-        if fh.read(1):
-            raise FormatError("trailing bytes after last embedding record")
-    records = np.frombuffer(raw, dtype=_record_dtype(dim))
-    ids = records["id"].astype(np.uint64)
-    matrix = (records["vec"].astype(np.float32) if count
-              else np.empty((0, dim), dtype=np.float32))
+            raise FormatError(f"unsupported embedding-file version {version}; "
+                              f"regenerate the file")
+        expected = HEADER_BYTES + count * (8 + 4 * dim)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FormatError(f"embedding file is {size} bytes, expected "
+                              f"{expected} for {count} rows of dim {dim}")
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    ids = np.frombuffer(buf, dtype="<u8", count=count, offset=HEADER_BYTES)
+    matrix = np.frombuffer(buf, dtype="<f4", count=count * dim,
+                           offset=HEADER_BYTES + 8 * count).reshape(count, dim)
+
+    step = max(1, _CHUNK_BYTES // max(1, 4 * dim))
+    blocks = [(lo, matrix[lo:lo + step]) for lo in range(0, count, step)]
+    crc = zlib.crc32(ids)
+    for _, block in blocks:
+        crc = zlib.crc32(block, crc)
+    if crc != stored_crc:
+        raise FormatError("embedding file checksum mismatch (corrupt payload)")
+    for lo, block in blocks:
+        _reject_nonfinite(ids, block, lo)
     _sorted_ids(ids)
-    return ids, matrix.reshape(count, dim)
+    return ids, matrix
 
 
 def load_embedding_text(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +193,9 @@ def load_embedding_text(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             raise FormatError(f"record {lineno} has {row.shape[0]} values, expected {dim}")
     ids_arr = _as_ids(ids)
     _sorted_ids(ids_arr)
-    return ids_arr, np.vstack(rows)
+    matrix = np.vstack(rows)
+    _reject_nonfinite(ids_arr, matrix)
+    return ids_arr, matrix
 
 
 class EmbeddingTable:

@@ -226,6 +226,7 @@ class BenchReport:
     model_dim: int
     repeats: int
     rows: list[BenchRow] = field(default_factory=list)
+    pinned: bool = False  # timed region ran on one BLAS thread
 
     def to_csv(self) -> str:
         lines = ["k,median_us,p95_us,error"]
@@ -243,6 +244,7 @@ class BenchReport:
                 lines.append(f"{row.k:>8} {row.median_us:>16.1f} {row.p95_us:>16.1f}")
             else:
                 lines.append(f"{row.k:>8} {'failed: ' + row.error:>33}")
+        lines.append(f"BLAS threads pinned to 1: {'yes' if self.pinned else 'no'}")
         return "\n".join(lines)
 
 
@@ -251,10 +253,12 @@ def bench_latency(params: CmcParams, k_values: Sequence[int],
                   seed: int = 0) -> BenchReport:
     """Median/p95 wall time of one forward + scoring pass per candidate count.
 
-    One warm-up pass per K is excluded from the statistics, and the timed
-    region is pinned to single-threaded BLAS execution so medians stay
-    comparable across K.  An allocation failure at some K is recorded on
-    that row instead of crashing.
+    One warm-up pass per K is excluded from the statistics.  When
+    threadpoolctl is installed the timed region is pinned to one BLAS
+    thread, so medians stay comparable across K; otherwise it runs with
+    the ambient thread count.  ``pinned`` on the report says which.  An
+    allocation failure at some K is recorded on that row instead of
+    crashing.
     """
     if model_dim is None:
         model_dim = params.model_dim
@@ -268,9 +272,9 @@ def bench_latency(params: CmcParams, k_values: Sequence[int],
         raise InvalidConfig("need at least 5 repeats per row")
 
     rng = np.random.default_rng(seed)
-    report = BenchReport(model_dim=model_dim, repeats=repeats)
-    pin = (threadpool_limits(limits=1) if threadpool_limits is not None
-           else nullcontext())
+    pinned = threadpool_limits is not None
+    report = BenchReport(model_dim=model_dim, repeats=repeats, pinned=pinned)
+    pin = threadpool_limits(limits=1) if pinned else nullcontext()
     with pin:
         for k in k_values:
             try:

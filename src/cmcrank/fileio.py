@@ -1,9 +1,9 @@
 """Low-level helpers for the binary file formats and atomic output.
 
-Every on-disk artifact (checkpoints, embedding files, index files) is
-little-endian and starts with a 4-byte magic plus a u16 format version.
-Writers go through :func:`atomic_write_bytes` so a crash never leaves a
-half-written file behind.
+Every on-disk artifact (checkpoints and embedding files, of which an index
+file is one) is little-endian and starts with a 4-byte magic plus a u16
+format version.  Writers go through :func:`atomic_write` so a crash never
+leaves a half-written file behind.
 """
 from __future__ import annotations
 
@@ -15,13 +15,16 @@ from typing import BinaryIO
 from .errors import FormatError
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a temp file in the same directory."""
+def atomic_write(path: str | Path, *chunks) -> None:
+    """Write the chunks (bytes or contiguous arrays, written as their
+    buffers without a copy) to ``path`` via a temp file in the same
+    directory."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         tmp.replace(path)
@@ -31,7 +34,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write(path, text.encode("utf-8"))
 
 
 def read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
@@ -57,17 +60,9 @@ def read_u32(fh: BinaryIO, what: str = "u32") -> int:
     return struct.unpack("<I", read_exact(fh, 4, what))[0]
 
 
-def read_u64(fh: BinaryIO, what: str = "u64") -> int:
-    return struct.unpack("<Q", read_exact(fh, 8, what))[0]
-
-
 def pack_u16(value: int) -> bytes:
     return struct.pack("<H", value)
 
 
 def pack_u32(value: int) -> bytes:
     return struct.pack("<I", value)
-
-
-def pack_u64(value: int) -> bytes:
-    return struct.pack("<Q", value)

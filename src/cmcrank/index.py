@@ -7,38 +7,23 @@ broken by ascending id, fully deterministic.  ``CandidateIndex`` is an
 to rows by binary search, and a matrix whose ids are already sorted is
 aliased, not copied.
 
-Index file layout (little-endian):
-
-    magic   4 bytes  b"CMCI"
-    version u16      currently 1
-    dim     u32
-    count   u64
-    crc32   u32      over id table + matrix bytes
-    ids     count x u64
-    matrix  count x dim x f32, row-major
-
-The matrix region is exactly count * dim * 4 bytes: single-vector storage,
-nothing else per candidate.  ``open_index`` memory-maps that region
-read-only after verifying the checksum; the stored ids are strictly
-increasing, so the index keeps the map instead of a copy.
+An index file is an embedding file (see ``encoders``) whose ids are
+strictly increasing: a 24-byte header, the ids, then the matrix, exactly
+count * dim * 4 bytes with nothing else per candidate.  ``open_index``
+loads it like any embedding file, so the checksum is streamed over a
+read-only memory map and the index keeps that aligned map, not a copy.
 """
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .encoders import EmbeddingTable
-from .errors import FormatError, InvalidShape
-from .fileio import (atomic_write_bytes, expect_magic, pack_u16, pack_u32,
-                     pack_u64, read_u16, read_u32, read_u64)
-
-INDEX_MAGIC = b"CMCI"
-INDEX_VERSION = 1
-HEADER_BYTES = 4 + 2 + 4 + 8 + 4
+from .encoders import (HEADER_BYTES, EmbeddingTable,  # noqa: F401 (re-exported)
+                       load_embedding_file, save_embedding_file)
+from .errors import InvalidShape, NumericError
 
 
 @dataclass(frozen=True)
@@ -63,7 +48,10 @@ class RankedList:
 
 
 def rank_by_score(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedList:
-    """Exact top-k of (ids, scores) under the (score desc, id asc) order."""
+    """Exact top-k of (ids, scores) under the (score desc, id asc) order.
+
+    Returns exactly ``min(k, n)`` entries; raises ``NumericError`` when NaN
+    scores leave fewer than that many comparable ones."""
     ids = np.asarray(ids, dtype=np.uint64)
     scores = np.asarray(scores)
     n = len(ids)
@@ -77,6 +65,8 @@ def rank_by_score(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedList:
         part = np.argpartition(-scores, k - 1)
         kth = scores[part[k - 1]]
         keep = np.flatnonzero(scores >= kth)
+        if len(keep) < k:
+            raise NumericError(f"fewer than {k} of {n} scores are comparable (NaN)")
     else:
         keep = np.arange(n)
     order = np.lexsort((ids[keep], -scores[keep].astype(np.float64)))
@@ -99,52 +89,15 @@ class CandidateIndex(EmbeddingTable):
 def build_index(ids: Sequence[int] | np.ndarray, embeddings: np.ndarray,
                 path: str | Path) -> CandidateIndex:
     """Persist an index file and return the in-memory view."""
-    embeddings = np.asarray(embeddings, dtype=np.float32)
-    if embeddings.ndim != 2:
-        raise InvalidShape(f"embeddings must be (count, dim), got {embeddings.shape}")
     index = CandidateIndex(ids, embeddings)
-
-    id_bytes = np.ascontiguousarray(index.ids, dtype="<u8").tobytes()
-    matrix_bytes = np.ascontiguousarray(index.matrix, dtype="<f4").tobytes()
-    crc = zlib.crc32(matrix_bytes, zlib.crc32(id_bytes))
-    atomic_write_bytes(path, b"".join([
-        INDEX_MAGIC, pack_u16(INDEX_VERSION),
-        pack_u32(index.dim), pack_u64(len(index)), pack_u32(crc),
-        id_bytes, matrix_bytes,
-    ]))
+    save_embedding_file(path, index.ids, index.matrix)
     return index
 
 
 def open_index(path: str | Path) -> CandidateIndex:
-    """Open an index read-only; the matrix is memory-mapped and immutable."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        expect_magic(fh, INDEX_MAGIC)
-        version = read_u16(fh, "version")
-        if version != INDEX_VERSION:
-            raise FormatError(f"unsupported index version {version}")
-        dim = read_u32(fh, "dim")
-        count = read_u64(fh, "count")
-        stored_crc = read_u32(fh, "crc32")
-        payload = fh.read()
-    expected = count * (8 + 4 * dim)
-    if len(payload) != expected:
-        raise FormatError(
-            f"index payload is {len(payload)} bytes, expected {expected}")
-    if zlib.crc32(payload) != stored_crc:
-        raise FormatError("index checksum mismatch (corrupt payload)")
-
-    ids = np.frombuffer(payload, dtype="<u8", count=count).astype(np.uint64)
-    if count and np.any(ids[1:] <= ids[:-1]):
-        raise FormatError("index id table must be strictly increasing")
-    if count:
-        # mode="r" keeps the mapped matrix read-only; rows stay on disk.
-        matrix = np.memmap(path, dtype="<f4", mode="r",
-                           offset=HEADER_BYTES + 8 * count, shape=(count, dim))
-    else:
-        matrix = np.empty((0, dim), dtype=np.float32)
-
-    return CandidateIndex(ids, matrix)
+    """Open an index read-only.  With sorted ids, as ``build_index`` writes
+    them, the matrix is the immutable memory map itself, not a copy."""
+    return CandidateIndex(*load_embedding_file(path))
 
 
 def search_topk(index: CandidateIndex, query: np.ndarray, k: int) -> RankedList:

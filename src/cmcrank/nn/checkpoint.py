@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import FormatError
-from ..fileio import (atomic_write_bytes, expect_magic, pack_u16, pack_u32,
+from ..fileio import (atomic_write, expect_magic, pack_u16, pack_u32,
                       read_exact, read_u16, read_u32)
 
 MAGIC = b"CMCP"
@@ -43,7 +43,7 @@ def serialize_buffers(buffers: Mapping[str, np.ndarray]) -> bytes:
 
 
 def save_checkpoint(path: str | Path, buffers: Mapping[str, np.ndarray]) -> None:
-    atomic_write_bytes(path, serialize_buffers(buffers))
+    atomic_write(path, serialize_buffers(buffers))
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

@@ -14,6 +14,7 @@ produce results identical to the serial run.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -21,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .encoders import EmbeddingTable, encode
-from .errors import CmcRankError, InvalidConfig
+from .errors import CmcRankError, DuplicateId, InvalidConfig
 from .index import CandidateIndex, RankedList, search_topk
 from .reranker import CmcParams, rerank
 
@@ -163,8 +164,14 @@ class Pipeline:
         empty unless golds are supplied; a query that fails on its data (a
         ``CmcRankError``) is collected in the error map rather than aborting
         the batch, while any other exception is a bug and propagates.
+        Errors and golds are keyed by query id, so a repeated query id
+        raises ``DuplicateId`` before any query runs.
         """
         from .evaluation import EvalRecord, compute_metrics
+
+        repeated = [q for q, n in Counter(q for q, _ in queries).items() if n > 1]
+        if repeated:
+            raise DuplicateId(f"query id {repeated[0]} appears more than once in the batch")
 
         results: list[PipelineResult | None] = [None] * len(queries)
         errors: dict[int, Exception] = {}

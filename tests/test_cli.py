@@ -29,6 +29,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage" in err.lower()
 
+    def test_threads_only_on_rerank(self, tmp_path, capsys):
+        """--threads is used only by rerank, so only rerank accepts it."""
+        assert run("bench", "--threads", "2") == 1
+        assert run("rerank", "--index", "x", "--checkpoint", "y",
+                   "--embeddings", "z", "--queries", "q", "--out", "o",
+                   "--threads", "2", "--show-config") == 0
+        assert "threads = 2" in capsys.readouterr().out
+
     def test_missing_subcommand(self):
         assert run() == 1
 

@@ -1,13 +1,16 @@
 """Encoders: query shape check, the embedding file format, id lookup."""
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmcrank.encoders import (EmbeddingTable, encode, load_embedding_file,
-                              load_embedding_text, save_embedding_file)
+from cmcrank.encoders import (HEADER_BYTES, EmbeddingTable, encode,
+                              load_embedding_file, load_embedding_text,
+                              save_embedding_file)
 from cmcrank.errors import (DuplicateId, FormatError, InvalidInput,
-                            InvalidShape, MissingCandidate)
+                            InvalidShape, MissingCandidate, NumericError)
 from cmcrank.index import CandidateIndex
 
 
@@ -19,6 +22,11 @@ class TestEncode:
     def test_precomputed_dim_mismatch(self):
         with pytest.raises(InvalidShape):
             encode(np.zeros(5, dtype=np.float32), 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_query_rejected(self, bad):
+        with pytest.raises(NumericError):
+            encode(np.array([1.0, bad, 0.0], dtype=np.float32), 3)
 
 
 class TestEmbeddingFile:
@@ -65,6 +73,57 @@ class TestEmbeddingFile:
         path.write_bytes(data[:-3])
         with pytest.raises(FormatError):
             load_embedding_file(path)
+
+    def test_matrix_byte_flip_detected(self, tmp_path):
+        path = tmp_path / "flip.cmce"
+        save_embedding_file(path, np.arange(20), np.ones((20, 8), dtype=np.float32))
+        data = bytearray(path.read_bytes())
+        data[HEADER_BYTES + 20 * 8 + 37] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="checksum"):
+            load_embedding_file(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "trail.cmce"
+        save_embedding_file(path, [1, 2], np.ones((2, 4), dtype=np.float32))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError):
+            load_embedding_file(path)
+
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        path = tmp_path / "ro.cmce"
+        save_embedding_file(path, [4, 2], np.ones((2, 3), dtype=np.float32))
+        ids, matrix = load_embedding_file(path)
+        assert not matrix.flags.writeable and not ids.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 5.0
+
+    def test_version_1_and_old_index_files_rejected(self, tmp_path):
+        """Files in the retired layouts must be regenerated, not misread."""
+        record = struct.pack("<Q2f", 7, 1.0, 2.0)
+        v1 = tmp_path / "v1.cmce"
+        v1.write_bytes(b"CMCE" + struct.pack("<HIQ", 1, 2, 3) + record * 3)
+        old_index = tmp_path / "v1.cmci"
+        old_index.write_bytes(b"CMCI" + struct.pack("<HIQI", 1, 2, 1, 0)
+                              + struct.pack("<Q2f", 7, 1.0, 2.0))
+        for path in (v1, old_index):
+            with pytest.raises(FormatError):
+                load_embedding_file(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_row_rejected_on_load(self, tmp_path, bad):
+        path = tmp_path / "nan.cmce"
+        matrix = np.ones((5, 3), dtype=np.float32)
+        matrix[3, 1] = bad
+        save_embedding_file(path, [10, 20, 30, 40, 50], matrix)
+        with pytest.raises(NumericError, match="id 40 "):
+            load_embedding_file(path)
+
+    def test_text_nan_rejected(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("1 1,2\n2 nan,0\n")
+        with pytest.raises(NumericError, match="id 2 "):
+            load_embedding_text(path)
 
     def test_text_import(self, tmp_path):
         path = tmp_path / "emb.txt"

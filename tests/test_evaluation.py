@@ -212,6 +212,14 @@ class TestBench:
         assert lines[0] == "k,median_us,p95_us,error"
         assert len(lines) == 2
 
+    def test_missing_threadpoolctl_reported_as_unpinned(self, monkeypatch):
+        import cmcrank.evaluation as evaluation_module
+        monkeypatch.setattr(evaluation_module, "threadpool_limits", None)
+        params = CmcParams.init(model_dim=16, head_count=2, seed=1)
+        report = bench_latency(params, [4], repeats=5, seed=0)
+        assert report.pinned is False
+        assert "pinned to 1: no" in report.to_table()
+
     def test_allocation_failure_recorded_not_raised(self, monkeypatch):
         """An out-of-memory row is reported in the table, not a crash."""
         import cmcrank.evaluation as evaluation_module

@@ -3,10 +3,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmcrank.errors import DuplicateId, FormatError, InvalidShape
+from cmcrank.encoders import load_embedding_file, save_embedding_file
+from cmcrank.errors import DuplicateId, FormatError, InvalidShape, NumericError
 from cmcrank.index import (HEADER_BYTES, CandidateIndex, build_index,
-                           open_index, search_topk)
+                           open_index, rank_by_score, search_topk)
 
 
 def naive_topk(ids, matrix, query, k):
@@ -91,6 +94,50 @@ class TestOpen:
         with pytest.raises((ValueError, RuntimeError)):
             index.matrix[0, 0] = 5.0
 
+    @pytest.mark.parametrize("count", [1, 3, 5, 7, 100])
+    def test_mapped_regions_are_aligned(self, tmp_path, count):
+        """Any id count leaves the float32 matrix aligned in the map."""
+        path = tmp_path / f"al_{count}.cmci"
+        build_index(np.arange(count), np.ones((count, 3), dtype=np.float32), path)
+        ids, matrix = load_embedding_file(path)
+        for arr in (ids, matrix, open_index(path).matrix):
+            assert arr.flags.aligned and arr.ctypes.data % 8 == 0
+
+    def test_unsorted_embedding_file_opens_as_index(self, tmp_path):
+        rng = np.random.default_rng(9)
+        ids = rng.permutation(300) * 7 + 1
+        matrix = rng.standard_normal((300, 8)).astype(np.float32)
+        path = tmp_path / "unsorted.cmce"
+        save_embedding_file(path, ids, matrix)
+        reopened = open_index(path)
+        in_memory = CandidateIndex(ids, matrix)
+        for q in rng.standard_normal((10, 8)).astype(np.float32):
+            a, b = search_topk(in_memory, q, 9), search_topk(reopened, q, 9)
+            assert a.ids.tolist() == b.ids.tolist()
+            np.testing.assert_array_equal(a.scores, b.scores)
+
+    @settings(max_examples=50, deadline=None)
+    @given(ids=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1),
+                        max_size=200, unique=True),
+           dim=st.integers(min_value=1, max_value=16),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_round_trip_property(self, tmp_path_factory, ids, dim, seed):
+        """save -> load keeps the file order; open_index sorts by id;
+        both are bit-exact."""
+        ids = np.array(ids, dtype=np.uint64)
+        matrix = np.random.default_rng(seed).standard_normal(
+            (len(ids), dim)).astype(np.float32)
+        path = tmp_path_factory.mktemp("prop") / "rt.cmce"
+        save_embedding_file(path, ids, matrix)
+        loaded_ids, loaded = load_embedding_file(path)
+        assert loaded_ids.tolist() == ids.tolist()
+        assert loaded.shape == (len(ids), dim)
+        assert loaded.tobytes() == matrix.tobytes()
+        index = open_index(path)
+        order = np.argsort(ids)
+        assert index.ids.tolist() == ids[order].tolist()
+        assert np.asarray(index.matrix).tobytes() == matrix[order].tobytes()
+
     def test_concurrent_readers_identical(self, tmp_path):
         """Two independently opened readers, searched from a thread pool,
         agree with each other and with serial execution."""
@@ -159,6 +206,14 @@ class TestSearch:
         index = CandidateIndex([9, 3, 7, 1, 5, 2], matrix)
         result = search_topk(index, np.ones(2, dtype=np.float32), 4)
         assert result.ids.tolist() == [1, 2, 3, 5]
+
+    def test_nan_scores_raise_instead_of_truncating(self):
+        """rank_by_score returns exactly min(k, n) entries or raises."""
+        ids = np.arange(5)
+        scores = np.array([np.nan, np.nan, np.nan, 1.0, 2.0], dtype=np.float32)
+        with pytest.raises(NumericError):
+            rank_by_score(ids, scores, 3)
+        assert rank_by_score(ids, scores, 2).ids.tolist() == [4, 3]
 
     def test_dim_mismatch(self):
         index = CandidateIndex([1], np.ones((1, 2), dtype=np.float32))

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cmcrank.encoders import EmbeddingTable
-from cmcrank.errors import InvalidConfig
+from cmcrank.errors import DuplicateId, InvalidConfig, NumericError
 from cmcrank.evaluation import SyntheticTaskSpec, generate_synthetic
 from cmcrank.index import CandidateIndex
 from cmcrank.pipeline import (Pipeline, PipelineConfig, gold_oracle_scorer,
@@ -150,6 +150,22 @@ class TestRunBatch:
         results, _, errors = pipe.run_batch(cfg, queries[:2] + bad)
         assert len(results) == 2
         assert 999 in errors
+
+    def test_nonfinite_query_reported_as_error(self, world):
+        data, pipe, golds, queries = world
+        cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="final")
+        bad = np.array(queries[2][1], dtype=np.float32)
+        bad[0] = np.inf
+        results, _, errors = pipe.run_batch(cfg, queries[:2] + [(queries[2][0], bad)])
+        assert [r.query_id for r in results] == [q for q, _ in queries[:2]]
+        assert isinstance(errors[queries[2][0]], NumericError)
+
+    def test_duplicate_query_ids_rejected(self, world):
+        data, pipe, golds, queries = world
+        cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="final")
+        repeated = (queries[0][0], queries[1][1])
+        with pytest.raises(DuplicateId, match=f"query id {queries[0][0]} "):
+            pipe.run_batch(cfg, queries[:3] + [repeated], gold_by_query=golds)
 
     def test_programming_error_propagates(self, world):
         """Only data errors are collected per query; a bug ends the batch."""
