@@ -6,7 +6,9 @@ bench.  Common flags: --seed, --config, --show-config; rerank also takes
 
 Exit codes: 0 success, 1 usage error (message on stderr), 2 data or format
 error.  Output files are written atomically; input files are never
-mutated.  Config precedence is flag > config file > built-in default.
+mutated.  Config precedence is flag > config file > built-in default;
+config-file values are parsed as flags placed before the command line's
+own, so argparse checks their types and choices.
 """
 from __future__ import annotations
 
@@ -59,34 +61,19 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config_file(args: argparse.Namespace, explicit: set[str]) -> None:
-    """Fill config-file values into args wherever no flag was given."""
-    if not getattr(args, "config", None):
-        return
-    file_values = _load_config_file(args.config)
-    for key, raw in file_values.items():
-        if not hasattr(args, key) or key in explicit:
-            continue  # unknown key, or an explicit flag wins
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = raw
-        setattr(args, key, value)
-
-
-def _explicit_dests(parser: argparse.ArgumentParser, argv: list[str]) -> set[str]:
-    """Dests of options literally present on the command line."""
-    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-    dests = set()
+def _config_tokens(parser: argparse.ArgumentParser, values: dict[str, str]) -> list[str]:
+    """Option tokens for the config-file keys ``parser`` knows; a
+    ``store_true`` key adds its flag only when its value is true."""
+    tokens = []
     for action in parser._actions:
-        if any(opt in given for opt in action.option_strings):
-            dests.add(action.dest)
-    return dests
+        if action.dest not in values or not action.option_strings or action.dest == "help":
+            continue
+        raw, flag = values[action.dest], action.option_strings[0]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={raw}")
+        elif raw.lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)
+    return tokens
 
 
 def _show_config(args: argparse.Namespace) -> None:
@@ -161,11 +148,7 @@ def _cmd_generate_synthetic(args) -> int:
 
 def _cmd_train(args) -> int:
     data_dir = Path(args.data_dir)
-    ids, retr = load_embedding_file(data_dir / RETRIEVER_EMBEDDINGS)
-    if args.save_index:
-        index = build_index(ids, retr, Path(args.out).with_suffix(".cmci"))
-    else:
-        index = CandidateIndex(ids, retr)
+    index = CandidateIndex(*load_embedding_file(data_dir / RETRIEVER_EMBEDDINGS))
     candidates = EmbeddingTable.from_file(data_dir / RERANKER_EMBEDDINGS)
     qids, queries = load_embedding_file(data_dir / QUERY_EMBEDDINGS)
     gold = _load_gold(data_dir / GOLD_FILE)
@@ -339,8 +322,6 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--holdout-every", type=int, default=5,
                    help="hold out every n-th query from training (0 = none)")
-    p.add_argument("--save-index", action="store_true",
-                   help="also persist the retrieval index next to the checkpoint")
     common(p)
     p.set_defaults(func=_cmd_train)
 
@@ -393,8 +374,12 @@ def run_command(argv: list[str] | None = None) -> int:
     parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
-        explicit = _explicit_dests(subparsers[args.command], argv)
-        _apply_config_file(args, explicit)
+        if args.config:
+            # File values go before the user's own arguments, so argparse
+            # checks them and any flag given on the command line wins.
+            tokens = _config_tokens(subparsers[args.command],
+                                    _load_config_file(args.config))
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
         if args.show_config:
             _show_config(args)
             return 0

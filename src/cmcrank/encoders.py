@@ -8,8 +8,8 @@ ids to rows by binary search.  Ids that are already strictly increasing
 table aliases the caller's matrix, a memory map included, instead of
 copying it.  Negative or non-integer ids are rejected, never wrapped.
 
-Embedding file layout (little-endian); an index file is one whose ids are
-strictly increasing:
+Embedding file layout (little-endian), in the checked container of
+``fileio``; an index file is one whose ids are strictly increasing:
 
     magic   4 bytes  b"CMCE"
     version u16      currently 2; version-1 files are rejected
@@ -20,19 +20,17 @@ strictly increasing:
     ids     count x u64, in the writer's order
     matrix  count x dim x f32, row-major
 
-``load_embedding_file`` checks the file size before reading the payload,
-streams the checksum over a read-only map, rejects non-finite rows, and
-returns views of that map.
+``fileio.read_checked`` checks the header and the file size before the
+payload and streams the checksum over a read-only map;
+``load_embedding_file`` then rejects non-finite rows and returns views of
+that map.
 
 A line-oriented text form ("id v1,v2,..." per line) is accepted as an
 import source and converted to the same in-memory representation.
 """
 from __future__ import annotations
 
-import mmap
-import os
 import struct
-import zlib
 from pathlib import Path
 from typing import Sequence
 
@@ -40,13 +38,12 @@ import numpy as np
 
 from .errors import (DuplicateId, FormatError, InvalidInput, InvalidShape,
                      MissingCandidate, NumericError)
-from .fileio import atomic_write, read_exact
+from .fileio import CHUNK_BYTES, read_checked, write_checked
 
 EMBEDDING_MAGIC = b"CMCE"
 EMBEDDING_VERSION = 2
 _HEADER = struct.Struct("<4sHIQI2x")  # magic, version, dim, count, crc32, pad
 HEADER_BYTES = _HEADER.size
-_CHUNK_BYTES = 4 << 20
 
 
 def encode(vector, dim: int) -> np.ndarray:
@@ -127,42 +124,21 @@ def save_embedding_file(path: str | Path, ids: Sequence[int] | np.ndarray,
         raise InvalidShape(
             f"embeddings shape {matrix.shape} does not match {len(ids)} ids x dim {dim}")
     _sorted_ids(ids)
-
-    crc = zlib.crc32(matrix, zlib.crc32(ids))
-    header = _HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_VERSION, dim, len(ids), crc)
-    atomic_write(path, header, ids, matrix)
+    write_checked(path, _HEADER, EMBEDDING_MAGIC, EMBEDDING_VERSION,
+                  (dim, len(ids)), (ids, matrix))
 
 
 def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Map a binary embedding file read-only and verify it; returns
     (ids u64, matrix count x dim f32) as read-only views of the map."""
-    with open(path, "rb") as fh:
-        magic, version, dim, count, stored_crc = _HEADER.unpack(
-            read_exact(fh, HEADER_BYTES, "embedding-file header"))
-        if magic != EMBEDDING_MAGIC:
-            raise FormatError(f"bad magic: expected {EMBEDDING_MAGIC!r}, got {magic!r}")
-        if version != EMBEDDING_VERSION:
-            raise FormatError(f"unsupported embedding-file version {version}; "
-                              f"regenerate the file")
-        expected = HEADER_BYTES + count * (8 + 4 * dim)
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise FormatError(f"embedding file is {size} bytes, expected "
-                              f"{expected} for {count} rows of dim {dim}")
-        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    (dim, count), buf = read_checked(path, _HEADER, EMBEDDING_MAGIC, EMBEDDING_VERSION,
+                                     lambda dim, count: count * (8 + 4 * dim))
     ids = np.frombuffer(buf, dtype="<u8", count=count, offset=HEADER_BYTES)
     matrix = np.frombuffer(buf, dtype="<f4", count=count * dim,
                            offset=HEADER_BYTES + 8 * count).reshape(count, dim)
-
-    step = max(1, _CHUNK_BYTES // max(1, 4 * dim))
-    blocks = [(lo, matrix[lo:lo + step]) for lo in range(0, count, step)]
-    crc = zlib.crc32(ids)
-    for _, block in blocks:
-        crc = zlib.crc32(block, crc)
-    if crc != stored_crc:
-        raise FormatError("embedding file checksum mismatch (corrupt payload)")
-    for lo, block in blocks:
-        _reject_nonfinite(ids, block, lo)
+    step = max(1, CHUNK_BYTES // max(1, 4 * dim))
+    for lo in range(0, count, step):
+        _reject_nonfinite(ids, matrix[lo:lo + step], lo)
     _sorted_ids(ids)
     return ids, matrix
 

@@ -1,18 +1,28 @@
-"""Low-level helpers for the binary file formats and atomic output.
+"""The one checked container behind every binary file, and atomic output.
 
-Every on-disk artifact (checkpoints and embedding files, of which an index
-file is one) is little-endian and starts with a 4-byte magic plus a u16
-format version.  Writers go through :func:`atomic_write` so a crash never
-leaves a half-written file behind.
+Every binary file (embedding files, of which an index file is one, and
+checkpoints) is a little-endian fixed header followed by a payload.  The
+header starts with a 4-byte magic and a u16 format version and ends with
+the CRC32 of the payload; the fields in between are the format's own.  A
+format module supplies its header ``struct.Struct`` and a function giving
+the exact payload size from those fields.  :func:`read_checked` checks the
+magic, the version and the file size before touching the payload, then
+maps the file read-only and streams the checksum over the map.  Writers go
+through :func:`atomic_write` so a crash never leaves a half-written file
+behind.
 """
 from __future__ import annotations
 
+import mmap
 import os
 import struct
+import zlib
 from pathlib import Path
-from typing import BinaryIO
+from typing import Callable, Sequence
 
 from .errors import FormatError
+
+CHUNK_BYTES = 4 << 20
 
 
 def atomic_write(path: str | Path, *chunks) -> None:
@@ -37,32 +47,45 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write(path, text.encode("utf-8"))
 
 
-def read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    """Read exactly ``n`` bytes or raise FormatError (truncated file)."""
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated file while reading {what}: "
-                          f"wanted {n} bytes, got {len(data)}")
-    return data
+def write_checked(path: str | Path, header: struct.Struct, magic: bytes,
+                  version: int, fields: Sequence[int], chunks: Sequence) -> None:
+    """Write ``header`` (magic, version, fields, CRC32 of the chunks) and
+    then the chunks, which are contiguous buffers written without a copy."""
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    atomic_write(path, header.pack(magic, version, *fields, crc), *chunks)
 
 
-def expect_magic(fh: BinaryIO, magic: bytes) -> None:
-    got = fh.read(len(magic))
-    if got != magic:
-        raise FormatError(f"bad magic: expected {magic!r}, got {got!r}")
+def read_checked(path: str | Path, header: struct.Struct, magic: bytes,
+                 version: int, payload_bytes: Callable[..., int]):
+    """Map a file written by :func:`write_checked` read-only and verify it.
 
-
-def read_u16(fh: BinaryIO, what: str = "u16") -> int:
-    return struct.unpack("<H", read_exact(fh, 2, what))[0]
-
-
-def read_u32(fh: BinaryIO, what: str = "u32") -> int:
-    return struct.unpack("<I", read_exact(fh, 4, what))[0]
-
-
-def pack_u16(value: int) -> bytes:
-    return struct.pack("<H", value)
-
-
-def pack_u32(value: int) -> bytes:
-    return struct.pack("<I", value)
+    ``payload_bytes(*fields)`` gives the exact payload size for the header
+    fields between the version and the CRC; it may raise ``FormatError``
+    for fields that contradict each other.  Returns ``(fields, map)``.
+    """
+    kind = magic.decode()
+    with open(path, "rb") as fh:
+        raw = fh.read(header.size)
+        if raw[:4] != magic:
+            raise FormatError(f"bad magic: expected {magic!r}, got {raw[:4]!r}")
+        got = int.from_bytes(raw[4:6], "little")
+        if got != version:
+            raise FormatError(f"unsupported {kind} version {got}; regenerate the file")
+        if len(raw) != header.size:
+            raise FormatError(f"truncated {kind} header: {len(raw)} of {header.size} bytes")
+        _, _, *fields, stored_crc = header.unpack(raw)
+        expected = header.size + payload_bytes(*fields)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FormatError(f"{kind} file is {size} bytes, expected {expected} "
+                              f"for header fields {tuple(fields)}")
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    crc = 0
+    with memoryview(buf) as view:
+        for lo in range(header.size, size, CHUNK_BYTES):
+            crc = zlib.crc32(view[lo:lo + CHUNK_BYTES], crc)
+    if crc != stored_crc:
+        raise FormatError(f"{kind} file checksum mismatch (corrupt payload)")
+    return tuple(fields), buf

@@ -59,16 +59,13 @@ def rank_by_score(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedList:
     if k <= 0:
         return RankedList(ids=np.empty(0, dtype=np.uint64),
                           scores=np.empty(0, dtype=np.float32))
-    if k < n:
-        # argpartition may split ties at the boundary arbitrarily, so widen
-        # to every entry scoring >= the k-th value before ordering.
-        part = np.argpartition(-scores, k - 1)
-        kth = scores[part[k - 1]]
-        keep = np.flatnonzero(scores >= kth)
-        if len(keep) < k:
-            raise NumericError(f"fewer than {k} of {n} scores are comparable (NaN)")
-    else:
-        keep = np.arange(n)
+    # argpartition may split ties at the boundary arbitrarily, so widen to
+    # every entry scoring >= the k-th value before ordering.  NaN sorts
+    # last, so a NaN k-th value keeps nothing.
+    part = np.argpartition(-scores, k - 1)
+    keep = np.flatnonzero(scores >= scores[part[k - 1]])
+    if len(keep) < k:
+        raise NumericError(f"fewer than {k} of {n} scores are comparable (NaN)")
     order = np.lexsort((ids[keep], -scores[keep].astype(np.float64)))
     chosen = keep[order[:k]]
     return RankedList(ids=ids[chosen],

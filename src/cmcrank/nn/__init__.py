@@ -1,10 +1,14 @@
-"""Minimal numerical kernel: forward ops, manual gradients, AdamW, oracles."""
+"""Minimal numerical kernel: forward ops, manual gradients, AdamW, oracles.
+
+Gradients are plain ``name -> array`` dicts keyed like the parameter
+buffers.  The kernel has no file format of its own: ``CmcParams.save`` and
+``CmcParams.load`` in ``reranker`` own the checkpoint.
+"""
 
 from .attention import attention_backward, attention_forward, multi_head_self_attention
-from .checkpoint import load_checkpoint, save_checkpoint, serialize_buffers
 from .gradcheck import finite_difference_gradient, gradients_close
-from .layer import (GradientSet, LayerParams, encoder_layer_backward,
-                    encoder_layer_forward, encoder_layer_forward_recorded)
+from .layer import (LayerParams, encoder_layer_backward, encoder_layer_forward,
+                    encoder_layer_forward_recorded)
 from .ops import (gelu, gelu_backward, layer_norm, layer_norm_backward,
                   layer_norm_forward, linear_backward, linear_forward,
                   softmax, softmax_rows)
@@ -12,9 +16,8 @@ from .optim import OptimizerState, adamw_step, warmup_schedule
 
 __all__ = [
     "attention_backward", "attention_forward", "multi_head_self_attention",
-    "load_checkpoint", "save_checkpoint", "serialize_buffers",
     "finite_difference_gradient", "gradients_close",
-    "GradientSet", "LayerParams", "encoder_layer_backward",
+    "LayerParams", "encoder_layer_backward",
     "encoder_layer_forward", "encoder_layer_forward_recorded",
     "gelu", "gelu_backward", "layer_norm", "layer_norm_backward",
     "layer_norm_forward", "linear_backward", "linear_forward",

@@ -15,13 +15,6 @@ from ..errors import InvalidConfig, InvalidShape
 from . import ops
 from .attention import attention_backward, multi_head_self_attention
 
-#: Names of the array-valued fields of LayerParams, in serialization order.
-LAYER_ARRAY_FIELDS = (
-    "w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o",
-    "w_1", "b_1", "w_2", "b_2",
-    "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-)
-
 
 @dataclass
 class LayerParams:
@@ -49,10 +42,22 @@ class LayerParams:
     ln2_bias: np.ndarray
     head_count: int
 
+    @staticmethod
+    def shapes(d: int, f: int) -> dict[str, tuple[int, ...]]:
+        """Shape of every array field for model dim ``d`` and FFN dim ``f``,
+        in serialization order."""
+        return {
+            "w_q": (d, d), "b_q": (d,), "w_k": (d, d), "b_k": (d,),
+            "w_v": (d, d), "b_v": (d,), "w_o": (d, d), "b_o": (d,),
+            "w_1": (d, f), "b_1": (f,), "w_2": (f, d), "b_2": (d,),
+            "ln1_gain": (d,), "ln1_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,),
+        }
+
     @classmethod
     def init(cls, model_dim: int, head_count: int, ffn_dim: int | None = None,
              rng: np.random.Generator | None = None) -> "LayerParams":
-        """Random-normal init (std 0.02) with identity layer norms."""
+        """Random-normal init (std 0.02) of the matrices, zero biases and
+        identity layer norms."""
         if model_dim < 1 or head_count < 1:
             raise InvalidConfig("model_dim and head_count must be positive")
         if model_dim % head_count != 0:
@@ -61,24 +66,12 @@ class LayerParams:
         if ffn_dim is None:
             ffn_dim = 4 * model_dim
         rng = rng if rng is not None else np.random.default_rng(0)
-
-        def w(rows: int, cols: int) -> np.ndarray:
-            return (0.02 * rng.standard_normal((rows, cols))).astype(np.float32)
-
-        def zeros(n: int) -> np.ndarray:
-            return np.zeros(n, dtype=np.float32)
-
-        return cls(
-            w_q=w(model_dim, model_dim), b_q=zeros(model_dim),
-            w_k=w(model_dim, model_dim), b_k=zeros(model_dim),
-            w_v=w(model_dim, model_dim), b_v=zeros(model_dim),
-            w_o=w(model_dim, model_dim), b_o=zeros(model_dim),
-            w_1=w(model_dim, ffn_dim), b_1=zeros(ffn_dim),
-            w_2=w(ffn_dim, model_dim), b_2=zeros(model_dim),
-            ln1_gain=np.ones(model_dim, dtype=np.float32), ln1_bias=zeros(model_dim),
-            ln2_gain=np.ones(model_dim, dtype=np.float32), ln2_bias=zeros(model_dim),
-            head_count=head_count,
-        )
+        arrays = {name: (0.02 * rng.standard_normal(shape)).astype(np.float32)
+                  if len(shape) == 2 else np.zeros(shape, dtype=np.float32)
+                  for name, shape in cls.shapes(model_dim, ffn_dim).items()}
+        arrays["ln1_gain"][:] = 1.0
+        arrays["ln2_gain"][:] = 1.0
+        return cls(head_count=head_count, **arrays)
 
     @property
     def model_dim(self) -> int:
@@ -94,13 +87,7 @@ class LayerParams:
 
     def validate(self) -> None:
         d, f = self.model_dim, self.ffn_dim
-        expected = {
-            "w_q": (d, d), "b_q": (d,), "w_k": (d, d), "b_k": (d,),
-            "w_v": (d, d), "b_v": (d,), "w_o": (d, d), "b_o": (d,),
-            "w_1": (d, f), "b_1": (f,), "w_2": (f, d), "b_2": (d,),
-            "ln1_gain": (d,), "ln1_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,),
-        }
-        for name, shape in expected.items():
+        for name, shape in self.shapes(d, f).items():
             got = getattr(self, name).shape
             if got != shape:
                 raise InvalidShape(f"LayerParams.{name} has shape {got}, expected {shape}")
@@ -115,28 +102,8 @@ class LayerParams:
         return LayerParams(**kwargs)
 
 
-class GradientSet(dict):
-    """Mapping from parameter-buffer name to its gradient buffer.
-
-    Shape-congruent with the parameter set it was built from; keys may be
-    namespaced (``layers.0.w_q``) when several layers contribute.
-    """
-
-    @classmethod
-    def zeros_like(cls, arrays: dict[str, np.ndarray]) -> "GradientSet":
-        return cls({name: np.zeros_like(a) for name, a in arrays.items()})
-
-    def accumulate(self, other: dict[str, np.ndarray], prefix: str = "") -> None:
-        for name, grad in other.items():
-            key = prefix + name
-            if key in self:
-                self[key] = self[key] + grad
-            else:
-                self[key] = grad
-
-    def scale(self, factor: float) -> None:
-        for name in self:
-            self[name] = self[name] * factor
+#: Names of the array-valued fields of LayerParams, in serialization order.
+LAYER_ARRAY_FIELDS = tuple(LayerParams.shapes(0, 0))
 
 
 def encoder_layer_forward(x: np.ndarray, params: LayerParams,
@@ -166,7 +133,7 @@ def encoder_layer_forward_recorded(x: np.ndarray, params: LayerParams):
 
 
 def encoder_layer_backward(dy: np.ndarray, tape: list):
-    """Gradients of one encoder layer; returns (dx, GradientSet).
+    """Gradients of one encoder layer; returns (dx, name -> gradient dict).
 
     Pops the entries :func:`encoder_layer_forward` appended to ``tape``.
     """
@@ -183,10 +150,9 @@ def encoder_layer_backward(dy: np.ndarray, tape: list):
     dx_attn, attn_grads = attention_backward(d_s1, tape)
     dx = d_s1 + dx_attn
 
-    grads = GradientSet(attn_grads)
-    grads.update({
+    return dx, {
+        **attn_grads,
         "w_1": d_w1, "b_1": d_b1, "w_2": d_w2, "b_2": d_b2,
         "ln1_gain": d_ln1_gain, "ln1_bias": d_ln1_bias,
         "ln2_gain": d_ln2_gain, "ln2_bias": d_ln2_bias,
-    })
-    return dx, grads
+    }

@@ -3,7 +3,9 @@
 Stage 1 retrieves K candidates by exact inner product, stage 2 reranks them
 down to K' in one joint forward pass, and in ``intermediate`` mode stage 3
 hands the K' survivors to a pluggable final scorer whose argmax becomes the
-answer.  In ``final`` mode the reranker's own top-1 is the answer.
+answer: ``rank_by_score`` picks it, so NaN scores are ignored, ties go to
+the lowest id, and a query whose scores are all NaN fails with
+``NumericError``.  In ``final`` mode the reranker's own top-1 is the answer.
 
 The final scorer is an interface only: two built-ins are shipped, a gold
 oracle (for pipeline logic tests, where end-to-end accuracy collapses to
@@ -23,7 +25,7 @@ import numpy as np
 
 from .encoders import EmbeddingTable, encode
 from .errors import CmcRankError, DuplicateId, InvalidConfig
-from .index import CandidateIndex, RankedList, search_topk
+from .index import CandidateIndex, RankedList, rank_by_score, search_topk
 from .reranker import CmcParams, rerank
 
 MODE_FINAL = "final"
@@ -129,15 +131,12 @@ class Pipeline:
         final_us = 0.0
         if cfg.mode == MODE_INTERMEDIATE and len(reranked):
             qrec = QueryRecord(query_id=query_id, embedding=q)
-            best_id, best_key = -1, None
-            for cid, row in zip(reranked.ids, self.candidates.batch(reranked.ids)):
-                cid = int(cid)
-                crec = CandidateRecord(candidate_id=cid, embedding=row)
-                score = float(cfg.final_scorer(qrec, crec))
-                key = (-score, cid)
-                if best_key is None or key < best_key:
-                    best_id, best_key = cid, key
-            top1 = best_id
+            rows = self.candidates.batch(reranked.ids)
+            scores = np.array([
+                float(cfg.final_scorer(qrec, CandidateRecord(candidate_id=int(cid),
+                                                             embedding=row)))
+                for cid, row in zip(reranked.ids, rows)])
+            top1 = int(rank_by_score(reranked.ids, scores, 1).ids[0])
             final_us = (time.perf_counter() - t2) * 1e6
         else:
             top1 = int(reranked.ids[0]) if len(reranked) else -1

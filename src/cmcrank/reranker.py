@@ -13,9 +13,26 @@ invariant.  One forward pass covers all K candidates of a query.
 ``cmc_forward`` serves inference and training alike: given a ``tape`` list
 it appends each layer's entries, and ``CmcTape.backward`` pops them in
 reverse order.
+
+Checkpoint layout (little-endian), in the checked container of ``fileio``:
+
+    magic      4 bytes  b"CMCP"
+    version    u16      currently 2; version-1 files are rejected
+    extra_skip u16      0 or 1
+    model_dim  u32
+    ffn_dim    u32
+    head_count u32      divides model_dim
+    crc32      u32      over the payload
+    payload    both layers' arrays as f32, in ``CmcParams.arrays()`` order,
+               with the shapes of ``LayerParams.shapes``
+
+A header that describes no valid model raises ``FormatError`` and a
+non-finite weight ``NumericError``; loaded weights are writable copies.
 """
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -23,16 +40,32 @@ from typing import Sequence
 import numpy as np
 
 from .encoders import EmbeddingTable
-from .errors import FormatError, InvalidConfig, InvalidShape, StateError
+from .errors import (FormatError, InvalidConfig, InvalidShape, NumericError,
+                     StateError)
+from .fileio import read_checked, write_checked
 from .index import RankedList, rank_by_score
-from .nn.checkpoint import load_checkpoint, save_checkpoint
-from .nn.layer import (LAYER_ARRAY_FIELDS, GradientSet, LayerParams,
-                       encoder_layer_backward, encoder_layer_forward)
+from .nn.layer import LayerParams, encoder_layer_backward, encoder_layer_forward
 
 MAX_CANDIDATES = 16384
 DEFAULT_MODEL_DIM = 64
 DEFAULT_HEAD_COUNT = 4
-CHECKPOINT_SECTION = "cmc"
+
+CHECKPOINT_MAGIC = b"CMCP"
+CHECKPOINT_VERSION = 2
+# magic, version, extra_skip, model_dim, ffn_dim, head_count, crc32
+_CHECKPOINT_HEADER = struct.Struct("<4sHHIIII")
+
+
+def _checkpoint_payload_bytes(extra_skip: int, model_dim: int, ffn_dim: int,
+                              head_count: int) -> int:
+    """Payload size of a checkpoint header, which must describe a valid model."""
+    if (extra_skip > 1 or head_count < 1 or model_dim < 1 or ffn_dim < 1
+            or model_dim % head_count):
+        raise FormatError(
+            f"inconsistent checkpoint header: extra_skip {extra_skip}, model_dim "
+            f"{model_dim}, ffn_dim {ffn_dim}, head_count {head_count}")
+    shapes = LayerParams.shapes(model_dim, ffn_dim).values()
+    return 2 * 4 * sum(math.prod(shape) for shape in shapes)
 
 
 @dataclass
@@ -56,9 +89,10 @@ class CmcParams:
     def __post_init__(self):
         if len(self.layers) != 2:
             raise InvalidConfig(f"expected 2 encoder layers, got {len(self.layers)}")
-        dims = {layer.model_dim for layer in self.layers}
+        dims = {(l.model_dim, l.ffn_dim, l.head_count) for l in self.layers}
         if len(dims) != 1:
-            raise InvalidConfig(f"layers disagree on model_dim: {sorted(dims)}")
+            raise InvalidConfig("layers disagree on (model_dim, ffn_dim, head_count): "
+                                f"{sorted(dims)}")
         for layer in self.layers:
             layer.validate()
 
@@ -79,31 +113,34 @@ class CmcParams:
                          extra_skip=self.extra_skip)
 
     def save(self, path: str | Path) -> None:
-        buffers: dict[str, np.ndarray] = {}
-        prefix = CHECKPOINT_SECTION + "."
-        for name, arr in self.arrays().items():
-            buffers[prefix + name] = arr
-        buffers[prefix + "head_count"] = np.asarray(
-            float(self.layers[0].head_count), dtype=np.float32)
-        buffers[prefix + "extra_skip"] = np.asarray(
-            1.0 if self.extra_skip else 0.0, dtype=np.float32)
-        save_checkpoint(path, buffers)
+        """Write the checkpoint: a 24-byte header, then both layers' arrays
+        as little-endian float32 in ``arrays()`` order."""
+        layer = self.layers[0]
+        write_checked(path, _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                      (int(self.extra_skip), layer.model_dim, layer.ffn_dim,
+                       layer.head_count),
+                      [np.ascontiguousarray(a, dtype="<f4")
+                       for a in self.arrays().values()])
 
     @classmethod
     def load(cls, path: str | Path) -> "CmcParams":
-        buffers = load_checkpoint(path)
-        prefix = CHECKPOINT_SECTION + "."
-        try:
-            head_count = int(buffers[prefix + "head_count"].reshape(-1)[0])
-            extra_skip = bool(buffers[prefix + "extra_skip"].reshape(-1)[0])
-            layers = []
-            for i in range(2):
-                kwargs = {name: buffers[f"{prefix}layers.{i}.{name}"]
-                          for name in LAYER_ARRAY_FIELDS}
-                layers.append(LayerParams(head_count=head_count, **kwargs))
-        except KeyError as exc:
-            raise FormatError(f"checkpoint is missing buffer {exc}") from exc
-        return cls(layers=tuple(layers), extra_skip=extra_skip)
+        """Read and verify a checkpoint; the arrays are writable copies."""
+        (extra_skip, d, f, head_count), buf = read_checked(
+            path, _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+            _checkpoint_payload_bytes)
+        values = np.frombuffer(buf, dtype="<f4",
+                               offset=_CHECKPOINT_HEADER.size).astype(np.float32)
+        layers, at = [], 0
+        for i in range(2):
+            arrays = {}
+            for name, shape in LayerParams.shapes(d, f).items():
+                arr = values[at:at + math.prod(shape)].reshape(shape)
+                if not np.isfinite(arr).all():
+                    raise NumericError(f"checkpoint weight layers.{i}.{name} is not finite")
+                arrays[name] = arr
+                at += arr.size
+            layers.append(LayerParams(head_count=head_count, **arrays))
+        return cls(layers=tuple(layers), extra_skip=bool(extra_skip))
 
 
 @dataclass
@@ -139,7 +176,7 @@ class CmcTape:
     def backward(self, d_scores: np.ndarray):
         """Gradients of a scalar loss given dLoss/dScores.
 
-        Returns (GradientSet over both layers, d_query, d_candidates),
+        Returns (name -> gradient over both layers, d_query, d_candidates),
         the latter two being gradients w.r.t. the input embeddings.
         """
         if self._spent:
@@ -157,13 +194,13 @@ class CmcTape:
         d_seq[0] = d_scores @ self._ctx.h_candidates
         d_seq[1:] = d_scores[:, None] * self._ctx.h_query[None, :]
 
-        grads = GradientSet()
+        grads: dict[str, np.ndarray] = {}
         d_out = d_seq
         for i in reversed(range(self._layer_count)):
             dx, layer_grads = encoder_layer_backward(d_out, self._tape)
             if self._extra_skip:
                 dx = dx + d_out
-            grads.accumulate(layer_grads, prefix=f"layers.{i}.")
+            grads.update({f"layers.{i}.{k}": g for k, g in layer_grads.items()})
             d_out = dx
         return grads, d_out[0], d_out[1:]
 

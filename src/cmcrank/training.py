@@ -26,7 +26,6 @@ from .encoders import EmbeddingTable
 from .errors import (InvalidConfig, InvalidIndex, InvalidInput, InvalidShape,
                      PoolTooSmall)
 from .index import CandidateIndex, RankedList, search_topk
-from .nn.layer import GradientSet
 from .nn.optim import OptimizerState, adamw_step
 from .reranker import CmcParams, cmc_forward_recorded, cmc_score
 
@@ -196,7 +195,7 @@ def assemble_batch_example(query: np.ndarray, gold_id: int,
 
 
 def example_loss_and_grads(params: CmcParams, example: TrainingBatch,
-                           cfg: TrainingConfig) -> tuple[float, GradientSet]:
+                           cfg: TrainingConfig) -> tuple[float, dict[str, np.ndarray]]:
     tape = cmc_forward_recorded(params, example.query, example.candidates)
     scores = cmc_score(tape.ctx).scores
     loss, d_scores = compute_loss(scores, example.gold_position,
@@ -241,15 +240,17 @@ def train(cfg: TrainingConfig,
         for start in range(0, n, cfg.batch_size):
             chunk = order[start:start + cfg.batch_size]
             effective_lr = state.effective_lr()
-            total = GradientSet.zeros_like(arrays)
+            total = {name: np.zeros_like(a) for name, a in arrays.items()}
             batch_loss = 0.0
             for qi in chunk:
                 example = assemble_batch_example(
                     queries[qi], int(gold_ids[qi]), index, candidates, cfg, rng)
                 loss, grads = example_loss_and_grads(params, example, cfg)
                 batch_loss += loss
-                total.accumulate(grads)
-            total.scale(1.0 / len(chunk))
+                for name, grad in grads.items():
+                    total[name] += grad
+            for grad in total.values():
+                grad *= 1.0 / len(chunk)
             adamw_step(arrays, total, state)
             step += 1
             log.steps.append(StepRecord(step=step, epoch=epoch,

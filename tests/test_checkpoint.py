@@ -1,68 +1,123 @@
-"""Checkpoint file format: round-trips and corruption handling."""
+"""Checkpoint file format (CMCP v2): round-trips and corruption handling."""
+import struct
+
 import numpy as np
 import pytest
 
-from cmcrank.errors import FormatError
-from cmcrank.nn import load_checkpoint, save_checkpoint, serialize_buffers
+from cmcrank.errors import FormatError, NumericError
+from cmcrank.nn import OptimizerState, adamw_step
 from cmcrank.reranker import CmcParams
+
+# magic, version, extra_skip, model_dim, ffn_dim, head_count, crc32
+HEADER = struct.Struct("<4sHHIIII")
+
+
+def saved(tmp_path, name="model.cmcp", **init):
+    init = {"model_dim": 8, "head_count": 2, "seed": 4, **init}
+    path = tmp_path / name
+    CmcParams.init(**init).save(path)
+    return path
+
+
+def patch_header(path, **changes):
+    """Rewrite header fields in place; the CRC covers only the payload."""
+    raw = path.read_bytes()
+    names = ("magic", "version", "extra_skip", "model_dim", "ffn_dim",
+             "head_count", "crc")
+    fields = dict(zip(names, HEADER.unpack_from(raw)))
+    fields.update(changes)
+    path.write_bytes(HEADER.pack(*fields.values()) + raw[HEADER.size:])
+
+
+def assert_same_weights(a, b):
+    assert a.extra_skip == b.extra_skip
+    assert [l.head_count for l in a.layers] == [l.head_count for l in b.layers]
+    assert list(a.arrays()) == list(b.arrays())
+    for name, arr in a.arrays().items():
+        assert b.arrays()[name].shape == arr.shape
+        assert b.arrays()[name].tobytes() == arr.tobytes()
 
 
 class TestCheckpointFormat:
     def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        buffers = {
-            "a.weight": rng.standard_normal((5, 7)).astype(np.float32),
-            "a.bias": rng.standard_normal(7).astype(np.float32),
-            "scalar": np.asarray(3.0, dtype=np.float32),
-        }
+        params = CmcParams.init(model_dim=12, head_count=3, ffn_dim=20, seed=0)
         path = tmp_path / "test.cmcp"
-        save_checkpoint(path, buffers)
-        loaded = load_checkpoint(path)
-        assert set(loaded) == set(buffers)
-        for name in buffers:
-            assert loaded[name].shape == buffers[name].shape
-            assert loaded[name].tobytes() == buffers[name].tobytes()
+        params.save(path)
+        assert_same_weights(params, CmcParams.load(path))
 
     def test_reserialization_is_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(1)
-        buffers = {"w": rng.standard_normal((3, 3)).astype(np.float32)}
-        first = serialize_buffers(buffers)
-        second = serialize_buffers(load_checkpoint_bytes(tmp_path, first))
-        assert first == second
+        first = saved(tmp_path, "first.cmcp", seed=1)
+        second = tmp_path / "second.cmcp"
+        CmcParams.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_layout_is_header_then_float32_arrays(self, tmp_path):
+        params = CmcParams.init(model_dim=8, head_count=2, ffn_dim=12, seed=2)
+        path = tmp_path / "layout.cmcp"
+        params.save(path)
+        raw = path.read_bytes()
+        payload = b"".join(a.astype("<f4").tobytes() for a in params.arrays().values())
+        assert HEADER.unpack_from(raw)[:6] == (b"CMCP", 2, 1, 8, 12, 2)
+        assert raw[HEADER.size:] == payload
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.cmcp"
-        path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
+        path = saved(tmp_path)
+        patch_header(path, magic=b"XXXX")
+        with pytest.raises(FormatError, match="magic"):
+            CmcParams.load(path)
 
     def test_bad_version(self, tmp_path):
-        path = tmp_path / "bad.cmcp"
-        path.write_bytes(b"CMCP" + b"\x63\x00" + b"\x00" * 8)
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
+        path = saved(tmp_path)
+        patch_header(path, version=99)
+        with pytest.raises(FormatError, match="version 99"):
+            CmcParams.load(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        """The named-buffer layout must be regenerated, not misread."""
+        path = tmp_path / "v1.cmcp"
+        path.write_bytes(b"CMCP" + struct.pack("<HIH", 1, 1, 1) + b"w"
+                         + bytes([1]) + struct.pack("<I", 2)
+                         + np.ones(2, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="regenerate"):
+            CmcParams.load(path)
 
     def test_truncated_payload(self, tmp_path):
-        rng = np.random.default_rng(2)
-        path = tmp_path / "trunc.cmcp"
-        save_checkpoint(path, {"w": rng.standard_normal((4, 4)).astype(np.float32)})
-        data = path.read_bytes()
-        path.write_bytes(data[:-5])
+        path = saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError):
-            load_checkpoint(path)
+            CmcParams.load(path)
 
     def test_trailing_garbage(self, tmp_path):
-        path = tmp_path / "trail.cmcp"
-        save_checkpoint(path, {"w": np.zeros(2, dtype=np.float32)})
+        path = saved(tmp_path)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FormatError):
-            load_checkpoint(path)
+            CmcParams.load(path)
 
+    def test_payload_byte_flip_detected(self, tmp_path):
+        path = saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[HEADER.size + 4 * 200 + 1] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="checksum"):
+            CmcParams.load(path)
 
-def load_checkpoint_bytes(tmp_path, raw: bytes):
-    path = tmp_path / "inner.cmcp"
-    path.write_bytes(raw)
-    return load_checkpoint(path)
+    def test_nan_weight_rejected(self, tmp_path):
+        params = CmcParams.init(model_dim=8, head_count=2, seed=5)
+        params.layers[1].w_1[2, 3] = np.nan
+        path = tmp_path / "nan.cmcp"
+        params.save(path)
+        with pytest.raises(NumericError, match="layers.1.w_1"):
+            CmcParams.load(path)
+
+    @pytest.mark.parametrize("changes", [
+        {"head_count": 0}, {"extra_skip": 2}, {"head_count": 3},
+        {"model_dim": 0, "head_count": 1}, {"ffn_dim": 0},
+    ])
+    def test_inconsistent_header_rejected(self, tmp_path, changes):
+        path = saved(tmp_path)
+        patch_header(path, **changes)
+        with pytest.raises(FormatError, match="inconsistent checkpoint header"):
+            CmcParams.load(path)
 
 
 class TestRerankerCheckpoint:
@@ -74,13 +129,21 @@ class TestRerankerCheckpoint:
         loaded = CmcParams.load(path)
         assert loaded.extra_skip is False
         assert loaded.layers[0].head_count == 4
-        for name, arr in params.arrays().items():
-            assert loaded.arrays()[name].tobytes() == arr.tobytes()
+        assert_same_weights(params, loaded)
 
     def test_missing_buffer_rejected(self, tmp_path):
-        params = CmcParams.init(model_dim=8, head_count=2, seed=4)
-        path = tmp_path / "params.cmcp"
-        buffers = {f"cmc.{n}": a for n, a in params.arrays().items()}
-        save_checkpoint(path, buffers)  # no head_count / extra_skip
+        """A payload holding only the first layer's arrays is rejected."""
+        path = saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:HEADER.size + (len(raw) - HEADER.size) // 2])
         with pytest.raises(FormatError):
             CmcParams.load(path)
+
+    def test_loaded_arrays_are_writable_and_train(self, tmp_path):
+        loaded = CmcParams.load(saved(tmp_path))
+        arrays = loaded.arrays()
+        assert all(a.flags.writeable for a in arrays.values())
+        before = loaded.copy().arrays()
+        grads = {name: np.ones_like(a) for name, a in arrays.items()}
+        adamw_step(arrays, grads, OptimizerState.for_arrays(arrays, learning_rate=1e-3))
+        assert all(not np.array_equal(before[n], a) for n, a in arrays.items())

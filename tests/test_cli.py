@@ -232,6 +232,34 @@ class TestConfigHandling:
                    "--show-config", "--out", str(tmp_path / "b.csv")) == 0
         assert "dim = 8" in capsys.readouterr().out
 
+    def test_abbreviated_flag_beats_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dim = 24\n")
+        assert run("bench", "--k", "4", "--di", "8", "--config", str(cfg),
+                   "--show-config", "--out", str(tmp_path / "b.csv")) == 0
+        assert "dim = 8" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", ["mode = bogus", "scorer = gold_oracle",
+                                      "k_prime = many"])
+    def test_config_file_values_are_checked(self, tmp_path, line):
+        cfg = tmp_path / "pipe.cfg"
+        cfg.write_text(line + "\n")
+        assert run("rerank", "--index", "i", "--checkpoint", "c",
+                   "--embeddings", "e", "--queries", "q",
+                   "--out", str(tmp_path / "r.txt"),
+                   "--config", str(cfg), "--show-config") == 1
+
+    def test_store_true_key_and_unknown_keys(self, tmp_path, capsys):
+        """A true boolean key sets its flag; keys of other subcommands are
+        ignored, so one file can serve several."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("show_config = yes\nk_prime = 3\nrepeats = 2\n")
+        assert run("bench", "--k", "4", "--config", str(cfg),
+                   "--out", str(tmp_path / "b.csv")) == 0
+        out = capsys.readouterr().out
+        assert "repeats = 2" in out and "k_prime" not in out
+        assert not (tmp_path / "b.csv").exists()
+
     def test_pipeline_config_file_keys(self, tmp_path, capsys):
         """The documented pipeline keys resolve through a config file."""
         cfg = tmp_path / "pipe.cfg"

@@ -71,11 +71,13 @@ class TestEncoderLayer:
             assert np.all(np.isfinite(out))
 
     def test_serialization_round_trip_bit_exact(self, tmp_path):
-        from cmcrank.nn import load_checkpoint, save_checkpoint
+        from cmcrank.reranker import CmcParams
         rng = np.random.default_rng(8)
-        params = LayerParams.init(8, 2, rng=rng)
+        layers = (LayerParams.init(8, 2, rng=rng), LayerParams.init(8, 2, rng=rng))
         path = tmp_path / "layer_roundtrip.cmcp"
-        save_checkpoint(path, params.arrays())
-        loaded = load_checkpoint(path)
-        for name, arr in params.arrays().items():
-            assert loaded[name].tobytes() == arr.tobytes()
+        CmcParams(layers=layers).save(path)
+        loaded = CmcParams.load(path)
+        for layer, back in zip(layers, loaded.layers):
+            assert back.head_count == layer.head_count
+            for name, arr in layer.arrays().items():
+                assert back.arrays()[name].tobytes() == arr.tobytes()

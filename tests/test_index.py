@@ -215,6 +215,37 @@ class TestSearch:
             rank_by_score(ids, scores, 3)
         assert rank_by_score(ids, scores, 2).ids.tolist() == [4, 3]
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           ids=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1),
+                        unique=True, max_size=40),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_exact_topk_under_ties_property(self, data, ids, dtype):
+        """Dense ties and NaNs: exactly min(k, n) entries in (score desc,
+        id asc) order over the comparable scores, or NumericError."""
+        n = len(ids)
+        scores = np.array(data.draw(st.lists(
+            st.sampled_from([-1.0, 0.0, 0.5, 2.0, np.nan]), min_size=n, max_size=n)),
+            dtype=dtype)
+        k = data.draw(st.integers(min_value=0, max_value=n + 3))
+        ids = np.array(ids, dtype=np.uint64)
+        finite = ~np.isnan(scores)
+        order = np.lexsort((ids[finite], -scores[finite].astype(np.float64)))
+        expected = ids[finite][order][:k]
+        if len(expected) < min(k, n):
+            with pytest.raises(NumericError):
+                rank_by_score(ids, scores, k)
+            return
+        result = rank_by_score(ids, scores, k)
+        assert result.ids.tolist() == expected.tolist()
+        assert np.array_equal(result.scores, scores[finite][order][:k].astype(np.float32))
+
+    def test_nan_scores_raise_when_every_entry_is_kept(self):
+        """k >= n keeps no NaN entry either."""
+        scores = np.array([1.0, np.nan], dtype=np.float32)
+        with pytest.raises(NumericError):
+            rank_by_score(np.arange(2), scores, 2)
+
     def test_dim_mismatch(self):
         index = CandidateIndex([1], np.ones((1, 2), dtype=np.float32))
         with pytest.raises(InvalidShape):

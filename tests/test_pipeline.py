@@ -167,6 +167,37 @@ class TestRunBatch:
         with pytest.raises(DuplicateId, match=f"query id {queries[0][0]} "):
             pipe.run_batch(cfg, queries[:3] + [repeated], gold_by_query=golds)
 
+    def test_final_scorer_nan_is_ignored(self, world):
+        """A NaN final score never wins over finite ones."""
+        data, pipe, golds, queries = world
+        reranked = {}
+
+        def scorer(query, candidate):
+            first = reranked.setdefault(query.query_id, candidate.candidate_id)
+            return float("nan") if candidate.candidate_id == first else 0.5
+
+        cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="intermediate",
+                             final_scorer=scorer)
+        for qid, q in queries[:5]:
+            result = pipe.run_query(cfg, qid, q)
+            assert result.top1_id == min(result.reranked.ids[1:].tolist())
+
+    def test_final_scorer_tie_goes_to_lowest_id(self, world):
+        data, pipe, golds, queries = world
+        cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="intermediate",
+                             final_scorer=lambda query, candidate: 0.5)
+        for qid, q in queries[:5]:
+            result = pipe.run_query(cfg, qid, q)
+            assert result.top1_id == min(result.reranked.ids.tolist())
+
+    def test_all_nan_final_scores_reported_as_error(self, world):
+        data, pipe, golds, queries = world
+        cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="intermediate",
+                             final_scorer=lambda query, candidate: float("nan"))
+        results, _, errors = pipe.run_batch(cfg, queries[:2])
+        assert results == []
+        assert all(isinstance(errors[q], NumericError) for q, _ in queries[:2])
+
     def test_programming_error_propagates(self, world):
         """Only data errors are collected per query; a bug ends the batch."""
         data, pipe, golds, queries = world
