@@ -27,7 +27,8 @@ Checkpoint layout (little-endian), in the checked container of ``fileio``:
                with the shapes of ``LayerParams.shapes``
 
 A header that describes no valid model raises ``FormatError`` and a
-non-finite weight ``NumericError``; loaded weights are writable copies.
+non-finite weight ``NumericError``, at save and at load alike; loaded
+weights are writable copies.
 """
 from __future__ import annotations
 
@@ -114,13 +115,17 @@ class CmcParams:
 
     def save(self, path: str | Path) -> None:
         """Write the checkpoint: a 24-byte header, then both layers' arrays
-        as little-endian float32 in ``arrays()`` order."""
+        as little-endian float32 in ``arrays()`` order.  A non-finite weight
+        raises ``NumericError`` before anything is written."""
+        arrays = self.arrays()
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise NumericError(f"weight {name} is not finite; checkpoint not written")
         layer = self.layers[0]
         write_checked(path, _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                       (int(self.extra_skip), layer.model_dim, layer.ffn_dim,
                        layer.head_count),
-                      [np.ascontiguousarray(a, dtype="<f4")
-                       for a in self.arrays().values()])
+                      [np.ascontiguousarray(a, dtype="<f4") for a in arrays.values()])
 
     @classmethod
     def load(cls, path: str | Path) -> "CmcParams":

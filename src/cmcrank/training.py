@@ -13,6 +13,13 @@ entries are always kept, the remainder are drawn without replacement with
 probability proportional to exp(retriever score), renormalizing after each
 draw.  The gold never enters the pool and is inserted at an rng-chosen
 position in the final candidate list.
+
+The retriever is frozen, so a query's pool is the same in every epoch:
+``train`` searches each training query's pool once per call, before the
+first epoch (so epoch 1 carries that cost), and keeps it as ``n x P`` int32
+index rows plus ``n x P`` float32 scores (``n * P * 8`` bytes, with
+``P = min(negative_pool_size, len(index))``).  A step whose loss or
+gradient norm is not finite raises ``NumericError`` before the update.
 """
 from __future__ import annotations
 
@@ -24,7 +31,7 @@ import numpy as np
 
 from .encoders import EmbeddingTable
 from .errors import (InvalidConfig, InvalidIndex, InvalidInput, InvalidShape,
-                     PoolTooSmall)
+                     NumericError, PoolTooSmall)
 from .index import CandidateIndex, RankedList, search_topk
 from .nn.optim import OptimizerState, adamw_step
 from .reranker import CmcParams, cmc_forward_recorded, cmc_score
@@ -170,12 +177,13 @@ def sample_negatives(ranked_pool: RankedList, gold_id: int,
 
 
 def assemble_batch_example(query: np.ndarray, gold_id: int,
+                           pool: RankedList,
                            index: CandidateIndex,
                            candidates: EmbeddingTable,
                            cfg: TrainingConfig,
                            rng: np.random.Generator) -> TrainingBatch:
-    """Retrieve a pool, sample negatives, and insert the gold at a random slot."""
-    pool = search_topk(index, query, cfg.negative_pool_size)
+    """Sample negatives from the query's retrieved pool and insert the gold
+    at a random slot."""
     negatives = sample_negatives(pool, gold_id, cfg, rng)
 
     gold_position = int(rng.integers(0, cfg.k_train))
@@ -233,6 +241,17 @@ def train(cfg: TrainingConfig,
         warmup_fraction=cfg.warmup_fraction,
         total_steps=cfg.epochs * steps_per_epoch)
 
+    # The retriever is frozen, so each query's pool is searched once here
+    # and reused in every epoch.  Pool ids are kept as index rows.
+    pool_size = min(cfg.negative_pool_size, len(index))
+    pool_rows = np.empty((n, pool_size),
+                         dtype=np.int32 if len(index) < 2 ** 31 else np.int64)
+    pool_scores = np.empty((n, pool_size), dtype=np.float32)
+    for i in range(n):
+        pool = search_topk(index, queries[i], cfg.negative_pool_size)
+        pool_rows[i] = np.searchsorted(index.ids, pool.ids)
+        pool_scores[i] = pool.scores
+
     log = TrainingLog()
     step = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -243,14 +262,25 @@ def train(cfg: TrainingConfig,
             total = {name: np.zeros_like(a) for name, a in arrays.items()}
             batch_loss = 0.0
             for qi in chunk:
+                pool = RankedList(ids=index.ids[pool_rows[qi]],
+                                  scores=pool_scores[qi])
                 example = assemble_batch_example(
-                    queries[qi], int(gold_ids[qi]), index, candidates, cfg, rng)
+                    queries[qi], int(gold_ids[qi]), pool, index, candidates,
+                    cfg, rng)
                 loss, grads = example_loss_and_grads(params, example, cfg)
                 batch_loss += loss
                 for name, grad in grads.items():
                     total[name] += grad
             for grad in total.values():
                 grad *= 1.0 / len(chunk)
+            # One sum covers the loss and every gradient entry: a NaN or inf
+            # anywhere (or a squared norm past float32 range) makes it
+            # non-finite.
+            grad_sq = sum(float(np.vdot(g, g)) for g in total.values())
+            if not math.isfinite(batch_loss + grad_sq):
+                raise NumericError(
+                    f"step {step + 1} (epoch {epoch}): loss {batch_loss / len(chunk)!r}, "
+                    f"squared gradient norm {grad_sq!r}; parameters left unchanged")
             adamw_step(arrays, total, state)
             step += 1
             log.steps.append(StepRecord(step=step, epoch=epoch,

@@ -2,20 +2,31 @@
 
 ``bench/spans.py`` wraps each ``SPANS`` entry by identity.  A name that no
 longer resolves breaks traced benchmark runs, and two names bound to one
-object would be wrapped twice and count its calls twice.
+object would be wrapped twice and count its calls twice.  Its hooks read
+call arguments by position, so a traced ``train`` is run here as well.
 """
 import importlib
 import importlib.util
 from pathlib import Path
 
+import cmcrank.training as training_module
+from cmcrank.encoders import EmbeddingTable
+from cmcrank.evaluation import SyntheticTaskSpec, generate_synthetic
+from cmcrank.index import CandidateIndex
+from cmcrank.reranker import CmcParams
+
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def load_span_table():
+def load_spans_module():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SPANS
+    return module
+
+
+def load_span_table():
+    return load_spans_module().SPANS
 
 
 def resolve(module_name, attr):
@@ -34,3 +45,36 @@ def test_every_span_resolves_to_a_distinct_object():
         name = f"{module_name}.{attr}"
         assert id(target) not in seen, f"{name} is the same object as {seen[id(target)]}"
         seen[id(target)] = name
+
+
+def test_traced_train_counts_one_pool_search_per_query():
+    data = generate_synthetic(SyntheticTaskSpec(
+        corpus_size=200, confusables=4, surface_dim=12, latent_dim=4, seed=2))
+    index = CandidateIndex(data.candidate_ids, data.retriever_embeddings)
+    table = EmbeddingTable(data.candidate_ids, data.reranker_embeddings)
+    queries, golds = data.query_embeddings[:6], data.gold_ids[:6]
+    cfg = training_module.TrainingConfig(k_train=4, negative_pool_size=16,
+                                         epochs=3, batch_size=4, seed=1)
+    params = CmcParams.init(model_dim=16, head_count=2, seed=1)
+
+    tracer = load_spans_module().Tracer()
+    tracer.install()
+    try:
+        training_module.train(cfg, queries, golds, index, table, params)
+    finally:
+        tracer.uninstall()
+
+    by_id = {sid: name for name, sid in tracer.name_id.items()}
+    names = [by_id[sid] for sid in tracer.names]
+
+    def inside_train(idx):
+        while idx >= 0:
+            if names[idx] == "training.train":
+                return True
+            idx = tracer.parents[idx]
+        return False
+
+    assert tracer.counts["training.pool_searches"] == cfg.epochs * len(queries)
+    searches = [i for i, name in enumerate(names) if name == "index.search_topk"]
+    assert len(searches) == len(queries)
+    assert all(inside_train(tracer.parents[i]) for i in searches)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cmcrank.errors import FormatError, NumericError
+from cmcrank.fileio import write_checked
 from cmcrank.nn import OptimizerState, adamw_step
 from cmcrank.reranker import CmcParams
 
@@ -102,12 +103,28 @@ class TestCheckpointFormat:
             CmcParams.load(path)
 
     def test_nan_weight_rejected(self, tmp_path):
+        """A NaN payload with a valid CRC (``save`` refuses to write one)."""
         params = CmcParams.init(model_dim=8, head_count=2, seed=5)
         params.layers[1].w_1[2, 3] = np.nan
         path = tmp_path / "nan.cmcp"
-        params.save(path)
+        layer = params.layers[0]
+        write_checked(path, HEADER, b"CMCP", 2,
+                      (1, layer.model_dim, layer.ffn_dim, layer.head_count),
+                      [np.ascontiguousarray(a, dtype="<f4")
+                       for a in params.arrays().values()])
         with pytest.raises(NumericError, match="layers.1.w_1"):
             CmcParams.load(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_nonfinite_weight(self, tmp_path, bad):
+        path = saved(tmp_path)
+        before = path.read_bytes()
+        params = CmcParams.init(model_dim=8, head_count=2, seed=5)
+        params.layers[0].ln2_bias[1] = bad
+        with pytest.raises(NumericError, match="layers.0.ln2_bias"):
+            params.save(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
     @pytest.mark.parametrize("changes", [
         {"head_count": 0}, {"extra_skip": 2}, {"head_count": 3},

@@ -1,6 +1,8 @@
 """Reranker semantics: skip identity, permutation behavior, rerank contract."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmcrank.reranker as reranker_module
 from cmcrank.encoders import EmbeddingTable
@@ -202,3 +204,56 @@ class TestBackwardState:
         tape.backward(np.zeros(2, dtype=np.float32))
         with pytest.raises(StateError):
             tape.backward(np.zeros(2, dtype=np.float32))
+
+
+class TestInvariantProperties:
+    """The paper's invariants, drawn over shapes instead of fixed cases."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 32), head_count=st.integers(1, 4),
+           head_dim=st.integers(1, 8), extra_skip=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_permutation_equivariance(self, k, head_count, head_dim,
+                                      extra_skip, seed):
+        """Criterion 2 over K, model dim, heads and the skip: permuted
+        candidates give permuted scores within 1e-5 and the same top-1,
+        with norm gains in U(0.2, 0.5) as in criterion 2's instances."""
+        rng = np.random.default_rng(seed)
+        d = head_count * head_dim
+        params = CmcParams.init(model_dim=d, head_count=head_count, ffn_dim=2 * d,
+                                extra_skip=extra_skip, seed=int(rng.integers(1 << 31)))
+        gain = np.float32(rng.uniform(0.2, 0.5))
+        for layer in params.layers:
+            layer.ln1_gain *= gain
+            layer.ln2_gain *= gain
+        hq = (0.5 * rng.standard_normal(d)).astype(np.float32)
+        hc = (0.5 * rng.standard_normal((k, d))).astype(np.float32)
+        perm = rng.permutation(k)
+        base = cmc_score(cmc_forward(params, hq, hc))
+        permuted = cmc_score(cmc_forward(params, hq, hc[perm]))
+        assert np.abs(permuted.scores - base.scores[perm]).max() <= 1e-5
+        top = np.sort(base.scores)[::-1]
+        # Scores within the tolerance of the best (d = 1 makes every
+        # candidate tie after layer norm) may legitimately trade places.
+        if k == 1 or top[0] - top[1] > 2e-5:
+            assert perm[permuted.argmax_index] == base.argmax_index
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 24), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rerank_prefix_consistency(self, data, n, seed):
+        """``rerank`` at K' is the first K' entries of ``rerank`` at K'' > K',
+        ids and scores, including ties between duplicate embeddings."""
+        k_large = data.draw(st.integers(1, n), label="k_large")
+        k_small = data.draw(st.integers(0, k_large - 1), label="k_small")
+        rng = np.random.default_rng(seed)
+        params = CmcParams.init(model_dim=8, head_count=2, seed=int(rng.integers(1 << 31)))
+        ids = rng.choice(1 << 40, size=n, replace=False).astype(np.uint64)
+        # Rows drawn from a few distinct vectors, so scores tie often.
+        rows = rng.standard_normal((max(1, n // 3), 8)).astype(np.float32)
+        table = EmbeddingTable(ids, rows[rng.integers(len(rows), size=n)])
+        ranked = make_ranked(ids, np.sort(rng.standard_normal(n))[::-1])
+        hq = rng.standard_normal(8).astype(np.float32)
+        large = rerank(params, hq, ranked, table, k_large)
+        small = rerank(params, hq, ranked, table, k_small)
+        assert small.ids.tolist() == large.ids.tolist()[:k_small]
+        assert small.scores.tobytes() == large.scores[:k_small].tobytes()

@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
+import cmcrank.training as training_module
 from cmcrank.encoders import EmbeddingTable
-from cmcrank.errors import InvalidConfig, InvalidIndex, InvalidInput, PoolTooSmall
+from cmcrank.errors import (InvalidConfig, InvalidIndex, InvalidInput,
+                            NumericError, PoolTooSmall)
 from cmcrank.evaluation import SyntheticTaskSpec, generate_synthetic
-from cmcrank.index import CandidateIndex, RankedList
-from cmcrank.nn import finite_difference_gradient, gradients_close
+from cmcrank.index import CandidateIndex, RankedList, search_topk
+from cmcrank.nn import (OptimizerState, adamw_step, finite_difference_gradient,
+                        gradients_close)
 from cmcrank.reranker import CmcParams, cmc_forward, cmc_score
-from cmcrank.training import (TrainingConfig, compute_loss, sample_negatives,
-                              train)
+from cmcrank.training import (TrainingBatch, TrainingConfig, compute_loss,
+                              example_loss_and_grads, sample_negatives, train)
 
 
 def make_ranked(ids, scores):
@@ -241,3 +244,103 @@ class TestTrain:
         log = train(cfg, data.query_embeddings, data.gold_ids, index, table,
                     params)
         assert log.epoch_mean_loss(3) < log.epoch_mean_loss(1)
+
+
+def reference_train(cfg, queries, gold_ids, index, table, params):
+    """The epoch loop with a fresh pool search for every example, built from
+    the public pieces in the same order as ``train``."""
+    rng = np.random.default_rng(cfg.seed)
+    n = len(queries)
+    arrays = params.arrays()
+    state = OptimizerState.for_arrays(
+        arrays, learning_rate=cfg.base_lr, weight_decay=cfg.weight_decay,
+        warmup_fraction=cfg.warmup_fraction,
+        total_steps=cfg.epochs * math.ceil(n / cfg.batch_size))
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            chunk = order[start:start + cfg.batch_size]
+            total = {name: np.zeros_like(a) for name, a in arrays.items()}
+            batch_loss = 0.0
+            for qi in chunk:
+                gold = int(gold_ids[qi])
+                pool = search_topk(index, queries[qi], cfg.negative_pool_size)
+                negatives = sample_negatives(pool, gold, cfg, rng)
+                position = int(rng.integers(0, cfg.k_train))
+                ids = np.insert(negatives, position, np.uint64(gold))
+                example = TrainingBatch(
+                    query=queries[qi], candidates=table.batch(ids),
+                    candidate_ids=ids, gold_position=position,
+                    retriever_scores=index.scores_for(queries[qi], ids))
+                loss, grads = example_loss_and_grads(params, example, cfg)
+                batch_loss += loss
+                for name, grad in grads.items():
+                    total[name] += grad
+            for grad in total.values():
+                grad *= 1.0 / len(chunk)
+            adamw_step(arrays, total, state)
+            losses.append(batch_loss / len(chunk))
+    return losses
+
+
+class TestPoolCache:
+    """``train`` searches each query's pool once and reuses it every epoch."""
+
+    def tiny_task(self):
+        data = generate_synthetic(SyntheticTaskSpec(
+            corpus_size=300, confusables=4, surface_dim=12, latent_dim=4, seed=3))
+        index = CandidateIndex(data.candidate_ids, data.retriever_embeddings)
+        table = EmbeddingTable(data.candidate_ids, data.reranker_embeddings)
+        cfg = TrainingConfig(k_train=8, negative_pool_size=32, base_lr=1e-3,
+                             epochs=3, batch_size=4, seed=5)
+        return data.query_embeddings[:12], data.gold_ids[:12], index, table, cfg
+
+    def test_one_search_per_query_per_train_call(self, monkeypatch):
+        queries, golds, index, table, cfg = self.tiny_task()
+        searched = []
+
+        def counting_search(index, query, k):
+            searched.append(k)
+            return search_topk(index, query, k)
+
+        monkeypatch.setattr(training_module, "search_topk", counting_search)
+        params = CmcParams.init(model_dim=16, head_count=2, seed=1)
+        train(cfg, queries, golds, index, table, params)
+        assert searched == [cfg.negative_pool_size] * len(queries)
+
+    def test_bit_identical_to_per_example_search(self):
+        queries, golds, index, table, cfg = self.tiny_task()
+        params = CmcParams.init(model_dim=16, head_count=2, seed=1)
+        reference = params.copy()
+        log = train(cfg, queries, golds, index, table, params)
+        losses = reference_train(cfg, queries, golds, index, table, reference)
+        assert [s.loss for s in log.steps] == losses
+        for name, arr in params.arrays().items():
+            assert arr.tobytes() == reference.arrays()[name].tobytes(), name
+
+    def test_small_index_still_raises_pool_too_small(self):
+        queries, golds, index, table, cfg = self.tiny_task()
+        keep = index.ids[:cfg.k_train - 2]   # one short of k_train - 1 negatives
+        small = CandidateIndex(keep, index.batch(keep))
+        params = CmcParams.init(model_dim=16, head_count=2, seed=1)
+        with pytest.raises(PoolTooSmall):
+            train(cfg, queries, golds, small, table, params)
+
+
+class TestNonFiniteStep:
+    def test_overflowing_forward_stops_before_the_update(self):
+        data, index, table = small_task()
+        params = CmcParams.init(model_dim=16, head_count=2, seed=1)
+        for arr in params.arrays().values():
+            arr *= np.float32(1e30)
+        before = {n: a.copy() for n, a in params.arrays().items()}
+        calls = []
+        cfg = TrainingConfig(k_train=4, negative_pool_size=16, base_lr=1e-3,
+                             epochs=2, batch_size=8, seed=2)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="step 1"):
+            train(cfg, data.query_embeddings, data.gold_ids, index, table,
+                  params, epoch_callback=lambda *args: calls.append(args))
+        assert calls == []
+        for name, arr in params.arrays().items():
+            assert arr.tobytes() == before[name].tobytes(), name
