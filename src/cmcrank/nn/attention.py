@@ -5,9 +5,28 @@ attention is purely content-based, which makes every operation permutation
 equivariant over the sequence axis.  One forward serves inference and
 training: it walks the query rows in blocks, all heads at once, so peak
 memory stays at O(block * L) and sequences of 16k+ rows fit comfortably in
-RAM.  A caller that passes a ``tape`` list gets the entry that
-``attention_backward`` consumes appended to it, which includes the full
-(heads, L, L) attention probabilities.
+RAM.
+
+At L = 513 the elementwise passes over each (heads, block, L) score block
+cost more than the two matmuls, so the forward makes as few of them as it
+can, normalizing after the value product (the online-softmax order of
+Milakov & Gimelshein, arXiv:1805.02867):
+
+- the 1/sqrt(d_h) scale is folded into the (L, d) query projection, so the
+  scores need no scaling pass;
+- each head's values carry an extra ones column, so ``exp(S) @ [V | 1]``
+  returns every row's softmax denominator next to its unnormalized
+  context, and no separate sum pass is needed;
+- the max-shift, the -80 floor and exp run in place in the score block
+  (``ops.exp_shifted_inplace``);
+- the (heads, L, d_h) context is divided by the denominators, instead of
+  the (heads, block, L) probabilities.
+
+Normalized probabilities exist only on the tape.  A caller that passes a
+``tape`` list gets the entry that ``attention_backward`` consumes appended
+to it: the block is written straight into the full (heads, L, L) buffer
+and divided by its denominators after the value product, so the context
+arithmetic is the same with and without a tape.
 """
 from __future__ import annotations
 
@@ -17,15 +36,18 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import InvalidConfig, InvalidShape
-from .ops import softmax_rows
+from .ops import exp_shifted_inplace
 
 if TYPE_CHECKING:
     from .layer import LayerParams
 
 # Query rows per block.  Small blocks keep the (heads, block, L) score
-# buffers cache-friendly and allocator-reusable; with all heads batched, 64
-# rows measured as fast as or faster than 128 and 256 from L = 513 to 16385
-# (single-threaded OpenBLAS, 2-vCPU Xeon).
+# block cache-friendly.  With 4 heads of 12 dims, one attention call took
+# 3.63 ms with 64 rows at L = 513, against 3.64 ms with 128 and 3.73 ms
+# with 32 (medians of 21 interleaved rounds, single-threaded OpenBLAS,
+# 2-vCPU Xeon).  Longer sequences favoured 32 rows (12.8 against 13.6 ms
+# at L = 1025, and faster at 2049), so the block could follow L if long
+# sequences come to matter.
 _BLOCK_ROWS = 64
 
 
@@ -60,27 +82,46 @@ def multi_head_self_attention(x: np.ndarray, params: "LayerParams",
     """
     _check_input(x, params)
     h = params.head_count
-    length = x.shape[0]
-    scale = 1.0 / math.sqrt(x.shape[1] // h)
+    length, dim = x.shape
+    head_dim = dim // h
+    scale = 1.0 / math.sqrt(head_dim)
 
-    q = x @ params.w_q + params.b_q
-    k = x @ params.w_k + params.b_k
-    v = x @ params.w_v + params.b_v
-    qh, kh, vh = (_split_heads(a, h) for a in (q, k, v))
-    kt = kh.transpose(0, 2, 1)
+    q = x @ params.w_q
+    q += params.b_q
+    q *= scale
+    k = x @ params.w_k
+    k += params.b_k
+    v = x @ params.w_v
+    v += params.b_v
+    qh, kh, vh = _split_heads(q, h), _split_heads(k, h), _split_heads(v, h)
+    # One copy gives each head a contiguous (d_h, L) K^T.  On the transposed
+    # view the score product ran 1.8x slower per 64-row block at L = 513,
+    # and a whole attention call 6% slower.
+    kt = np.ascontiguousarray(kh.transpose(0, 2, 1))
+    va = np.empty((h, length, head_dim + 1), dtype=vh.dtype)
+    va[..., :head_dim] = vh
+    va[..., head_dim] = 1.0
 
-    attn = None if tape is None else np.empty((h, length, length), dtype=qh.dtype)
-    context = np.empty_like(qh)
-    for start in range(0, length, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        scores = qh[:, rows] @ kt
-        scores *= scale
-        probs = softmax_rows(scores)
+    block = min(_BLOCK_ROWS, length)
+    if tape is None:
+        attn = None
+        scratch = np.empty((h, block, length), dtype=qh.dtype)
+    else:
+        attn = np.empty((h, length, length), dtype=qh.dtype)
+    context = np.empty_like(va)
+    for start in range(0, length, block):
+        rows = slice(start, start + block)
+        e = scratch[:, :length - start] if attn is None else attn[:, rows]
+        np.matmul(qh[:, rows], kt, out=e)
+        exp_shifted_inplace(e)
+        np.matmul(e, va, out=context[:, rows])
         if attn is not None:
-            attn[:, rows] = probs
-        context[:, rows] = probs @ vh
-    out = _merge_heads(context)
-    y = out @ params.w_o + params.b_o
+            e /= context[:, rows, head_dim:]
+    out = np.empty_like(q)
+    np.divide(context[..., :head_dim], context[..., head_dim:],
+              out=_split_heads(out, h))
+    y = out @ params.w_o
+    y += params.b_o
     if tape is not None:
         tape.append((x, qh, kh, vh, attn, out, params, scale))
     return y
@@ -110,8 +151,9 @@ def attention_backward(dy: np.ndarray, tape: list):
     d_attn = d_outh @ vh.transpose(0, 2, 1)
     d_vh = attn.transpose(0, 2, 1) @ d_outh
     d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+    # qh was recorded with the 1/sqrt(d_h) scale folded in.
     d_qh = (d_scores @ kh) * scale
-    d_kh = (d_scores.transpose(0, 2, 1) @ qh) * scale
+    d_kh = d_scores.transpose(0, 2, 1) @ qh
 
     d_q = _merge_heads(d_qh)
     d_k = _merge_heads(d_kh)

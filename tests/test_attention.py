@@ -1,8 +1,11 @@
 """Multi-head self-attention: oracle agreement and permutation behavior."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmcrank.errors import InvalidConfig, InvalidShape
 from cmcrank.nn import LayerParams, attention_forward, multi_head_self_attention
@@ -90,3 +93,39 @@ class TestAttention:
         assert x.shape[0] > 2 * attention_module._BLOCK_ROWS
         taped, _ = attention_forward(x, params)
         assert np.array_equal(taped, multi_head_self_attention(x, params))
+
+    @settings(max_examples=150, deadline=None)
+    @given(length=st.integers(1, 13), heads=st.integers(1, 4),
+           head_dim=st.integers(1, 8), logit_scale=st.floats(0.1, 12.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocked_forward_property(self, length, heads, head_dim,
+                                      logit_scale, seed):
+        """Blocks of 4 rows over L = 1..13 (ragged and single-row last
+        blocks): taped and untaped outputs match the float64 oracle and each
+        other bit for bit, and the taped probabilities are normalized.
+        Query and key weights of std ``logit_scale / sqrt(d)`` give logits
+        of std about ``logit_scale ** 2``, so rows with a spread beyond the
+        -80 exp floor are drawn too."""
+        rng = np.random.default_rng(seed)
+        dim = heads * head_dim
+        params = LayerParams.init(dim, heads, rng=rng)
+        for name in ("w_q", "w_k"):
+            w = rng.standard_normal((dim, dim)) * (logit_scale / math.sqrt(dim))
+            setattr(params, name, w.astype(np.float32))
+        x = rng.standard_normal((length, dim)).astype(np.float32)
+        params64 = dataclasses.replace(
+            params, **{name: a.astype(np.float64)
+                       for name, a in params.arrays().items()})
+        expected = naive_attention(x.astype(np.float64), params64)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(attention_module, "_BLOCK_ROWS", 4)
+            plain = multi_head_self_attention(x, params)
+            taped, tape = attention_forward(x, params)
+
+        np.testing.assert_allclose(plain, expected, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(taped, expected, rtol=0, atol=1e-5)
+        assert np.array_equal(taped, plain)
+        attn = tape[0][4]
+        assert attn.shape == (heads, length, length)
+        assert np.abs(attn.sum(axis=-1) - 1.0).max() <= 1e-6

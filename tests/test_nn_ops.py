@@ -6,7 +6,7 @@ import pytest
 
 from cmcrank.errors import InvalidShape, NumericError
 from cmcrank.nn import (gelu, gelu_backward, layer_norm, linear_forward,
-                        softmax)
+                        softmax, softmax_rows)
 
 
 class TestSoftmax:
@@ -50,6 +50,49 @@ class TestSoftmax:
         out = softmax(np.array([1e3, -1e3, 0.0], dtype=np.float32))
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) <= 1e-6
+
+
+class TestSoftmaxRows:
+    def test_rows_are_distributions(self):
+        """Every row along the last axis sums to 1 and matches the 1-D
+        softmax of that row."""
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-30, 30, size=(3, 5, 7)).astype(np.float32)
+        out = softmax_rows(x)
+        assert out.dtype == np.float32 and out.shape == x.shape
+        assert np.all(out >= 0)
+        assert np.abs(out.sum(axis=-1) - 1.0).max() <= 1e-6
+        for row, expected in zip(x.reshape(-1, 7), out.reshape(-1, 7)):
+            np.testing.assert_allclose(softmax(row), expected, atol=1e-7)
+
+    def test_shift_invariance(self):
+        """A constant added to a row leaves that row's output unchanged."""
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((6, 9)).astype(np.float32)
+        shift = rng.uniform(-50, 50, size=(6, 1)).astype(np.float32)
+        np.testing.assert_allclose(softmax_rows(x + shift), softmax_rows(x),
+                                   atol=1e-6)
+
+    def test_input_left_untouched(self):
+        x = np.array([[1.0, 2.0, 3.0]], dtype=np.float32)
+        softmax_rows(x)
+        np.testing.assert_array_equal(x, [[1.0, 2.0, 3.0]])
+
+    def test_wide_spread_stays_finite(self):
+        """A logit spread of 1000 is a distribution up to the -80 exp floor:
+        every entry more than 80 below its row's max gets the same normal
+        float of at most 2e-35 (the floor keeps exp out of the subnormal
+        range, so these are not exact zeros)."""
+        x = np.array([[1000.0, 0.0, -1.0, 999.0],
+                      [-500.0, 500.0, 419.0, -400.0]], dtype=np.float32)
+        out = softmax_rows(x)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out[0, [0, 3]], [1 / (1 + math.exp(-1)),
+                                                    1 / (1 + math.e)], rtol=1e-6)
+        assert out[1, 1] == 1.0
+        for floored in (out[0, [1, 2]], out[1, [0, 2, 3]]):
+            assert np.all(floored == floored[0])
+            assert np.finfo(np.float32).tiny <= floored[0] <= 2e-35
 
 
 class TestLayerNorm:
