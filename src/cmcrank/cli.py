@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Subcommands: build-index, generate-synthetic, train, rerank, evaluate,
-bench.  Common flags: --seed, --config, --show-config; rerank also takes
---threads.
+bench.  Common flags: --config, --show-config.  --seed is taken by the
+subcommands that read it (generate-synthetic, train, rerank, bench), and
+--threads by rerank.
 
 Exit codes: 0 success, 1 usage error (message on stderr), 2 data or format
 error.  Output files are written atomically; input files are never
@@ -21,7 +22,7 @@ import numpy as np
 from . import evaluation, training
 from .encoders import (EMBEDDING_MAGIC, EmbeddingTable, load_embedding_file,
                        load_embedding_text, save_embedding_file)
-from .errors import CmcRankError
+from .errors import CmcRankError, DuplicateId
 from .fileio import atomic_write_text
 from .index import CandidateIndex, build_index, open_index
 from .pipeline import (MODE_FINAL, MODE_INTERMEDIATE, Pipeline, PipelineConfig,
@@ -108,7 +109,10 @@ def _load_gold(path: str) -> dict[int, int]:
         parts = line.split()
         if len(parts) != 2:
             raise CmcRankError(f"{path}:{lineno}: expected 'query_id gold_id'")
-        gold[int(parts[0])] = int(parts[1])
+        query_id = int(parts[0])
+        if query_id in gold:
+            raise DuplicateId(f"{path}:{lineno}: query id {query_id} appears more than once")
+        gold[query_id] = int(parts[1])
     return gold
 
 
@@ -262,8 +266,7 @@ def _cmd_bench(args) -> int:
     else:
         params = CmcParams.init(model_dim=args.dim, seed=args.seed)
     report = evaluation.bench_latency(params, _parse_int_list(args.k),
-                                      model_dim=args.dim, repeats=args.repeats,
-                                      seed=args.seed)
+                                      repeats=args.repeats, seed=args.seed)
     atomic_write_text(args.out, report.to_csv())
     print(report.to_table())
     print(f"report -> {args.out}")
@@ -282,7 +285,6 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     subparsers: dict[str, argparse.ArgumentParser] = {}
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--config", help="key=value config file; flags win")
         p.add_argument("--show-config", action="store_true", dest="show_config")
 
@@ -303,6 +305,7 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--surface-dim", type=int, default=48)
     p.add_argument("--latent-dim", type=int, default=16)
     p.add_argument("--surface-noise", type=float, default=0.05)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p)
     p.set_defaults(func=_cmd_generate_synthetic)
 
@@ -322,6 +325,7 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--holdout-every", type=int, default=5,
                    help="hold out every n-th query from training (0 = none)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p)
     p.set_defaults(func=_cmd_train)
 
@@ -343,6 +347,7 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--gold", help="gold assignment file (query_id gold_id lines)")
     p.add_argument("--threads", type=int, default=1,
                    help="max worker threads over the query batch")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p)
     p.set_defaults(func=_cmd_rerank)
 
@@ -358,10 +363,12 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p = subparsers["bench"] = sub.add_parser(
         "bench", help="forward-latency benchmark across K")
     p.add_argument("--k", default="128,256,512,1024,2048,4096,8192,16384")
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--dim", type=int, default=64,
+                   help="model dim of the random params; a checkpoint has its own")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--checkpoint", help="reranker checkpoint; random params if absent")
     p.add_argument("--out", default="bench_report.csv")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p)
     p.set_defaults(func=_cmd_bench)
 

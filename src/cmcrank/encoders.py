@@ -110,22 +110,17 @@ def _reject_nonfinite(ids: np.ndarray, rows: np.ndarray, first: int = 0) -> None
 
 
 def save_embedding_file(path: str | Path, ids: Sequence[int] | np.ndarray,
-                        embeddings: np.ndarray, dim: int | None = None) -> None:
-    """Write ids and their float32 vectors; bit-exact under reload."""
+                        embeddings: np.ndarray) -> None:
+    """Write ids and their float32 vectors, a ``(len(ids), dim)`` matrix;
+    bit-exact under reload."""
     ids = np.ascontiguousarray(_as_ids(ids), dtype="<u8")
     matrix = np.ascontiguousarray(embeddings, dtype="<f4")
-    if matrix.ndim != 2 and not (matrix.size == 0 and len(ids) == 0):
-        raise InvalidShape(f"embeddings must be (count, dim), got {matrix.shape}")
-    if dim is None:
-        if matrix.ndim != 2:
-            raise InvalidShape("dim is required when saving an empty embedding set")
-        dim = matrix.shape[1]
-    if matrix.size and matrix.shape != (len(ids), dim):
+    if matrix.ndim != 2 or matrix.shape[0] != len(ids):
         raise InvalidShape(
-            f"embeddings shape {matrix.shape} does not match {len(ids)} ids x dim {dim}")
+            f"embeddings must be ({len(ids)}, dim) for {len(ids)} ids, got {matrix.shape}")
     _sorted_ids(ids)
     write_checked(path, _HEADER, EMBEDDING_MAGIC, EMBEDDING_VERSION,
-                  (dim, len(ids)), (ids, matrix))
+                  (matrix.shape[1], len(ids)), (ids, matrix))
 
 
 def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -223,8 +223,6 @@ class BenchRow:
 
 @dataclass
 class BenchReport:
-    model_dim: int
-    repeats: int
     rows: list[BenchRow] = field(default_factory=list)
     pinned: bool = False  # timed region ran on one BLAS thread
 
@@ -249,22 +247,17 @@ class BenchReport:
 
 
 def bench_latency(params: CmcParams, k_values: Sequence[int],
-                  model_dim: int | None = None, repeats: int = 5,
-                  seed: int = 0) -> BenchReport:
+                  repeats: int = 5, seed: int = 0) -> BenchReport:
     """Median/p95 wall time of one forward + scoring pass per candidate count.
 
-    One warm-up pass per K is excluded from the statistics.  When
-    threadpoolctl is installed the timed region is pinned to one BLAS
-    thread, so medians stay comparable across K; otherwise it runs with
+    The inputs are random vectors of ``params.model_dim``.  One warm-up
+    pass per K is excluded from the statistics.  The timed region is
+    pinned to one BLAS thread through threadpoolctl, so medians stay
+    comparable across K; if threadpoolctl cannot be imported it runs with
     the ambient thread count.  ``pinned`` on the report says which.  An
     allocation failure at some K is recorded on that row instead of
     crashing.
     """
-    if model_dim is None:
-        model_dim = params.model_dim
-    if model_dim != params.model_dim:
-        raise InvalidConfig(
-            f"model_dim {model_dim} does not match params dim {params.model_dim}")
     k_values = [int(k) for k in k_values]
     if any(b <= a for a, b in zip(k_values, k_values[1:])):
         raise InvalidConfig("k values must be strictly increasing")
@@ -273,13 +266,13 @@ def bench_latency(params: CmcParams, k_values: Sequence[int],
 
     rng = np.random.default_rng(seed)
     pinned = threadpool_limits is not None
-    report = BenchReport(model_dim=model_dim, repeats=repeats, pinned=pinned)
+    report = BenchReport(pinned=pinned)
     pin = threadpool_limits(limits=1) if pinned else nullcontext()
     with pin:
         for k in k_values:
             try:
-                h_query = rng.standard_normal(model_dim).astype(np.float32)
-                h_cands = rng.standard_normal((k, model_dim)).astype(np.float32)
+                h_query = rng.standard_normal(params.model_dim).astype(np.float32)
+                h_cands = rng.standard_normal((k, params.model_dim)).astype(np.float32)
                 cmc_score(cmc_forward(params, h_query, h_cands))  # warm-up
                 times = np.empty(repeats, dtype=np.float64)
                 for i in range(repeats):

@@ -43,9 +43,6 @@ class RankedList:
     def entries(self) -> list[tuple[int, float]]:
         return [(int(c), float(s)) for c, s in zip(self.ids, self.scores)]
 
-    def truncated(self, k: int) -> "RankedList":
-        return RankedList(ids=self.ids[:k], scores=self.scores[:k])
-
 
 def rank_by_score(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedList:
     """Exact top-k of (ids, scores) under the (score desc, id asc) order.
@@ -79,9 +76,6 @@ class CandidateIndex(EmbeddingTable):
         """Inner products of the query against specific candidates, in order."""
         return self.matrix[self._rows(candidate_ids)] @ np.asarray(query, dtype=np.float32)
 
-    def search(self, query: np.ndarray, k: int) -> RankedList:
-        return search_topk(self, query, k)
-
 
 def build_index(ids: Sequence[int] | np.ndarray, embeddings: np.ndarray,
                 path: str | Path) -> CandidateIndex:
@@ -105,8 +99,5 @@ def search_topk(index: CandidateIndex, query: np.ndarray, k: int) -> RankedList:
             f"query has shape {query.shape}, index dim is {index.dim}")
     if k < 0:
         raise InvalidShape(f"k must be nonnegative, got {k}")
-    if len(index) == 0 or k == 0:
-        return RankedList(ids=np.empty(0, dtype=np.uint64),
-                          scores=np.empty(0, dtype=np.float32))
     scores = index.matrix @ query
     return rank_by_score(index.ids, scores, k)

@@ -1,10 +1,11 @@
 """AdamW with decoupled weight decay and a linear warmup/decay schedule.
 
 The effective learning rate at step ``s`` (0-based) is
-``base_lr * warmup_schedule(s, total_steps, warmup_fraction)``: it rises
-linearly from 0 over the first ``warmup_fraction`` of the run and then
-decays linearly back to 0.  ``total_steps == 0`` selects a constant
-schedule, useful for single-step tests.
+``learning_rate * warmup_schedule(s, total_steps, WARMUP_FRACTION)``: it
+rises linearly from 0 over the first tenth of the run and then decays
+linearly back to 0.  ``total_steps == 0`` selects a constant schedule,
+useful for single-step tests.  The Adam moments use the fixed
+``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from ..errors import InvalidShape, StateError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+WARMUP_FRACTION = 0.1
 
 
 def warmup_schedule(step: int, total_steps: int, warmup_fraction: float) -> float:
@@ -38,11 +40,7 @@ class OptimizerState:
 
     learning_rate: float
     weight_decay: float = 0.0
-    warmup_fraction: float = 0.1
     total_steps: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -57,7 +55,7 @@ class OptimizerState:
 
     def effective_lr(self) -> float:
         return self.learning_rate * warmup_schedule(
-            self.step, self.total_steps, self.warmup_fraction)
+            self.step, self.total_steps, WARMUP_FRACTION)
 
 
 def adamw_step(arrays: Mapping[str, np.ndarray],
@@ -68,8 +66,8 @@ def adamw_step(arrays: Mapping[str, np.ndarray],
         raise StateError(f"optimizer already ran its {state.total_steps} steps")
     lr = state.effective_lr()
     t = state.step + 1
-    bias1 = 1.0 - state.beta1 ** t
-    bias2 = 1.0 - state.beta2 ** t
+    bias1 = 1.0 - ADAM_BETA1 ** t
+    bias2 = 1.0 - ADAM_BETA2 ** t
 
     for name, theta in arrays.items():
         g = grads.get(name)
@@ -80,11 +78,11 @@ def adamw_step(arrays: Mapping[str, np.ndarray],
                 f"gradient for {name} has shape {g.shape}, parameter {theta.shape}")
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
         m_hat = m / bias1
         v_hat = v / bias2
-        update = m_hat / (np.sqrt(v_hat) + state.eps)
+        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if state.weight_decay:
             update = update + state.weight_decay * theta
         theta -= (lr * update).astype(theta.dtype, copy=False)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .encoders import EmbeddingTable, encode
 from .errors import CmcRankError, DuplicateId, InvalidConfig
+from .evaluation import compute_metrics, records_from_rankings
 from .index import CandidateIndex, RankedList, rank_by_score, search_topk
 from .reranker import CmcParams, rerank
 
@@ -166,8 +167,6 @@ class Pipeline:
         Errors and golds are keyed by query id, so a repeated query id
         raises ``DuplicateId`` before any query runs.
         """
-        from .evaluation import EvalRecord, compute_metrics
-
         repeated = [q for q, n in Counter(q for q, _ in queries).items() if n > 1]
         if repeated:
             raise DuplicateId(f"query id {repeated[0]} appears more than once in the batch")
@@ -192,13 +191,11 @@ class Pipeline:
         ok = [r for r in results if r is not None]
         metrics: dict[str, float] = {}
         if gold_by_query is not None and ok:
-            records = [EvalRecord(
-                query_id=r.query_id,
-                gold_id=gold_by_query[r.query_id],
-                ranked_ids=tuple(int(c) for c in r.reranked.ids),
-                gold_in_pool=bool(np.any(
-                    r.retrieved.ids == np.uint64(gold_by_query[r.query_id]))),
-            ) for r in ok]
+            records = records_from_rankings(
+                [r.query_id for r in ok],
+                [gold_by_query[r.query_id] for r in ok],
+                [r.reranked.ids for r in ok],
+                pools=[r.retrieved.ids for r in ok])
             metrics = compute_metrics(records, sorted({1, cfg.k_prime}),
                                       require_normalized=False)
             metrics["accuracy_end_to_end"] = float(np.mean(

@@ -20,6 +20,7 @@ first epoch (so epoch 1 carries that cost), and keeps it as ``n x P`` int32
 index rows plus ``n x P`` float32 scores (``n * P * 8`` bytes, with
 ``P = min(negative_pool_size, len(index))``).  A step whose loss or
 gradient norm is not finite raises ``NumericError`` before the update.
+AdamW runs without weight decay, on ``nn.optim``'s fixed warmup.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoders import EmbeddingTable
+from .encoders import EmbeddingTable, _as_ids
 from .errors import (InvalidConfig, InvalidIndex, InvalidInput, InvalidShape,
                      NumericError, PoolTooSmall)
 from .index import CandidateIndex, RankedList, search_topk
@@ -51,8 +52,6 @@ class TrainingConfig:
     base_lr: float = 1e-5
     batch_size: int = 4
     epochs: int = 5
-    weight_decay: float = 0.0
-    warmup_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -222,23 +221,34 @@ def train(cfg: TrainingConfig,
           epoch_callback=None) -> TrainingLog:
     """Run the full epoch loop, mutating ``params`` in place.
 
+    A non-finite query (``NumericError`` naming its row), a negative or
+    non-integer gold id (``InvalidInput``) or one missing from ``index`` or
+    ``candidates`` (``MissingCandidate``) raises before the first update.
+
     Deterministic given ``cfg.seed``: example order, negative draws and gold
     positions all come from one generator consumed in a fixed order.
     """
     queries = np.asarray(queries, dtype=np.float32)
-    gold_ids = np.asarray(gold_ids, dtype=np.uint64)
+    gold_ids = _as_ids(gold_ids)
     n = len(queries)
     if n == 0:
         raise InvalidInput("training set is empty")
     if len(gold_ids) != n:
         raise InvalidShape(f"{n} queries but {len(gold_ids)} gold ids")
+    if queries.ndim != 2:
+        raise InvalidShape(f"queries must be (count, dim), got {queries.shape}")
+    finite = np.isfinite(queries).all(axis=1)
+    if not finite.all():
+        raise NumericError(
+            f"training query row {int(np.argmin(finite))} is not finite")
+    index._rows(gold_ids)
+    candidates._rows(gold_ids)
 
     rng = np.random.default_rng(cfg.seed)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     arrays = params.arrays()
     state = OptimizerState.for_arrays(
-        arrays, learning_rate=cfg.base_lr, weight_decay=cfg.weight_decay,
-        warmup_fraction=cfg.warmup_fraction,
+        arrays, learning_rate=cfg.base_lr,
         total_steps=cfg.epochs * steps_per_epoch)
 
     # The retriever is frozen, so each query's pool is searched once here

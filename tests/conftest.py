@@ -3,13 +3,29 @@
 Acceptance tests register their criterion outcome through the
 ``acceptance`` fixture; after the run a one-line PASS/FAIL summary per
 criterion is printed in the terminal summary.
+
+BLAS is held to one thread for the whole suite.  The variables are read
+when numpy loads, so this file refuses to run if something (a pytest
+plugin, say) has imported numpy first.  Two checks compare wall-clock
+medians (criterion 9's monotone ladder and the rerank-overhead ratio in
+``test_pipeline.py``); with two BLAS threads and one busy neighbour on a
+2-core machine, their short calls stall and both checks have failed.
 """
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
 import pytest
+
+if "numpy" in sys.modules:
+    raise RuntimeError(
+        "numpy was imported before tests/conftest.py (by a pytest plugin?); "
+        "the BLAS thread pin below would have no effect")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 

@@ -37,6 +37,15 @@ class TestExitCodes:
                    "--threads", "2", "--show-config") == 0
         assert "threads = 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ("build-index", "--embeddings", "e", "--out", "o"),
+        ("evaluate", "--rankings", "r", "--gold", "g")])
+    def test_seed_only_where_read(self, argv):
+        """build-index and evaluate draw nothing at random, so neither
+        takes --seed."""
+        assert run(*argv, "--show-config") == 0
+        assert run(*argv, "--seed", "3", "--show-config") == 1
+
     def test_missing_subcommand(self):
         assert run() == 1
 
@@ -189,6 +198,15 @@ class TestEvaluateFixture:
         assert "accuracy unnormalized: 20.0%" in out
         assert "accuracy normalized: 33.3%" in out
 
+    def test_repeated_gold_query_id_is_data_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.txt"
+        gold.write_text("0 10\n1 20\n0 11\n")
+        rankings = tmp_path / "rankings.txt"
+        rankings.write_text("0,10 11\n1,20 21\n")
+        assert run("evaluate", "--rankings", str(rankings),
+                   "--gold", str(gold), "--k", "1") == 2
+        assert "query id 0 appears more than once" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_small_bench_writes_report(self, tmp_path, capsys):
@@ -201,10 +219,11 @@ class TestBenchCommand:
         assert "report" in capsys.readouterr().out
 
     def test_bench_accepts_checkpoint(self, tmp_path):
+        """The checkpoint brings its own dim; --dim sizes only random params."""
         from cmcrank.reranker import CmcParams
         ckpt = tmp_path / "m.cmcp"
         CmcParams.init(model_dim=16, head_count=2, seed=1).save(ckpt)
-        assert run("bench", "--k", "4", "--dim", "16", "--repeats", "5",
+        assert run("bench", "--k", "4", "--repeats", "5",
                    "--checkpoint", str(ckpt),
                    "--out", str(tmp_path / "b.csv")) == 0
 

@@ -37,6 +37,14 @@ class TestEmbeddingFile:
         assert len(ids) == 0
         assert matrix.shape == (0, 3)
 
+    @pytest.mark.parametrize("ids, shape", [([1, 2], (2,)), ([1, 2], (3, 4)),
+                                            ([], (0,))])
+    def test_matrix_must_have_one_row_per_id(self, tmp_path, ids, shape):
+        with pytest.raises(InvalidShape):
+            save_embedding_file(tmp_path / "bad.cmce", ids,
+                                np.zeros(shape, dtype=np.float32))
+        assert not (tmp_path / "bad.cmce").exists()
+
     def test_single_record(self, tmp_path):
         path = tmp_path / "one.cmce"
         save_embedding_file(path, [7], np.array([[1.0, 0.0]], dtype=np.float32))

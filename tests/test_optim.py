@@ -34,7 +34,7 @@ class TestAdamW:
         theta = {"w": rng.standard_normal(4).astype(np.float32)}
         before = theta["w"].copy()
         state = OptimizerState.for_arrays(theta, learning_rate=1e-2,
-                                          total_steps=50, warmup_fraction=0.1)
+                                          total_steps=50)
         adamw_step(theta, {"w": np.ones(4, dtype=np.float32)}, state)
         assert theta["w"].tobytes() == before.tobytes()
         assert state.step == 1

@@ -7,7 +7,7 @@ import pytest
 import cmcrank.training as training_module
 from cmcrank.encoders import EmbeddingTable
 from cmcrank.errors import (InvalidConfig, InvalidIndex, InvalidInput,
-                            NumericError, PoolTooSmall)
+                            MissingCandidate, NumericError, PoolTooSmall)
 from cmcrank.evaluation import SyntheticTaskSpec, generate_synthetic
 from cmcrank.index import CandidateIndex, RankedList, search_topk
 from cmcrank.nn import (OptimizerState, adamw_step, finite_difference_gradient,
@@ -253,8 +253,7 @@ def reference_train(cfg, queries, gold_ids, index, table, params):
     n = len(queries)
     arrays = params.arrays()
     state = OptimizerState.for_arrays(
-        arrays, learning_rate=cfg.base_lr, weight_decay=cfg.weight_decay,
-        warmup_fraction=cfg.warmup_fraction,
+        arrays, learning_rate=cfg.base_lr,
         total_steps=cfg.epochs * math.ceil(n / cfg.batch_size))
     losses = []
     for _ in range(cfg.epochs):
@@ -321,11 +320,15 @@ class TestPoolCache:
 
     def test_small_index_still_raises_pool_too_small(self):
         queries, golds, index, table, cfg = self.tiny_task()
-        keep = index.ids[:cfg.k_train - 2]   # one short of k_train - 1 negatives
+        # The first query's gold plus k_train - 2 other ids: its pool is one
+        # short of k_train - 1 negatives.  Train on that query alone, since
+        # train resolves every gold in the index before it searches.
+        others = index.ids[index.ids != golds[0]][:cfg.k_train - 2]
+        keep = np.concatenate([golds[:1].astype(index.ids.dtype), others])
         small = CandidateIndex(keep, index.batch(keep))
         params = CmcParams.init(model_dim=16, head_count=2, seed=1)
         with pytest.raises(PoolTooSmall):
-            train(cfg, queries, golds, small, table, params)
+            train(cfg, queries[:1], golds[:1], small, table, params)
 
 
 class TestNonFiniteStep:
@@ -342,5 +345,40 @@ class TestNonFiniteStep:
             train(cfg, data.query_embeddings, data.gold_ids, index, table,
                   params, epoch_callback=lambda *args: calls.append(args))
         assert calls == []
+        for name, arr in params.arrays().items():
+            assert arr.tobytes() == before[name].tobytes(), name
+
+
+class TestBadInputFailsBeforeAnyUpdate:
+    """A bad gold id or query at row 5 of 20 (batch 2) stops ``train``
+    before its first update, not when that example comes up mid-epoch."""
+
+    @pytest.mark.parametrize("fault", ["gold_not_indexed", "gold_not_in_table",
+                                       "negative_gold", "nan_query"])
+    def test_parameters_untouched(self, fault):
+        data, index, table = small_task()
+        queries = data.query_embeddings[:20].copy()
+        golds = data.gold_ids[:20]
+        keep = data.candidate_ids != golds[5]
+        error, message = MissingCandidate, f"candidate id {golds[5]} "
+        if fault == "gold_not_indexed":
+            index = CandidateIndex(data.candidate_ids[keep],
+                                   data.retriever_embeddings[keep])
+        elif fault == "gold_not_in_table":
+            table = EmbeddingTable(data.candidate_ids[keep],
+                                   data.reranker_embeddings[keep])
+        elif fault == "negative_gold":
+            golds = golds.astype(np.int64)
+            golds[5] = -1
+            error, message = InvalidInput, "-1 is negative"
+        else:
+            queries[5, 0] = np.nan
+            error, message = NumericError, "query row 5 "
+        params = CmcParams.init(model_dim=16, head_count=2, seed=1)
+        before = {n: a.copy() for n, a in params.arrays().items()}
+        cfg = TrainingConfig(k_train=4, negative_pool_size=16, base_lr=1e-3,
+                             epochs=2, batch_size=2, seed=2)
+        with pytest.raises(error, match=message):
+            train(cfg, queries, golds, index, table, params)
         for name, arr in params.arrays().items():
             assert arr.tobytes() == before[name].tobytes(), name
