@@ -22,8 +22,9 @@ Embedding file layout (little-endian), in the checked container of
 
 ``fileio.read_checked`` checks the header and the file size before the
 payload and streams the checksum over a read-only map;
-``load_embedding_file`` then rejects non-finite rows and returns views of
-that map.
+``load_embedding_file`` then checks that the ids are unique and returns
+views of that map, leaving the values to their users: ``EmbeddingTable``
+checks candidate rows, and ``encode`` and ``train`` check queries.
 
 A line-oriented text form ("id v1,v2,..." per line) is accepted as an
 import source and converted to the same in-memory representation.
@@ -101,14 +102,6 @@ def _sorted_ids(ids) -> tuple[np.ndarray, np.ndarray | None]:
 # Embedding persistence
 
 
-def _reject_nonfinite(ids: np.ndarray, rows: np.ndarray, first: int = 0) -> None:
-    """Raise ``NumericError`` naming the id of the first row with a NaN or
-    infinite value; ``rows`` holds the rows of ``ids[first:]``."""
-    if not np.isfinite(rows).all():
-        row = first + int(np.argmin(np.isfinite(rows).all(axis=1)))
-        raise NumericError(f"embedding of candidate id {int(ids[row])} is not finite")
-
-
 def save_embedding_file(path: str | Path, ids: Sequence[int] | np.ndarray,
                         embeddings: np.ndarray) -> None:
     """Write ids and their float32 vectors, a ``(len(ids), dim)`` matrix;
@@ -131,9 +124,6 @@ def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     ids = np.frombuffer(buf, dtype="<u8", count=count, offset=HEADER_BYTES)
     matrix = np.frombuffer(buf, dtype="<f4", count=count * dim,
                            offset=HEADER_BYTES + 8 * count).reshape(count, dim)
-    step = max(1, CHUNK_BYTES // max(1, 4 * dim))
-    for lo in range(0, count, step):
-        _reject_nonfinite(ids, matrix[lo:lo + step], lo)
     _sorted_ids(ids)
     return ids, matrix
 
@@ -162,15 +152,12 @@ def load_embedding_text(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     for lineno, row in enumerate(rows, 1):
         if row.shape[0] != dim:
             raise FormatError(f"record {lineno} has {row.shape[0]} values, expected {dim}")
-    ids_arr = _as_ids(ids)
-    _sorted_ids(ids_arr)
-    matrix = np.vstack(rows)
-    _reject_nonfinite(ids_arr, matrix)
-    return ids_arr, matrix
+    return _as_ids(ids), np.vstack(rows)
 
 
 class EmbeddingTable:
-    """Id-addressable rows: ``ids`` sorted ascending, ``matrix`` row-aligned."""
+    """Id-addressable rows: ``ids`` sorted ascending, ``matrix`` row-aligned
+    and finite (``NumericError`` names the smallest id of a bad row)."""
 
     def __init__(self, ids: Sequence[int] | np.ndarray, matrix: np.ndarray):
         matrix = np.ascontiguousarray(matrix, dtype=np.float32)
@@ -179,6 +166,14 @@ class EmbeddingTable:
             raise InvalidShape(
                 f"embedding matrix {matrix.shape} does not match {len(self.ids)} ids")
         self.matrix = matrix if order is None else matrix[order]
+        # Chunked, so a memory-mapped matrix needs no full-size temporary.
+        step = max(1, CHUNK_BYTES // max(1, 4 * self.dim))
+        for lo in range(0, len(self.ids), step):
+            rows = self.matrix[lo:lo + step]
+            if not np.isfinite(rows).all():
+                row = lo + int(np.argmin(np.isfinite(rows).all(axis=1)))
+                raise NumericError(
+                    f"embedding of candidate id {int(self.ids[row])} is not finite")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EmbeddingTable":

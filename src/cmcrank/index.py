@@ -4,8 +4,8 @@ Candidates are stored as one float32 vector each.  Search is a full scan
 (desk-scale corpora keep that fast) so results are exact and, with ties
 broken by ascending id, fully deterministic.  ``CandidateIndex`` is an
 ``EmbeddingTable``: ids are held sorted ascending as uint64 and resolved
-to rows by binary search, and a matrix whose ids are already sorted is
-aliased, not copied.
+to rows by binary search, a matrix whose ids are already sorted is
+aliased, not copied, and every row is checked finite, built or opened.
 
 An index file is an embedding file (see ``encoders``) whose ids are
 strictly increasing: a 24-byte header, the ids, then the matrix, exactly

@@ -26,7 +26,8 @@ Normalized probabilities exist only on the tape.  A caller that passes a
 ``tape`` list gets the entry that ``attention_backward`` consumes appended
 to it: the block is written straight into the full (heads, L, L) buffer
 and divided by its denominators after the value product, so the context
-arithmetic is the same with and without a tape.
+arithmetic is the same with and without a tape.  The backward leaves the
+four projections to ``ops.linear_backward``.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import InvalidConfig, InvalidShape
-from .ops import exp_shifted_inplace
+from .ops import exp_shifted_inplace, linear_backward
 
 if TYPE_CHECKING:
     from .layer import LayerParams
@@ -137,16 +138,12 @@ def attention_backward(dy: np.ndarray, tape: list):
     """Gradients w.r.t. the input and the four projections.
 
     Pops the entry :func:`multi_head_self_attention` appended to ``tape``.
+    The input gradient sums the q, k and v paths in that order.
     """
     x, qh, kh, vh, attn, out, params, scale = tape.pop()
-    h = params.head_count
-
-    d_out = dy @ params.w_o.T
-    grads = {
-        "w_o": out.T @ dy,
-        "b_o": dy.sum(axis=0),
-    }
-    d_outh = _split_heads(d_out, h)
+    grads = {}
+    d_out, grads["w_o"], grads["b_o"] = linear_backward(dy, (out, params.w_o))
+    d_outh = _split_heads(d_out, params.head_count)
 
     d_attn = d_outh @ vh.transpose(0, 2, 1)
     d_vh = attn.transpose(0, 2, 1) @ d_outh
@@ -155,16 +152,7 @@ def attention_backward(dy: np.ndarray, tape: list):
     d_qh = (d_scores @ kh) * scale
     d_kh = d_scores.transpose(0, 2, 1) @ qh
 
-    d_q = _merge_heads(d_qh)
-    d_k = _merge_heads(d_kh)
-    d_v = _merge_heads(d_vh)
-
-    grads["w_q"] = x.T @ d_q
-    grads["b_q"] = d_q.sum(axis=0)
-    grads["w_k"] = x.T @ d_k
-    grads["b_k"] = d_k.sum(axis=0)
-    grads["w_v"] = x.T @ d_v
-    grads["b_v"] = d_v.sum(axis=0)
-
-    dx = d_q @ params.w_q.T + d_k @ params.w_k.T + d_v @ params.w_v.T
-    return dx, grads
+    dx_q, grads["w_q"], grads["b_q"] = linear_backward(_merge_heads(d_qh), (x, params.w_q))
+    dx_k, grads["w_k"], grads["b_k"] = linear_backward(_merge_heads(d_kh), (x, params.w_k))
+    dx_v, grads["w_v"], grads["b_v"] = linear_backward(_merge_heads(d_vh), (x, params.w_v))
+    return dx_q + dx_k + dx_v, grads

@@ -1,11 +1,12 @@
-"""AdamW with decoupled weight decay and a linear warmup/decay schedule.
+"""AdamW without weight decay, on a linear warmup/decay schedule.
 
 The effective learning rate at step ``s`` (0-based) is
-``learning_rate * warmup_schedule(s, total_steps, WARMUP_FRACTION)``: it
-rises linearly from 0 over the first tenth of the run and then decays
+``learning_rate * warmup_schedule(s, total_steps)``: it rises linearly from
+0 over the first ``WARMUP_FRACTION`` (a tenth) of the run and then decays
 linearly back to 0.  ``total_steps == 0`` selects a constant schedule,
 useful for single-step tests.  The Adam moments use the fixed
-``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
+``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.  No caller decays
+weights, so the update has no decay term.
 """
 from __future__ import annotations
 
@@ -22,11 +23,11 @@ ADAM_EPS = 1e-8
 WARMUP_FRACTION = 0.1
 
 
-def warmup_schedule(step: int, total_steps: int, warmup_fraction: float) -> float:
+def warmup_schedule(step: int, total_steps: int) -> float:
     """Linear warmup then linear decay; 1.0 everywhere if total_steps == 0."""
     if total_steps <= 0:
         return 1.0
-    warmup_steps = max(1, int(round(warmup_fraction * total_steps)))
+    warmup_steps = max(1, int(round(WARMUP_FRACTION * total_steps)))
     if step < warmup_steps:
         return step / warmup_steps
     if total_steps <= warmup_steps:
@@ -39,7 +40,6 @@ class OptimizerState:
     """Per-parameter AdamW moments plus the schedule bookkeeping."""
 
     learning_rate: float
-    weight_decay: float = 0.0
     total_steps: int = 0
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -54,14 +54,14 @@ class OptimizerState:
         return state
 
     def effective_lr(self) -> float:
-        return self.learning_rate * warmup_schedule(
-            self.step, self.total_steps, WARMUP_FRACTION)
+        return self.learning_rate * warmup_schedule(self.step, self.total_steps)
 
 
 def adamw_step(arrays: Mapping[str, np.ndarray],
                grads: Mapping[str, np.ndarray],
                state: OptimizerState) -> None:
-    """One in-place AdamW update over every named parameter buffer."""
+    """One in-place update over every named parameter buffer; ``grads``
+    must hold a gradient for each name in ``arrays``."""
     if state.total_steps > 0 and state.step >= state.total_steps:
         raise StateError(f"optimizer already ran its {state.total_steps} steps")
     lr = state.effective_lr()
@@ -70,9 +70,7 @@ def adamw_step(arrays: Mapping[str, np.ndarray],
     bias2 = 1.0 - ADAM_BETA2 ** t
 
     for name, theta in arrays.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         if g.shape != theta.shape:
             raise InvalidShape(
                 f"gradient for {name} has shape {g.shape}, parameter {theta.shape}")
@@ -83,7 +81,5 @@ def adamw_step(arrays: Mapping[str, np.ndarray],
         m_hat = m / bias1
         v_hat = v / bias2
         update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if state.weight_decay:
-            update = update + state.weight_decay * theta
         theta -= (lr * update).astype(theta.dtype, copy=False)
     state.step += 1

@@ -55,8 +55,8 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise InvalidConfig("loss weights must be nonnegative")
+        if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
+            raise InvalidConfig("loss weights must be finite and nonnegative")
         if self.lambda1 + self.lambda2 <= 0:
             raise InvalidConfig("at least one of lambda1, lambda2 must be positive")
         if not 0.0 <= self.fixed_fraction <= 1.0:
@@ -69,6 +69,8 @@ class TrainingConfig:
                 f"{self.negative_pool_size} + 1")
         if self.batch_size < 1 or self.epochs < 1:
             raise InvalidConfig("batch_size and epochs must be positive")
+        if not 0 <= self.base_lr < math.inf:
+            raise InvalidConfig(f"base_lr must be finite and nonnegative, got {self.base_lr}")
 
 
 @dataclass
@@ -222,8 +224,9 @@ def train(cfg: TrainingConfig,
     """Run the full epoch loop, mutating ``params`` in place.
 
     A non-finite query (``NumericError`` naming its row), a negative or
-    non-integer gold id (``InvalidInput``) or one missing from ``index`` or
-    ``candidates`` (``MissingCandidate``) raises before the first update.
+    non-integer gold id (``InvalidInput``), or a gold id missing from
+    ``index`` or ``candidates`` or a pooled id missing from ``candidates``
+    (``MissingCandidate``) raises before the first update.
 
     Deterministic given ``cfg.seed``: example order, negative draws and gold
     positions all come from one generator consumed in a fixed order.
@@ -261,6 +264,7 @@ def train(cfg: TrainingConfig,
         pool = search_topk(index, queries[i], cfg.negative_pool_size)
         pool_rows[i] = np.searchsorted(index.ids, pool.ids)
         pool_scores[i] = pool.scores
+    candidates._rows(index.ids[np.unique(pool_rows)])
 
     log = TrainingLog()
     step = 0

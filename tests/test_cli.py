@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, reproducibility, file hygiene."""
 import hashlib
 
+import numpy as np
 import pytest
 
 from cmcrank.cli import run_command
+from cmcrank.encoders import EmbeddingTable, load_embedding_file, save_embedding_file
+from cmcrank.reranker import CmcParams
 
 
 def digest(path):
@@ -59,6 +62,12 @@ class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
         assert run("build-index", "--embeddings", str(tmp_path / "nope.cmce"),
                    "--out", str(tmp_path / "x.cmci")) == 2
+
+    def test_nan_learning_rate_is_data_error(self, task_dir, tmp_path, capsys):
+        assert run("train", "--data-dir", str(task_dir),
+                   "--out", str(tmp_path / "m.cmcp"), "--lr", "nan") == 2
+        assert "base_lr" in capsys.readouterr().err
+        assert not (tmp_path / "m.cmcp").exists()
 
     def test_intermediate_mode_needs_scorer(self, task_dir, tmp_path):
         assert run("rerank", "--index", "x", "--checkpoint", "y",
@@ -127,6 +136,30 @@ class TestFullFlow:
             assert out.exists()
         printed = capsys.readouterr().out
         assert "accuracy_end_to_end" in printed
+
+    def test_nan_query_fails_only_that_query(self, task_dir, tmp_path, capsys):
+        """Query rows are checked where each query is encoded, so the
+        per-query error isolation reports a bad one and serves the rest."""
+        index_path, ckpt = tmp_path / "task.cmci", tmp_path / "model.cmcp"
+        assert run("build-index",
+                   "--embeddings", str(task_dir / "retriever_embeddings.cmce"),
+                   "--out", str(index_path)) == 0
+        embeddings = task_dir / "reranker_embeddings.cmce"
+        CmcParams.init(model_dim=EmbeddingTable.from_file(embeddings).dim,
+                       head_count=2, seed=1).save(ckpt)
+        qids, queries = load_embedding_file(task_dir / "queries.cmce")
+        queries = queries.copy()
+        queries[3, 1] = np.nan
+        save_embedding_file(tmp_path / "queries.cmce", qids, queries)
+        results = tmp_path / "results.txt"
+        assert run("rerank", "--index", str(index_path), "--checkpoint", str(ckpt),
+                   "--embeddings", str(embeddings),
+                   "--queries", str(tmp_path / "queries.cmce"),
+                   "--k-retrieve", "16", "--k-prime", "8",
+                   "--out", str(results)) == 0
+        assert f"query {qids[3]} failed" in capsys.readouterr().err
+        served = [int(line.split(",")[0]) for line in results.read_text().splitlines()]
+        assert served == [int(q) for i, q in enumerate(qids) if i != 3]
 
     def test_inputs_never_mutated(self, task_dir, tmp_path):
         before = {p.name: digest(p) for p in sorted(task_dir.iterdir())}

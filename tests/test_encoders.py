@@ -11,7 +11,7 @@ from cmcrank.encoders import (HEADER_BYTES, EmbeddingTable, encode,
                               save_embedding_file)
 from cmcrank.errors import (DuplicateId, FormatError, InvalidInput,
                             InvalidShape, MissingCandidate, NumericError)
-from cmcrank.index import CandidateIndex
+from cmcrank.index import CandidateIndex, open_index
 
 
 class TestEncode:
@@ -120,18 +120,22 @@ class TestEmbeddingFile:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_row_rejected_on_load(self, tmp_path, bad):
+        """The loader checks the container; the table built on it checks
+        the rows."""
         path = tmp_path / "nan.cmce"
         matrix = np.ones((5, 3), dtype=np.float32)
         matrix[3, 1] = bad
         save_embedding_file(path, [10, 20, 30, 40, 50], matrix)
-        with pytest.raises(NumericError, match="id 40 "):
-            load_embedding_file(path)
+        assert load_embedding_file(path)[1].tobytes() == matrix.tobytes()
+        for load in (EmbeddingTable.from_file, open_index):
+            with pytest.raises(NumericError, match="id 40 "):
+                load(path)
 
     def test_text_nan_rejected(self, tmp_path):
         path = tmp_path / "nan.txt"
         path.write_text("1 1,2\n2 nan,0\n")
         with pytest.raises(NumericError, match="id 2 "):
-            load_embedding_text(path)
+            EmbeddingTable(*load_embedding_text(path))
 
     def test_text_import(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -157,6 +161,16 @@ class TestEmbeddingTable:
         assert 20 in table and 99 not in table
         with pytest.raises(MissingCandidate):
             table.batch([10, 99])
+
+    @pytest.mark.parametrize("table_type", [EmbeddingTable, CandidateIndex])
+    @pytest.mark.parametrize("ids", [[10, 20, 30, 40], [40, 10, 30, 20]])
+    def test_nonfinite_row_rejected_in_memory(self, table_type, ids):
+        """Built in memory, sorted or reordered, a NaN row is named by its
+        id; an index that took it would never return that id."""
+        matrix = np.ones((4, 3), dtype=np.float32)
+        matrix[2, 0] = np.nan
+        with pytest.raises(NumericError, match="id 30 "):
+            table_type(ids, matrix)
 
     def test_sorted_input_is_aliased_not_copied(self):
         matrix = np.arange(6, dtype=np.float32).reshape(3, 2)

@@ -162,6 +162,16 @@ class TestSampleNegatives:
         with pytest.raises(InvalidConfig):
             TrainingConfig(fixed_fraction=1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("base_lr", math.nan), ("base_lr", -1e-3), ("base_lr", math.inf),
+        ("lambda1", math.nan), ("lambda1", math.inf),
+        ("lambda2", math.nan), ("lambda2", math.inf)])
+    def test_nonfinite_or_negative_settings_rejected(self, field, value):
+        """A NaN learning rate would turn every weight into NaN at step 1."""
+        with pytest.raises(InvalidConfig, match="base_lr" if field == "base_lr"
+                           else "loss weights"):
+            TrainingConfig(**{field: value})
+
 
 def small_task(seed=0):
     data = generate_synthetic(SyntheticTaskSpec(
@@ -350,11 +360,13 @@ class TestNonFiniteStep:
 
 
 class TestBadInputFailsBeforeAnyUpdate:
-    """A bad gold id or query at row 5 of 20 (batch 2) stops ``train``
-    before its first update, not when that example comes up mid-epoch."""
+    """A bad gold id, pooled negative or query at row 5 of 20 (batch 7 of
+    epoch 1) stops ``train`` before its first update, not when that
+    example comes up mid-epoch."""
 
     @pytest.mark.parametrize("fault", ["gold_not_indexed", "gold_not_in_table",
-                                       "negative_gold", "nan_query"])
+                                       "negative_gold", "nan_query",
+                                       "negative_not_in_table"])
     def test_parameters_untouched(self, fault):
         data, index, table = small_task()
         queries = data.query_embeddings[:20].copy()
@@ -371,9 +383,17 @@ class TestBadInputFailsBeforeAnyUpdate:
             golds = golds.astype(np.int64)
             golds[5] = -1
             error, message = InvalidInput, "-1 is negative"
-        else:
+        elif fault == "nan_query":
             queries[5, 0] = np.nan
             error, message = NumericError, "query row 5 "
+        else:
+            # Row 5's best-scoring non-gold id: always among its fixed negatives.
+            pool = search_topk(index, queries[5], 16).ids
+            negative = pool[~np.isin(pool, golds)][0]
+            keep = data.candidate_ids != negative
+            table = EmbeddingTable(data.candidate_ids[keep],
+                                   data.reranker_embeddings[keep])
+            message = f"candidate id {negative} "
         params = CmcParams.init(model_dim=16, head_count=2, seed=1)
         before = {n: a.copy() for n, a in params.arrays().items()}
         cfg = TrainingConfig(k_train=4, negative_pool_size=16, base_lr=1e-3,
