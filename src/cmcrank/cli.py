@@ -22,7 +22,7 @@ import numpy as np
 from . import evaluation, training
 from .encoders import (EMBEDDING_MAGIC, EmbeddingTable, load_embedding_file,
                        load_embedding_text, save_embedding_file)
-from .errors import CmcRankError, DuplicateId
+from .errors import CmcRankError, DuplicateId, NumericError
 from .fileio import atomic_write_text
 from .index import CandidateIndex, build_index, open_index
 from .pipeline import (MODE_FINAL, MODE_INTERMEDIATE, Pipeline, PipelineConfig,
@@ -168,8 +168,13 @@ def _cmd_train(args) -> int:
     keep = np.ones(len(qids), dtype=bool)
     if args.holdout_every > 0:
         keep[::args.holdout_every] = False
-    train_q = queries[keep]
-    train_gold = [gold[int(q)] for q in qids[keep]]
+    train_qids, train_q = qids[keep], queries[keep]
+    # train() can name only a row of train_q; name the file's query id.
+    finite = np.isfinite(train_q).all(axis=1)
+    if not finite.all():
+        raise NumericError(
+            f"training query id {int(train_qids[np.argmin(finite)])} is not finite")
+    train_gold = [gold[int(q)] for q in train_qids]
 
     params = CmcParams.init(model_dim=candidates.dim, head_count=args.heads,
                             seed=args.seed)

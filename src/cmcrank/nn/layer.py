@@ -4,9 +4,17 @@ Sublayer order is attention -> add&norm -> GELU feed-forward -> add&norm.
 ``encoder_layer_forward`` is the one forward for inference and training.
 Given a ``tape`` list it appends what ``encoder_layer_backward`` needs,
 attention first, and the backward pops those entries in reverse order.
+
+The input is one (L, d) sequence or a stack of B of them, (B, L, d).  On
+a stack, layer norm, the feed-forward and the residuals run once over the
+whole batch, while attention runs once per sequence on its (L, d) slice,
+appending one tape entry each.  The batched backward returns the sum of
+the per-sequence parameter gradients, bit for bit as a loop over the
+sequences adding them in order would.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -113,9 +121,13 @@ def encoder_layer_forward(x: np.ndarray, params: LayerParams,
     With a ``tape`` list, appends the entries ``encoder_layer_backward``
     pops.
     """
-    if np.ndim(x) != 2 or np.shape(x)[0] < 1:
-        raise InvalidShape(f"encoder layer expects a non-empty (L, d) matrix, got {np.shape(x)}")
-    a = multi_head_self_attention(x, params, tape)
+    if np.ndim(x) not in (2, 3) or np.shape(x)[-2] < 1:
+        raise InvalidShape(
+            f"encoder layer expects a non-empty (L, d) or (B, L, d) array, got {np.shape(x)}")
+    if np.ndim(x) == 2:
+        a = multi_head_self_attention(x, params, tape)
+    else:
+        a = np.stack([multi_head_self_attention(xb, params, tape) for xb in x])
     u, ln1_cache = ops.layer_norm_forward(x + a, params.ln1_gain, params.ln1_bias)
     h1, lin1_cache = ops.linear_forward(u, params.w_1, params.b_1)
     g = ops.gelu(h1)
@@ -147,7 +159,17 @@ def encoder_layer_backward(dy: np.ndarray, tape: list):
     d_u = d_u + d_u2
 
     d_s1, d_ln1_gain, d_ln1_bias = ops.layer_norm_backward(d_u, ln1_cache)
-    dx_attn, attn_grads = attention_backward(d_s1, tape)
+    if d_s1.ndim == 2:
+        dx_attn, attn_grads = attention_backward(d_s1, tape)
+    else:
+        # The last sequence's attention entry is on top of the tape; its
+        # gradients are added in sequence order all the same.
+        dx_attn = np.empty_like(d_s1)
+        per_seq = [None] * len(d_s1)
+        for b in reversed(range(len(d_s1))):
+            dx_attn[b], per_seq[b] = attention_backward(d_s1[b], tape)
+        attn_grads = {name: functools.reduce(np.add, [g[name] for g in per_seq])
+                      for name in per_seq[0]}
     dx = d_s1 + dx_attn
 
     return dx, {

@@ -12,7 +12,10 @@ candidates permutes the scores identically and the top-1 candidate id is
 invariant.  One forward pass covers all K candidates of a query.
 ``cmc_forward`` serves inference and training alike: given a ``tape`` list
 it appends each layer's entries, and ``CmcTape.backward`` pops them in
-reverse order.
+reverse order.  Serving passes one query, (d,) with (K, d) candidates;
+training passes a step's B queries at once, (B, d) with (B, K, d), and
+gets back the summed parameter gradients of the B examples.  The backward
+flushes subnormal entries of the scoring head's gradient to zero.
 
 Checkpoint layout (little-endian), in the checked container of ``fileio``:
 
@@ -46,6 +49,7 @@ from .errors import (FormatError, InvalidConfig, InvalidShape, NumericError,
 from .fileio import read_checked, write_checked
 from .index import RankedList, rank_by_score
 from .nn.layer import LayerParams, encoder_layer_backward, encoder_layer_forward
+from .nn.ops import flush_subnormals
 
 MAX_CANDIDATES = 16384
 DEFAULT_MODEL_DIM = 64
@@ -150,10 +154,11 @@ class CmcParams:
 
 @dataclass
 class ContextualizedSet:
-    """Query and candidate embeddings after joint contextualization."""
+    """Query and candidate embeddings after joint contextualization, with
+    a leading batch axis when the forward had one."""
 
-    h_query: np.ndarray        # (d,)
-    h_candidates: np.ndarray   # (K, d)
+    h_query: np.ndarray        # (d,) or (B, d)
+    h_candidates: np.ndarray   # (K, d) or (B, K, d)
 
 
 @dataclass
@@ -179,25 +184,29 @@ class CmcTape:
         return self._ctx
 
     def backward(self, d_scores: np.ndarray):
-        """Gradients of a scalar loss given dLoss/dScores.
+        """Gradients of a scalar loss given dLoss/dScores, shaped like the
+        scores: (K,), or (B, K) for a batched forward.
 
-        Returns (name -> gradient over both layers, d_query, d_candidates),
-        the latter two being gradients w.r.t. the input embeddings.
+        Returns (name -> gradient over both layers, summed over the batch,
+        d_query, d_candidates), the latter two being gradients w.r.t. the
+        input embeddings.
         """
         if self._spent:
             raise StateError("backward called twice on the same forward tape")
         self._spent = True
 
         d_scores = np.asarray(d_scores)
-        k = self._ctx.h_candidates.shape[0]
-        if d_scores.shape != (k,):
-            raise InvalidShape(f"d_scores has shape {d_scores.shape}, expected ({k},)")
+        hq, hc = self._ctx.h_query, self._ctx.h_candidates
+        if d_scores.shape != hc.shape[:-1]:
+            raise InvalidShape(
+                f"d_scores has shape {d_scores.shape}, expected {hc.shape[:-1]}")
 
         # Scoring head: scores_j = <h_query, h_candidates[j]>.
-        d_seq = np.empty((k + 1, self._ctx.h_query.shape[0]),
-                         dtype=self._ctx.h_query.dtype)
-        d_seq[0] = d_scores @ self._ctx.h_candidates
-        d_seq[1:] = d_scores[:, None] * self._ctx.h_query[None, :]
+        d_seq = np.empty(hc.shape[:-2] + (hc.shape[-2] + 1, hq.shape[-1]),
+                         dtype=hq.dtype)
+        d_seq[..., 0, :] = (d_scores[..., None, :] @ hc)[..., 0, :]
+        d_seq[..., 1:, :] = d_scores[..., :, None] * hq[..., None, :]
+        flush_subnormals(d_seq)
 
         grads: dict[str, np.ndarray] = {}
         d_out = d_seq
@@ -207,7 +216,7 @@ class CmcTape:
                 dx = dx + d_out
             grads.update({f"layers.{i}.{k}": g for k, g in layer_grads.items()})
             d_out = dx
-        return grads, d_out[0], d_out[1:]
+        return grads, d_out[..., 0, :], d_out[..., 1:, :]
 
 
 def _sequence_from(params: CmcParams, h_query: np.ndarray,
@@ -217,24 +226,29 @@ def _sequence_from(params: CmcParams, h_query: np.ndarray,
     if h_candidates.ndim == 1:
         h_candidates = h_candidates[None, :]
     d = params.model_dim
-    if h_query.shape != (d,):
-        raise InvalidShape(f"query embedding has shape {h_query.shape}, expected ({d},)")
-    if h_candidates.ndim != 2 or h_candidates.shape[1] != d:
+    if h_query.ndim not in (1, 2) or h_query.shape[-1] != d:
         raise InvalidShape(
-            f"candidate embeddings have shape {h_candidates.shape}, expected (K, {d})")
-    k = h_candidates.shape[0]
+            f"query embedding has shape {h_query.shape}, expected ({d},) or (B, {d})")
+    batch = h_query.shape[:-1]
+    if (h_candidates.ndim != h_query.ndim + 1 or h_candidates.shape[:-2] != batch
+            or h_candidates.shape[-1] != d):
+        expected = f"({batch[0]}, K, {d})" if batch else f"(K, {d})"
+        raise InvalidShape(
+            f"candidate embeddings have shape {h_candidates.shape}, expected {expected}")
+    k = h_candidates.shape[-2]
     if k < 1:
         raise InvalidShape("at least one candidate is required")
     if k > MAX_CANDIDATES:
         raise InvalidShape(f"K = {k} exceeds the supported maximum {MAX_CANDIDATES}")
     # Query occupies row 0 by convention; position carries no meaning.
-    return np.concatenate([h_query[None, :], h_candidates], axis=0)
+    return np.concatenate([h_query[..., None, :], h_candidates], axis=-2)
 
 
 def cmc_forward(params: CmcParams, h_query: np.ndarray,
                 h_candidates: np.ndarray | Sequence[np.ndarray],
                 tape: list | None = None) -> ContextualizedSet:
-    """Contextualize the query with its K candidates in one pass.
+    """Contextualize the query with its K candidates in one pass; a (B, d)
+    query stack with (B, K, d) candidates contextualizes B examples.
 
     With a ``tape`` list, appends each layer's entries for the backward.
     """
@@ -242,7 +256,7 @@ def cmc_forward(params: CmcParams, h_query: np.ndarray,
     for layer in params.layers:
         y = encoder_layer_forward(x, layer, tape)
         x = x + y if params.extra_skip else y
-    return ContextualizedSet(h_query=x[0], h_candidates=x[1:])
+    return ContextualizedSet(h_query=x[..., 0, :], h_candidates=x[..., 1:, :])
 
 
 def cmc_forward_recorded(params: CmcParams, h_query: np.ndarray,

@@ -21,6 +21,16 @@ index rows plus ``n x P`` float32 scores (``n * P * 8`` bytes, with
 ``P = min(negative_pool_size, len(index))``).  A step whose loss or
 gradient norm is not finite raises ``NumericError`` before the update.
 AdamW runs without weight decay, on ``nn.optim``'s fixed warmup.
+
+A step first assembles all of its examples, drawing from the generator in
+example order, then runs one taped ``cmc_forward`` over the stacked
+(B, d) queries and (B, K, d) candidates and one ``CmcTape.backward`` on
+the (B, K) score gradients; ``compute_loss`` runs once per example, in
+order.  The summed gradients equal, bit for bit, those of a loop that runs
+a forward and a backward per example and adds them in order.
+``compute_loss`` flushes subnormal entries of its float32 score gradient
+to zero, as the backward does for the scoring head's and the attention
+scores' gradients (``nn.ops.flush_subnormals``).
 """
 from __future__ import annotations
 
@@ -35,7 +45,9 @@ from .errors import (InvalidConfig, InvalidIndex, InvalidInput, InvalidShape,
                      NumericError, PoolTooSmall)
 from .index import CandidateIndex, RankedList, search_topk
 from .nn.optim import OptimizerState, adamw_step
-from .reranker import CmcParams, cmc_forward_recorded, cmc_score
+from .nn.ops import flush_subnormals
+from .reranker import (CmcParams, ContextualizedSet, cmc_forward_recorded,
+                       cmc_score)
 
 LOG_CLAMP = 1e-12
 
@@ -110,7 +122,12 @@ class TrainingLog:
 def compute_loss(scores: np.ndarray, gold_position: int,
                  retriever_scores: np.ndarray,
                  lambda1: float, lambda2: float) -> tuple[float, np.ndarray]:
-    """Loss value and its gradient w.r.t. the raw reranker scores."""
+    """Loss value and its gradient w.r.t. the raw reranker scores.
+
+    The gradient has the scores' dtype, with subnormal entries flushed to
+    zero: a candidate scored far below the best gets a probability too
+    small for a normal float32.
+    """
     scores = np.asarray(scores)
     retriever_scores = np.asarray(retriever_scores)
     k = scores.shape[0]
@@ -143,7 +160,7 @@ def compute_loss(scores: np.ndarray, gold_position: int,
     if lambda2:
         g = log_ratio + unclamped
         d_scores += lambda2 * p * (g - float(np.dot(p, g)))
-    return float(loss), d_scores.astype(scores.dtype)
+    return float(loss), flush_subnormals(d_scores.astype(scores.dtype))
 
 
 def sample_negatives(ranked_pool: RankedList, gold_id: int,
@@ -201,17 +218,6 @@ def assemble_batch_example(query: np.ndarray, gold_id: int,
         gold_position=gold_position,
         retriever_scores=retriever_scores,
     )
-
-
-def example_loss_and_grads(params: CmcParams, example: TrainingBatch,
-                           cfg: TrainingConfig) -> tuple[float, dict[str, np.ndarray]]:
-    tape = cmc_forward_recorded(params, example.query, example.candidates)
-    scores = cmc_score(tape.ctx).scores
-    loss, d_scores = compute_loss(scores, example.gold_position,
-                                  example.retriever_scores,
-                                  cfg.lambda1, cfg.lambda2)
-    grads, _, _ = tape.backward(d_scores)
-    return loss, grads
 
 
 def train(cfg: TrainingConfig,
@@ -273,18 +279,23 @@ def train(cfg: TrainingConfig,
         for start in range(0, n, cfg.batch_size):
             chunk = order[start:start + cfg.batch_size]
             effective_lr = state.effective_lr()
-            total = {name: np.zeros_like(a) for name, a in arrays.items()}
+            examples = [assemble_batch_example(
+                queries[qi], int(gold_ids[qi]),
+                RankedList(ids=index.ids[pool_rows[qi]], scores=pool_scores[qi]),
+                index, candidates, cfg, rng) for qi in chunk]
+            tape = cmc_forward_recorded(
+                params, np.stack([e.query for e in examples]),
+                np.stack([e.candidates for e in examples]))
+            d_scores = np.empty((len(chunk), cfg.k_train), dtype=np.float32)
             batch_loss = 0.0
-            for qi in chunk:
-                pool = RankedList(ids=index.ids[pool_rows[qi]],
-                                  scores=pool_scores[qi])
-                example = assemble_batch_example(
-                    queries[qi], int(gold_ids[qi]), pool, index, candidates,
-                    cfg, rng)
-                loss, grads = example_loss_and_grads(params, example, cfg)
+            for b, example in enumerate(examples):
+                scores = cmc_score(ContextualizedSet(
+                    tape.ctx.h_query[b], tape.ctx.h_candidates[b])).scores
+                loss, d_scores[b] = compute_loss(
+                    scores, example.gold_position, example.retriever_scores,
+                    cfg.lambda1, cfg.lambda2)
                 batch_loss += loss
-                for name, grad in grads.items():
-                    total[name] += grad
+            total, _, _ = tape.backward(d_scores)
             for grad in total.values():
                 grad *= 1.0 / len(chunk)
             # One sum covers the loss and every gradient entry: a NaN or inf

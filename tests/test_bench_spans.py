@@ -47,7 +47,10 @@ def test_every_span_resolves_to_a_distinct_object():
         seen[id(target)] = name
 
 
-def test_traced_train_counts_one_pool_search_per_query():
+def traced_train():
+    """Train 6 queries (steps of 4 and 2 examples) for 3 epochs under the
+    benchmark's tracer; returns the tracer, each span's name, the config
+    and the query count."""
     data = generate_synthetic(SyntheticTaskSpec(
         corpus_size=200, confusables=4, surface_dim=12, latent_dim=4, seed=2))
     index = CandidateIndex(data.candidate_ids, data.retriever_embeddings)
@@ -65,7 +68,11 @@ def test_traced_train_counts_one_pool_search_per_query():
         tracer.uninstall()
 
     by_id = {sid: name for name, sid in tracer.name_id.items()}
-    names = [by_id[sid] for sid in tracer.names]
+    return tracer, [by_id[sid] for sid in tracer.names], cfg, len(queries)
+
+
+def test_traced_train_counts_one_pool_search_per_query():
+    tracer, names, cfg, n = traced_train()
 
     def inside_train(idx):
         while idx >= 0:
@@ -74,7 +81,19 @@ def test_traced_train_counts_one_pool_search_per_query():
             idx = tracer.parents[idx]
         return False
 
-    assert tracer.counts["training.pool_searches"] == cfg.epochs * len(queries)
+    assert tracer.counts["training.pool_searches"] == cfg.epochs * n
     searches = [i for i, name in enumerate(names) if name == "index.search_topk"]
-    assert len(searches) == len(queries)
+    assert len(searches) == n
     assert all(inside_train(tracer.parents[i]) for i in searches)
+
+
+def test_traced_train_runs_attention_once_per_example_on_2d_input():
+    """The benchmark's attention counter unpacks an (L, d) input (a 3-D
+    one makes it raise), so attention must stay one call per example and
+    layer when a training step is batched."""
+    tracer, names, cfg, n = traced_train()
+    calls = cfg.epochs * n * 2  # two encoder layers
+    assert names.count("nn.multi_head_self_attention") == calls
+    length, dim = cfg.k_train + 1, 16
+    assert tracer.counts["nn.attention_flops"] == calls * (
+        8 * length * dim * dim + 4 * length * length * dim)

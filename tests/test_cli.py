@@ -69,6 +69,19 @@ class TestExitCodes:
         assert "base_lr" in capsys.readouterr().err
         assert not (tmp_path / "m.cmcp").exists()
 
+    def test_nan_training_query_named_by_id(self, task_dir, tmp_path, capsys):
+        """File row 7 is the sixth training row after the every-fifth
+        hold-out; the message names the query id from the file."""
+        qids, queries = load_embedding_file(task_dir / "queries.cmce")
+        queries = queries.copy()
+        queries[7, 0] = np.nan
+        save_embedding_file(task_dir / "queries.cmce", qids, queries)
+        assert run("train", "--data-dir", str(task_dir),
+                   "--out", str(tmp_path / "m.cmcp"), "--epochs", "1",
+                   "--k-train", "4", "--negative-pool-size", "16") == 2
+        assert f"training query id {qids[7]} is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.cmcp").exists()
+
     def test_intermediate_mode_needs_scorer(self, task_dir, tmp_path):
         assert run("rerank", "--index", "x", "--checkpoint", "y",
                    "--embeddings", "z", "--queries", "q",

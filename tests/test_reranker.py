@@ -1,14 +1,18 @@
 """Reranker semantics: skip identity, permutation behavior, rerank contract."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmcrank.nn.attention as attention_module
+import cmcrank.nn.ops as ops_module
 import cmcrank.reranker as reranker_module
 from cmcrank.encoders import EmbeddingTable
 from cmcrank.errors import InvalidShape, MissingCandidate, StateError
 from cmcrank.index import RankedList
-from cmcrank.nn import encoder_layer_forward
+from cmcrank.nn import encoder_layer_forward, linear_backward
 from cmcrank.reranker import (CmcParams, ContextualizedSet, cmc_forward,
                               cmc_forward_recorded, cmc_score, rerank)
 
@@ -204,6 +208,83 @@ class TestBackwardState:
         tape.backward(np.zeros(2, dtype=np.float32))
         with pytest.raises(StateError):
             tape.backward(np.zeros(2, dtype=np.float32))
+
+
+class TestStackedExamples:
+    """A (B, d) query stack with (B, K, d) candidates runs B examples in one
+    forward and one backward."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 5), k=st.integers(1, 12),
+           head_count=st.integers(1, 4), head_dim=st.integers(1, 6),
+           extra_skip=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_example_results_bit_for_bit(self, batch, k, head_count,
+                                                    head_dim, extra_skip, seed):
+        """Contextualized rows and input gradients stack the per-example
+        ones; parameter gradients are their sum in example order."""
+        rng = np.random.default_rng(seed)
+        d = head_count * head_dim
+        params = CmcParams.init(model_dim=d, head_count=head_count,
+                                extra_skip=extra_skip, seed=seed)
+        hq = rng.standard_normal((batch, d)).astype(np.float32)
+        hc = rng.standard_normal((batch, k, d)).astype(np.float32)
+        d_scores = rng.standard_normal((batch, k)).astype(np.float32)
+
+        tape = cmc_forward_recorded(params, hq, hc)
+        ctx = tape.ctx
+        grads, d_q, d_c = tape.backward(d_scores)
+
+        singles = [cmc_forward_recorded(params, hq[b], hc[b]) for b in range(batch)]
+        ctxs = [t.ctx for t in singles]
+        results = [t.backward(d_scores[b]) for b, t in enumerate(singles)]
+        assert ctx.h_query.tobytes() == np.stack([c.h_query for c in ctxs]).tobytes()
+        assert (ctx.h_candidates.tobytes()
+                == np.stack([c.h_candidates for c in ctxs]).tobytes())
+        assert d_q.tobytes() == np.stack([r[1] for r in results]).tobytes()
+        assert d_c.tobytes() == np.stack([r[2] for r in results]).tobytes()
+        assert grads.keys() == results[0][0].keys()
+        for name, grad in grads.items():
+            expected = functools.reduce(np.add, [r[0][name] for r in results])
+            assert grad.tobytes() == expected.tobytes(), name
+
+    def test_float32_backward_has_no_subnormal_gradients(self, monkeypatch):
+        """A subnormal score gradient, as an unflushed float32 cast leaves
+        it, reaches no projection backward and no returned gradient."""
+        tiny = np.finfo(np.float32).tiny
+
+        def subnormal(a):
+            return bool(((a != 0) & (np.abs(a) < tiny)).any())
+
+        seen = []
+
+        def checked(dy, cache):
+            seen.append(subnormal(dy))
+            return linear_backward(dy, cache)
+
+        monkeypatch.setattr(ops_module, "linear_backward", checked)
+        monkeypatch.setattr(attention_module, "linear_backward", checked)
+        rng = np.random.default_rng(8)
+        params = CmcParams.init(model_dim=16, head_count=2, seed=9)
+        hq = rng.standard_normal((3, 16)).astype(np.float32)
+        hc = rng.standard_normal((3, 5, 16)).astype(np.float32)
+        d_scores = (0.1 * rng.standard_normal((3, 5))).astype(np.float32)
+        d_scores[:, 2] = 1e-40
+        grads, d_q, d_c = cmc_forward_recorded(params, hq, hc).backward(d_scores)
+        # Per layer: two feed-forward projections, four per example in attention.
+        assert len(seen) == 2 * (2 + 4 * 3) and not any(seen)
+        for name, grad in {**grads, "d_query": d_q, "d_candidates": d_c}.items():
+            assert grad.dtype == np.float32
+            assert not subnormal(grad), name
+
+    def test_mismatched_batch_rejected(self):
+        params = CmcParams.init(model_dim=8, head_count=2)
+        with pytest.raises(InvalidShape, match=r"expected \(2, K, 8\)"):
+            cmc_forward(params, np.zeros((2, 8), dtype=np.float32),
+                        np.zeros((3, 4, 8), dtype=np.float32))
+        tape = cmc_forward_recorded(params, np.zeros((2, 8), dtype=np.float32),
+                                    np.zeros((2, 4, 8), dtype=np.float32))
+        with pytest.raises(InvalidShape, match=r"expected \(2, 4\)"):
+            tape.backward(np.zeros(4, dtype=np.float32))
 
 
 class TestInvariantProperties:

@@ -1,4 +1,5 @@
 """Loss identities, negative sampling distribution, and the training loop."""
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,10 @@ from cmcrank.evaluation import SyntheticTaskSpec, generate_synthetic
 from cmcrank.index import CandidateIndex, RankedList, search_topk
 from cmcrank.nn import (OptimizerState, adamw_step, finite_difference_gradient,
                         gradients_close)
-from cmcrank.reranker import CmcParams, cmc_forward, cmc_score
-from cmcrank.training import (TrainingBatch, TrainingConfig, compute_loss,
-                              example_loss_and_grads, sample_negatives, train)
+from cmcrank.reranker import (CmcParams, cmc_forward, cmc_forward_recorded,
+                              cmc_score)
+from cmcrank.training import (TrainingConfig, compute_loss, sample_negatives,
+                              train)
 
 
 def make_ranked(ids, scores):
@@ -76,6 +78,16 @@ class TestComputeLoss:
             {"s": scores}, h=1e-5)
         assert gradients_close({"s": d_scores}, numeric, rel_tol=1e-4,
                                abs_tol=1e-7)
+
+    def test_float32_gradient_has_no_subnormals(self):
+        """A candidate 100 below the best gets p ~ 4e-44, below float32's
+        smallest normal number; its gradient entry is flushed to zero."""
+        scores = np.array([0.0, -100.0, -1.0], dtype=np.float32)
+        _, d_scores = compute_loss(scores, 0, np.zeros(3, dtype=np.float32),
+                                   0.5, 0.5)
+        assert d_scores.dtype == np.float32
+        assert d_scores[1] == 0.0
+        assert (np.abs(d_scores[[0, 2]]) >= np.finfo(np.float32).tiny).all()
 
     def test_gold_out_of_range(self):
         with pytest.raises(InvalidIndex):
@@ -257,8 +269,9 @@ class TestTrain:
 
 
 def reference_train(cfg, queries, gold_ids, index, table, params):
-    """The epoch loop with a fresh pool search for every example, built from
-    the public pieces in the same order as ``train``."""
+    """The epoch loop with a fresh pool search and a forward and backward
+    for every example, built from the public pieces in the same order as
+    ``train``."""
     rng = np.random.default_rng(cfg.seed)
     n = len(queries)
     arrays = params.arrays()
@@ -278,11 +291,11 @@ def reference_train(cfg, queries, gold_ids, index, table, params):
                 negatives = sample_negatives(pool, gold, cfg, rng)
                 position = int(rng.integers(0, cfg.k_train))
                 ids = np.insert(negatives, position, np.uint64(gold))
-                example = TrainingBatch(
-                    query=queries[qi], candidates=table.batch(ids),
-                    candidate_ids=ids, gold_position=position,
-                    retriever_scores=index.scores_for(queries[qi], ids))
-                loss, grads = example_loss_and_grads(params, example, cfg)
+                tape = cmc_forward_recorded(params, queries[qi], table.batch(ids))
+                loss, d_scores = compute_loss(
+                    cmc_score(tape.ctx).scores, position,
+                    index.scores_for(queries[qi], ids), cfg.lambda1, cfg.lambda2)
+                grads, _, _ = tape.backward(d_scores)
                 batch_loss += loss
                 for name, grad in grads.items():
                     total[name] += grad
@@ -324,6 +337,20 @@ class TestPoolCache:
         reference = params.copy()
         log = train(cfg, queries, golds, index, table, params)
         losses = reference_train(cfg, queries, golds, index, table, reference)
+        assert [s.loss for s in log.steps] == losses
+        for name, arr in params.arrays().items():
+            assert arr.tobytes() == reference.arrays()[name].tobytes(), name
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 5])
+    def test_stacked_step_bit_identical_to_per_example_loop(self, batch_size):
+        """10 queries: with batch 3 the last step holds one example."""
+        queries, golds, index, table, cfg = self.tiny_task()
+        cfg = dataclasses.replace(cfg, batch_size=batch_size)
+        params = CmcParams.init(model_dim=16, head_count=2, seed=1)
+        reference = params.copy()
+        log = train(cfg, queries[:10], golds[:10], index, table, params)
+        losses = reference_train(cfg, queries[:10], golds[:10], index, table,
+                                 reference)
         assert [s.loss for s in log.steps] == losses
         for name, arr in params.arrays().items():
             assert arr.tobytes() == reference.arrays()[name].tobytes(), name
