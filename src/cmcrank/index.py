@@ -40,9 +40,6 @@ class RankedList:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def entries(self) -> list[tuple[int, float]]:
-        return [(int(c), float(s)) for c, s in zip(self.ids, self.scores)]
-
 
 def rank_by_score(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedList:
     """Exact top-k of (ids, scores) under the (score desc, id asc) order.

@@ -1,8 +1,8 @@
 """Minimal numerical kernel: forward ops, manual gradients, AdamW, oracles.
 
-Gradients are plain ``name -> array`` dicts keyed like the parameter
-buffers.  The kernel has no file format of its own: ``CmcParams.save`` and
-``CmcParams.load`` in ``reranker`` own the checkpoint.
+The backward returns plain ``name -> array`` gradient dicts keyed like
+the parameter buffers, and AdamW updates one flat vector.  ``CmcParams``
+in ``reranker`` owns the parameter layout and the checkpoint format.
 """
 
 from .attention import attention_backward, attention_forward, multi_head_self_attention
@@ -11,7 +11,7 @@ from .layer import (LayerParams, encoder_layer_backward, encoder_layer_forward,
                     encoder_layer_forward_recorded)
 from .ops import (gelu, gelu_backward, layer_norm, layer_norm_backward,
                   layer_norm_forward, linear_backward, linear_forward,
-                  softmax, softmax_rows)
+                  softmax_rows)
 from .optim import OptimizerState, adamw_step, warmup_schedule
 
 __all__ = [
@@ -21,6 +21,6 @@ __all__ = [
     "encoder_layer_forward", "encoder_layer_forward_recorded",
     "gelu", "gelu_backward", "layer_norm", "layer_norm_backward",
     "layer_norm_forward", "linear_backward", "linear_forward",
-    "softmax", "softmax_rows",
+    "softmax_rows",
     "OptimizerState", "adamw_step", "warmup_schedule",
 ]

@@ -15,7 +15,7 @@ sequences adding them in order would.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,12 +102,6 @@ class LayerParams:
         if d % self.head_count != 0:
             raise InvalidConfig(
                 f"model_dim {d} not divisible by head_count {self.head_count}")
-
-    def copy(self) -> "LayerParams":
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name in LAYER_ARRAY_FIELDS:
-            kwargs[name] = kwargs[name].copy()
-        return LayerParams(**kwargs)
 
 
 #: Names of the array-valued fields of LayerParams, in serialization order.

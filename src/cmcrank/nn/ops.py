@@ -1,4 +1,4 @@
-"""Elementary numeric kernels: softmax, layer norm, GELU and dense linear.
+"""Elementary numeric kernels: row softmax, layer norm, GELU and dense linear.
 
 Each forward that participates in training has a paired ``*_backward``
 taking the upstream gradient plus the forward's cache tuple.  All kernels
@@ -19,28 +19,12 @@ import math
 
 import numpy as np
 
-from ..errors import InvalidShape, NumericError
+from ..errors import InvalidShape
 
 LAYER_NORM_EPS = 1e-5
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
-
-
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Exp-normalize a 1-D vector into a probability vector.
-
-    Uses max-subtraction for stability, so any additive shift of the input
-    leaves the output unchanged.
-    """
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidShape(f"softmax expects a non-empty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NumericError("softmax input contains non-finite values")
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()
 
 
 def exp_shifted_inplace(x: np.ndarray) -> np.ndarray:

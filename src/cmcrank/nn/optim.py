@@ -6,12 +6,13 @@ The effective learning rate at step ``s`` (0-based) is
 linearly back to 0.  ``total_steps == 0`` selects a constant schedule,
 useful for single-step tests.  The Adam moments use the fixed
 ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.  No caller decays
-weights, so the update has no decay term.
+weights, so the update has no decay term.  ``adamw_step`` works on whole
+vectors: one flat parameter vector (``CmcParams.flat``), a gradient and
+two moments of the same layout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,49 +38,47 @@ def warmup_schedule(step: int, total_steps: int) -> float:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter AdamW moments plus the schedule bookkeeping."""
+    """AdamW moments over one flat parameter vector plus the schedule
+    bookkeeping; the first ``adamw_step`` zero-fills ``m`` and ``v``."""
 
     learning_rate: float
     total_steps: int = 0
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def for_arrays(cls, arrays: Mapping[str, np.ndarray], learning_rate: float,
-                   **kwargs) -> "OptimizerState":
-        state = cls(learning_rate=learning_rate, **kwargs)
-        state.m = {name: np.zeros_like(a) for name, a in arrays.items()}
-        state.v = {name: np.zeros_like(a) for name, a in arrays.items()}
-        return state
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     def effective_lr(self) -> float:
         return self.learning_rate * warmup_schedule(self.step, self.total_steps)
 
 
-def adamw_step(arrays: Mapping[str, np.ndarray],
-               grads: Mapping[str, np.ndarray],
-               state: OptimizerState) -> None:
-    """One in-place update over every named parameter buffer; ``grads``
-    must hold a gradient for each name in ``arrays``."""
+def adamw_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState) -> None:
+    """One in-place update of the vector ``theta`` from the same-shaped
+    ``grad``; allocates two scratch vectors and writes everything else in place."""
     if state.total_steps > 0 and state.step >= state.total_steps:
         raise StateError(f"optimizer already ran its {state.total_steps} steps")
+    if grad.shape != theta.shape:
+        raise InvalidShape(f"gradient has shape {grad.shape}, parameters {theta.shape}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
     lr = state.effective_lr()
     t = state.step + 1
     bias1 = 1.0 - ADAM_BETA1 ** t
     bias2 = 1.0 - ADAM_BETA2 ** t
 
-    for name, theta in arrays.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise InvalidShape(
-                f"gradient for {name} has shape {g.shape}, parameter {theta.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m += (1.0 - ADAM_BETA1) * (g - m)
-        v += (1.0 - ADAM_BETA2) * (g * g - v)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        theta -= (lr * update).astype(theta.dtype, copy=False)
+    m, v = state.m, state.v
+    a, b = np.empty_like(theta), np.empty_like(theta)
+    np.subtract(grad, m, out=a)                 # m += (1 - beta1) * (g - m)
+    a *= 1.0 - ADAM_BETA1
+    m += a
+    np.multiply(grad, grad, out=a)              # v += (1 - beta2) * (g^2 - v)
+    a -= v
+    a *= 1.0 - ADAM_BETA2
+    v += a
+    np.divide(v, bias2, out=a)                  # sqrt(v_hat) + eps
+    np.sqrt(a, out=a)
+    a += ADAM_EPS
+    np.divide(m, bias1, out=b)                  # m_hat / (sqrt(v_hat) + eps)
+    b /= a
+    b *= lr
+    theta -= b
     state.step += 1

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +48,8 @@ from .errors import (FormatError, InvalidConfig, InvalidShape, NumericError,
                      StateError)
 from .fileio import read_checked, write_checked
 from .index import RankedList, rank_by_score
-from .nn.layer import LayerParams, encoder_layer_backward, encoder_layer_forward
+from .nn.layer import (LAYER_ARRAY_FIELDS, LayerParams, encoder_layer_backward,
+                       encoder_layer_forward)
 from .nn.ops import flush_subnormals
 
 MAX_CANDIDATES = 16384
@@ -75,10 +76,16 @@ def _checkpoint_payload_bytes(extra_skip: int, model_dim: int, ffn_dim: int,
 
 @dataclass
 class CmcParams:
-    """Weights of the two-layer reranker plus the extra-skip switch."""
+    """Weights of the two-layer reranker plus the extra-skip switch.
+
+    ``flat`` owns every weight, in ``arrays()`` (checkpoint payload) order
+    and the layers' dtype: construction copies the layers into it and
+    rebinds each ``LayerParams`` field to a view of it.  Rebinding a field
+    afterwards (``layer.w_q = ...``) detaches it from ``flat``."""
 
     layers: tuple[LayerParams, ...]
     extra_skip: bool = True
+    flat: np.ndarray = field(init=False, repr=False)
 
     @classmethod
     def init(cls, model_dim: int = DEFAULT_MODEL_DIM,
@@ -100,6 +107,13 @@ class CmcParams:
                                 f"{sorted(dims)}")
         for layer in self.layers:
             layer.validate()
+        fields = [(layer, name) for layer in self.layers for name in LAYER_ARRAY_FIELDS]
+        arrays = [getattr(layer, name) for layer, name in fields]
+        self.flat = np.concatenate(arrays, axis=None)
+        at = 0
+        for (layer, name), arr in zip(fields, arrays):
+            setattr(layer, name, self.flat[at:at + arr.size].reshape(arr.shape))
+            at += arr.size
 
     @property
     def model_dim(self) -> int:
@@ -107,49 +121,51 @@ class CmcParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Live name -> buffer views, namespaced per layer."""
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.arrays().items():
-                out[f"layers.{i}.{name}"] = arr
-        return out
+        return {f"layers.{i}.{name}": arr for i, layer in enumerate(self.layers)
+                for name, arr in layer.arrays().items()}
+
+    def pack(self, named: Mapping[str, np.ndarray]) -> np.ndarray:
+        """A new vector of ``named``'s arrays (say, gradients) in ``arrays()`` order."""
+        return np.concatenate([named[name] for name in self.arrays()], axis=None)
 
     def copy(self) -> "CmcParams":
-        return CmcParams(layers=tuple(l.copy() for l in self.layers),
+        return CmcParams(layers=tuple(replace(l) for l in self.layers),
                          extra_skip=self.extra_skip)
 
+    def _check_finite(self, message: str) -> None:
+        """Raise ``NumericError`` naming the first weight with a NaN or inf."""
+        if not np.isfinite(self.flat).all():
+            bad = next(n for n, a in self.arrays().items() if not np.isfinite(a).all())
+            raise NumericError(message.format(bad))
+
     def save(self, path: str | Path) -> None:
-        """Write the checkpoint: a 24-byte header, then both layers' arrays
-        as little-endian float32 in ``arrays()`` order.  A non-finite weight
-        raises ``NumericError`` before anything is written."""
-        arrays = self.arrays()
-        for name, arr in arrays.items():
-            if not np.isfinite(arr).all():
-                raise NumericError(f"weight {name} is not finite; checkpoint not written")
+        """Write the checkpoint: a 24-byte header, then ``flat`` as
+        little-endian float32.  A non-finite weight raises ``NumericError``
+        before anything is written."""
+        self._check_finite("weight {} is not finite; checkpoint not written")
         layer = self.layers[0]
         write_checked(path, _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                       (int(self.extra_skip), layer.model_dim, layer.ffn_dim,
                        layer.head_count),
-                      [np.ascontiguousarray(a, dtype="<f4") for a in arrays.values()])
+                      [np.ascontiguousarray(self.flat, dtype="<f4")])
 
     @classmethod
     def load(cls, path: str | Path) -> "CmcParams":
-        """Read and verify a checkpoint; the arrays are writable copies."""
+        """Read and verify a checkpoint; the weights are a writable copy."""
         (extra_skip, d, f, head_count), buf = read_checked(
             path, _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
             _checkpoint_payload_bytes)
-        values = np.frombuffer(buf, dtype="<f4",
-                               offset=_CHECKPOINT_HEADER.size).astype(np.float32)
+        values = np.frombuffer(buf, dtype="<f4", offset=_CHECKPOINT_HEADER.size)
         layers, at = [], 0
-        for i in range(2):
+        for _ in range(2):
             arrays = {}
             for name, shape in LayerParams.shapes(d, f).items():
-                arr = values[at:at + math.prod(shape)].reshape(shape)
-                if not np.isfinite(arr).all():
-                    raise NumericError(f"checkpoint weight layers.{i}.{name} is not finite")
-                arrays[name] = arr
-                at += arr.size
+                arrays[name] = values[at:at + math.prod(shape)].reshape(shape)
+                at += arrays[name].size
             layers.append(LayerParams(head_count=head_count, **arrays))
-        return cls(layers=tuple(layers), extra_skip=bool(extra_skip))
+        params = cls(layers=tuple(layers), extra_skip=bool(extra_skip))
+        params._check_finite("checkpoint weight {} is not finite")
+        return params
 
 
 @dataclass

@@ -30,7 +30,8 @@ order.  The summed gradients equal, bit for bit, those of a loop that runs
 a forward and a backward per example and adds them in order.
 ``compute_loss`` flushes subnormal entries of its float32 score gradient
 to zero, as the backward does for the scoring head's and the attention
-scores' gradients (``nn.ops.flush_subnormals``).
+scores' gradients (``nn.ops.flush_subnormals``).  ``adamw_step`` gets the
+gradients packed into one vector laid out like ``CmcParams.flat``.
 """
 from __future__ import annotations
 
@@ -255,10 +256,8 @@ def train(cfg: TrainingConfig,
 
     rng = np.random.default_rng(cfg.seed)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
-    arrays = params.arrays()
-    state = OptimizerState.for_arrays(
-        arrays, learning_rate=cfg.base_lr,
-        total_steps=cfg.epochs * steps_per_epoch)
+    state = OptimizerState(learning_rate=cfg.base_lr,
+                           total_steps=cfg.epochs * steps_per_epoch)
 
     # The retriever is frozen, so each query's pool is searched once here
     # and reused in every epoch.  Pool ids are kept as index rows.
@@ -295,18 +294,17 @@ def train(cfg: TrainingConfig,
                     scores, example.gold_position, example.retriever_scores,
                     cfg.lambda1, cfg.lambda2)
                 batch_loss += loss
-            total, _, _ = tape.backward(d_scores)
-            for grad in total.values():
-                grad *= 1.0 / len(chunk)
+            grad = params.pack(tape.backward(d_scores)[0])
+            grad *= 1.0 / len(chunk)
             # One sum covers the loss and every gradient entry: a NaN or inf
-            # anywhere (or a squared norm past float32 range) makes it
-            # non-finite.
-            grad_sq = sum(float(np.vdot(g, g)) for g in total.values())
+            # anywhere, or a float32 squared norm past range, makes it
+            # non-finite and raises before the update.
+            grad_sq = float(np.vdot(grad, grad))
             if not math.isfinite(batch_loss + grad_sq):
                 raise NumericError(
                     f"step {step + 1} (epoch {epoch}): loss {batch_loss / len(chunk)!r}, "
                     f"squared gradient norm {grad_sq!r}; parameters left unchanged")
-            adamw_step(arrays, total, state)
+            adamw_step(params.flat, grad, state)
             step += 1
             log.steps.append(StepRecord(step=step, epoch=epoch,
                                         effective_lr=effective_lr,

@@ -8,6 +8,7 @@ from cmcrank.errors import FormatError, NumericError
 from cmcrank.fileio import write_checked
 from cmcrank.nn import OptimizerState, adamw_step
 from cmcrank.reranker import CmcParams
+from test_gradcheck import params_as_float64
 
 # magic, version, extra_skip, model_dim, ffn_dim, head_count, crc32
 HEADER = struct.Struct("<4sHHIIII")
@@ -60,6 +61,7 @@ class TestCheckpointFormat:
         payload = b"".join(a.astype("<f4").tobytes() for a in params.arrays().values())
         assert HEADER.unpack_from(raw)[:6] == (b"CMCP", 2, 1, 8, 12, 2)
         assert raw[HEADER.size:] == payload
+        assert raw[HEADER.size:] == params.flat.astype("<f4").tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = saved(tmp_path)
@@ -161,6 +163,28 @@ class TestRerankerCheckpoint:
         arrays = loaded.arrays()
         assert all(a.flags.writeable for a in arrays.values())
         before = loaded.copy().arrays()
-        grads = {name: np.ones_like(a) for name, a in arrays.items()}
-        adamw_step(arrays, grads, OptimizerState.for_arrays(arrays, learning_rate=1e-3))
+        adamw_step(loaded.flat, np.ones_like(loaded.flat),
+                   OptimizerState(learning_rate=1e-3))
         assert all(not np.array_equal(before[n], a) for n, a in arrays.items())
+
+
+    def test_every_constructor_packs_into_flat(self, tmp_path):
+        """``init``, ``copy``, ``load`` and the float64 conversion all give
+        fields that are consecutive views of ``flat``; a copy's ``flat`` is
+        its own."""
+        params = CmcParams.init(model_dim=8, head_count=2, ffn_dim=12, seed=6)
+        path = tmp_path / "flat.cmcp"
+        params.save(path)
+        copied, loaded = params.copy(), CmcParams.load(path)
+        wide = params_as_float64(params)
+        for p in (params, copied, loaded, wide):
+            assert p.flat.flags.c_contiguous and p.flat.ndim == 1
+            at = 0
+            for name, arr in p.arrays().items():
+                assert arr.ctypes.data == p.flat[at:].ctypes.data, name
+                at += arr.size
+            assert at == p.flat.size
+        assert wide.flat.dtype == np.float64
+        assert not np.shares_memory(copied.flat, params.flat)
+        assert not np.shares_memory(wide.flat, params.flat)
+        assert copied.flat.tobytes() == params.flat.tobytes()

@@ -187,9 +187,8 @@ class TestSearch:
         q = rng.standard_normal(64).astype(np.float32)
         got = search_topk(index, q, 64)
         expected = naive_topk(index.ids, np.asarray(index.matrix), q, 64)
-        assert got.entries() == [(i, pytest.approx(s, rel=1e-6))
-                                 for i, s in expected]
-        assert [i for i, _ in got.entries()] == [i for i, _ in expected]
+        assert got.ids.tolist() == [i for i, _ in expected]
+        np.testing.assert_allclose(got.scores, [s for _, s in expected], rtol=1e-6)
 
     def test_prefix_monotonicity(self):
         rng = np.random.default_rng(7)

@@ -275,9 +275,8 @@ def reference_train(cfg, queries, gold_ids, index, table, params):
     rng = np.random.default_rng(cfg.seed)
     n = len(queries)
     arrays = params.arrays()
-    state = OptimizerState.for_arrays(
-        arrays, learning_rate=cfg.base_lr,
-        total_steps=cfg.epochs * math.ceil(n / cfg.batch_size))
+    state = OptimizerState(learning_rate=cfg.base_lr,
+                           total_steps=cfg.epochs * math.ceil(n / cfg.batch_size))
     losses = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -301,7 +300,7 @@ def reference_train(cfg, queries, gold_ids, index, table, params):
                     total[name] += grad
             for grad in total.values():
                 grad *= 1.0 / len(chunk)
-            adamw_step(arrays, total, state)
+            adamw_step(params.flat, params.pack(total), state)
             losses.append(batch_loss / len(chunk))
     return losses
 
