@@ -27,8 +27,8 @@ Normalized probabilities exist only on the tape.  A caller that passes a
 to it: the block is written straight into the full (heads, L, L) buffer
 and divided by its denominators after the value product, so the context
 arithmetic is the same with and without a tape.  The backward leaves the
-four projections to ``ops.linear_backward`` and flushes subnormal score
-gradients to zero (``ops.flush_subnormals``).  Attention takes one (L, d)
+four projections to ``ops.linear_backward`` and flushes tiny score
+gradients to zero (``ops.flush_tiny``).  Attention takes one (L, d)
 example per call; ``nn.layer`` loops over a batch.
 """
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import InvalidConfig, InvalidShape
-from .ops import exp_shifted_inplace, flush_subnormals, linear_backward
+from .ops import exp_shifted_inplace, flush_tiny, linear_backward
 
 if TYPE_CHECKING:
     from .layer import LayerParams
@@ -149,9 +149,9 @@ def attention_backward(dy: np.ndarray, tape: list):
 
     d_attn = d_outh @ vh.transpose(0, 2, 1)
     d_vh = attn.transpose(0, 2, 1) @ d_outh
-    # Near-zero probabilities make subnormal score gradients, which would
-    # slow the four products below and the projection backwards.
-    d_scores = flush_subnormals(
+    # Near-zero probabilities make tiny score gradients, whose products in
+    # the four matmuls below and the projection backwards go subnormal.
+    d_scores = flush_tiny(
         attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)))
     # qh was recorded with the 1/sqrt(d_h) scale folded in.
     d_qh = (d_scores @ kh) * scale

@@ -9,8 +9,9 @@ Layer norm, linear and GELU take one (L, d) example or a stack of them
 with a leading batch axis, (B, L, d).  A batched backward reduces its
 parameter gradients over the L rows of each example first and then over
 the examples in order, so it returns bit for bit the sum that a loop over
-the examples would build.  ``flush_subnormals`` zeroes gradient entries
-below the dtype's smallest normal number; float32 arithmetic on subnormal
+the examples would build.  ``flush_tiny`` zeroes gradient entries below
+the square root of the dtype's smallest normal number, so that neither
+they nor their products are subnormal: float32 arithmetic on subnormal
 operands is many times slower than on normal ones.
 """
 from __future__ import annotations
@@ -76,17 +77,22 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     return y, (x_hat, inv_std, gain)
 
 
-def flush_subnormals(x: np.ndarray) -> np.ndarray:
+def flush_tiny(x: np.ndarray) -> np.ndarray:
     """Zero, in place, the entries of ``x`` smaller in magnitude than the
-    smallest normal number of its dtype; returns ``x``.
+    square root of the smallest normal number of its dtype (2**-63, about
+    1.1e-19, in float32); returns ``x``.
 
-    A (17, 64) @ (64, 64) float32 product took 2.1 us with a normal left
-    operand and 218 us with a subnormal one (single-threaded OpenBLAS,
-    2-vCPU Xeon).  Such an entry vanishes in rounding once it is added to
-    a normal one, so flushing the training gradients where they are made
-    left the benchmark's training losses unchanged bit for bit.
+    Float32 arithmetic on subnormal operands is slow: a (17, 64) @ (64, 64)
+    product took 2.1 us with a normal left operand and 218 us with a
+    subnormal one (single-threaded OpenBLAS, 2-vCPU Xeon).  A bound at the
+    smallest normal number itself is not enough, because an entry just
+    above it times a weight or an activation goes subnormal one kernel
+    later; the product of two entries at or above the square root is
+    normal.  The flushed entries vanish in rounding once added to a normal
+    gradient, so flushing the training gradients where they are made left
+    the benchmark's training losses unchanged bit for bit.
     """
-    x[np.abs(x) < np.finfo(x.dtype).tiny] = 0.0
+    x[np.abs(x) < np.sqrt(np.finfo(x.dtype).tiny)] = 0.0
     return x
 
 

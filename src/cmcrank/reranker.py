@@ -15,7 +15,7 @@ it appends each layer's entries, and ``CmcTape.backward`` pops them in
 reverse order.  Serving passes one query, (d,) with (K, d) candidates;
 training passes a step's B queries at once, (B, d) with (B, K, d), and
 gets back the summed parameter gradients of the B examples.  The backward
-flushes subnormal entries of the scoring head's gradient to zero.
+flushes tiny entries of the scoring head's gradient to zero.
 
 Checkpoint layout (little-endian), in the checked container of ``fileio``:
 
@@ -50,7 +50,7 @@ from .fileio import read_checked, write_checked
 from .index import RankedList, rank_by_score
 from .nn.layer import (LAYER_ARRAY_FIELDS, LayerParams, encoder_layer_backward,
                        encoder_layer_forward)
-from .nn.ops import flush_subnormals
+from .nn.ops import flush_tiny
 
 MAX_CANDIDATES = 16384
 DEFAULT_MODEL_DIM = 64
@@ -222,7 +222,7 @@ class CmcTape:
                          dtype=hq.dtype)
         d_seq[..., 0, :] = (d_scores[..., None, :] @ hc)[..., 0, :]
         d_seq[..., 1:, :] = d_scores[..., :, None] * hq[..., None, :]
-        flush_subnormals(d_seq)
+        flush_tiny(d_seq)
 
         grads: dict[str, np.ndarray] = {}
         d_out = d_seq

@@ -28,10 +28,12 @@ example order, then runs one taped ``cmc_forward`` over the stacked
 the (B, K) score gradients; ``compute_loss`` runs once per example, in
 order.  The summed gradients equal, bit for bit, those of a loop that runs
 a forward and a backward per example and adds them in order.
-``compute_loss`` flushes subnormal entries of its float32 score gradient
-to zero, as the backward does for the scoring head's and the attention
-scores' gradients (``nn.ops.flush_subnormals``).  ``adamw_step`` gets the
-gradients packed into one vector laid out like ``CmcParams.flat``.
+``compute_loss`` flushes tiny entries of its score gradient to zero, as
+the backward does for the scoring head's and the attention scores'
+gradients (``nn.ops.flush_tiny``): entries below the square root of the
+smallest normal float, whose products would be subnormal and slow.
+``adamw_step`` gets the gradients packed into one vector laid out like
+``CmcParams.flat``.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from .errors import (InvalidConfig, InvalidIndex, InvalidInput, InvalidShape,
                      NumericError, PoolTooSmall)
 from .index import CandidateIndex, RankedList, search_topk
 from .nn.optim import OptimizerState, adamw_step
-from .nn.ops import flush_subnormals
+from .nn.ops import flush_tiny
 from .reranker import (CmcParams, ContextualizedSet, cmc_forward_recorded,
                        cmc_score)
 
@@ -125,9 +127,10 @@ def compute_loss(scores: np.ndarray, gold_position: int,
                  lambda1: float, lambda2: float) -> tuple[float, np.ndarray]:
     """Loss value and its gradient w.r.t. the raw reranker scores.
 
-    The gradient has the scores' dtype, with subnormal entries flushed to
-    zero: a candidate scored far below the best gets a probability too
-    small for a normal float32.
+    The gradient has the scores' dtype, with entries below the square root
+    of its smallest normal number flushed to zero (``nn.ops.flush_tiny``):
+    a candidate scored far below the best gets a probability whose
+    products in the backward would be subnormal.
     """
     scores = np.asarray(scores)
     retriever_scores = np.asarray(retriever_scores)
@@ -161,13 +164,19 @@ def compute_loss(scores: np.ndarray, gold_position: int,
     if lambda2:
         g = log_ratio + unclamped
         d_scores += lambda2 * p * (g - float(np.dot(p, g)))
-    return float(loss), flush_subnormals(d_scores.astype(scores.dtype))
+    return float(loss), flush_tiny(d_scores.astype(scores.dtype))
 
 
 def sample_negatives(ranked_pool: RankedList, gold_id: int,
                      cfg: TrainingConfig, rng: np.random.Generator) -> np.ndarray:
     """Pick ``k_train - 1`` negative ids: a fixed top block plus score-
-    proportional draws without replacement from the remainder."""
+    proportional draws without replacement from the remainder.
+
+    Each draw takes one uniform, all of them from one ``rng.random`` call,
+    and searches the running sum of the weights with the picked entries
+    set to 0.0.  Adding 0.0 is exact, so the sums at the entries still in
+    play are the same bits as over those entries alone.
+    """
     mask = ranked_pool.ids != np.uint64(gold_id)
     pool_ids = ranked_pool.ids[mask]
     pool_scores = ranked_pool.scores[mask]
@@ -177,7 +186,8 @@ def sample_negatives(ranked_pool: RankedList, gold_id: int,
             f"pool has {len(pool_ids)} non-gold candidates, need {needed}")
 
     n_fixed = int(math.floor(cfg.fixed_fraction * needed))
-    chosen = list(pool_ids[:n_fixed])
+    chosen = np.empty(needed, dtype=np.uint64)
+    chosen[:n_fixed] = pool_ids[:n_fixed]
 
     n_sampled = needed - n_fixed
     if n_sampled:
@@ -185,14 +195,18 @@ def sample_negatives(ranked_pool: RankedList, gold_id: int,
         rest_scores = pool_scores[n_fixed:].astype(np.float64)
         weights = np.exp(rest_scores - rest_scores.max())
         alive = np.ones(len(rest_ids), dtype=bool)
-        for _ in range(n_sampled):
-            alive_idx = np.flatnonzero(alive)
-            cum = np.cumsum(weights[alive_idx])
-            j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            pick = alive_idx[min(j, len(alive_idx) - 1)]
-            chosen.append(rest_ids[pick])
+        cum = np.empty_like(weights)
+        for t, u in enumerate(rng.random(n_sampled), start=n_fixed):
+            np.cumsum(weights, out=cum)
+            pick = int(np.searchsorted(cum, u * cum[-1], side="right"))
+            if pick == len(cum):
+                # No running sum exceeds the target (the weights left are 0
+                # or subnormal): take the last entry still in play.
+                pick = int(np.flatnonzero(alive)[-1])
+            chosen[t] = rest_ids[pick]
+            weights[pick] = 0.0
             alive[pick] = False
-    return np.asarray(chosen, dtype=np.uint64)
+    return chosen
 
 
 def assemble_batch_example(query: np.ndarray, gold_id: int,

@@ -56,3 +56,44 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         name, ok = _ACCEPTANCE_RESULTS[number]
         status = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {number:2d} {name}: {status}")
+
+
+class SubnormalDy:
+    """Per backward kernel, one flag per call: did its upstream gradient
+    ``dy`` hold a subnormal entry?"""
+
+    KERNELS = ("linear_backward", "layer_norm_backward", "gelu_backward",
+               "attention_backward")
+
+    def __init__(self):
+        self.calls = {name: [] for name in self.KERNELS}
+
+    def counts(self) -> dict[str, int]:
+        return {name: sum(flags) for name, flags in self.calls.items()}
+
+    @staticmethod
+    def found_in(a) -> bool:
+        """True if a float array holds a nonzero entry below its dtype's
+        smallest normal number."""
+        import numpy as np
+        return bool(((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)).any())
+
+
+@pytest.fixture
+def subnormal_dy(monkeypatch):
+    """A ``SubnormalDy`` fed by wrappers around the four backward kernels,
+    installed in every module that imports them."""
+    from cmcrank import nn
+    from cmcrank.nn import attention, layer, ops
+    record = SubnormalDy()
+    for name, seen in record.calls.items():
+        original = getattr(nn, name)
+
+        def wrapped(dy, *args, _original=original, _seen=seen):
+            _seen.append(SubnormalDy.found_in(dy))
+            return _original(dy, *args)
+
+        for module in (nn, ops, attention, layer):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
+    return record

@@ -276,6 +276,25 @@ class TestStackedExamples:
             assert grad.dtype == np.float32
             assert not subnormal(grad), name
 
+    def test_float32_backward_flushes_tiny_normal_score_gradients(
+            self, subnormal_dy):
+        """A score gradient of 1e-37 is a normal float32 (the smallest is
+        1.2e-38), but its products with activations and weights are not: no
+        backward kernel gets a subnormal ``dy`` and no returned gradient
+        holds one.  Unflushed, it reaches all four kernels."""
+        rng = np.random.default_rng(8)
+        params = CmcParams.init(model_dim=16, head_count=2, seed=9)
+        hq = rng.standard_normal((3, 16)).astype(np.float32)
+        hc = rng.standard_normal((3, 5, 16)).astype(np.float32)
+        d_scores = (0.1 * rng.standard_normal((3, 5))).astype(np.float32)
+        d_scores[:, 2] = 1e-37
+        grads, d_q, d_c = cmc_forward_recorded(params, hq, hc).backward(d_scores)
+        assert len(subnormal_dy.calls["linear_backward"]) == 2 * (2 + 4 * 3)
+        assert subnormal_dy.counts() == dict.fromkeys(subnormal_dy.calls, 0)
+        for name, grad in {**grads, "d_query": d_q, "d_candidates": d_c}.items():
+            assert grad.dtype == np.float32
+            assert not subnormal_dy.found_in(grad), name
+
     def test_mismatched_batch_rejected(self):
         params = CmcParams.init(model_dim=8, head_count=2)
         with pytest.raises(InvalidShape, match=r"expected \(2, K, 8\)"):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmcrank.training as training_module
 from cmcrank.encoders import EmbeddingTable
@@ -89,6 +91,28 @@ class TestComputeLoss:
         assert d_scores[1] == 0.0
         assert (np.abs(d_scores[[0, 2]]) >= np.finfo(np.float32).tiny).all()
 
+    def test_float32_flush_bound_is_root_of_smallest_normal(self):
+        """Entries within 1% below 2**-63 = sqrt(float32 tiny) are zeroed;
+        within 1% above, kept: the product of two kept entries is normal."""
+        bound = float(np.sqrt(np.finfo(np.float32).tiny))
+        scores = np.log([1.0, 1.01 * bound, 0.99 * bound]).astype(np.float32)
+        p = np.exp(scores.astype(np.float64))
+        p = (p / p.sum()).astype(np.float32)
+        assert bound < p[1] < 1.02 * bound and 0.98 * bound < p[2] < bound
+        _, d_scores = compute_loss(scores, 0, np.zeros(3, dtype=np.float32),
+                                   1.0, 0.0)
+        assert d_scores.dtype == np.float32
+        assert d_scores[1] == p[1]
+        assert d_scores[2] == 0.0
+
+    def test_float64_gradient_keeps_tiny_normal_entries(self):
+        """The float64 bound is about 1.5e-154, so an entry of 1e-30 stays,
+        and float64 gradient checks see the unflushed gradient."""
+        scores = np.log([1.0, 1e-30])
+        _, d_scores = compute_loss(scores, 0, np.zeros(2), 1.0, 0.0)
+        assert d_scores.dtype == np.float64
+        assert d_scores[1] == pytest.approx(1e-30, rel=1e-12)
+
     def test_gold_out_of_range(self):
         with pytest.raises(InvalidIndex):
             compute_loss(np.zeros(3), 3, np.zeros(3), 1.0, 1.0)
@@ -112,6 +136,39 @@ class TestComputeLoss:
         base = loss_with_gold_at(0)
         for pos in range(1, 4):
             assert loss_with_gold_at(pos) == pytest.approx(base, abs=1e-5)
+
+
+def reference_sample_negatives(ranked_pool, gold_id, cfg, rng):
+    """The sampler's earlier loop: one scalar uniform per draw, and a running
+    sum over the weights of the entries still in play, gathered anew."""
+    mask = ranked_pool.ids != np.uint64(gold_id)
+    pool_ids = ranked_pool.ids[mask]
+    pool_scores = ranked_pool.scores[mask]
+    needed = cfg.k_train - 1
+    n_fixed = int(math.floor(cfg.fixed_fraction * needed))
+    chosen = list(pool_ids[:n_fixed])
+    n_sampled = needed - n_fixed
+    if n_sampled:
+        rest_ids = pool_ids[n_fixed:]
+        rest_scores = pool_scores[n_fixed:].astype(np.float64)
+        weights = np.exp(rest_scores - rest_scores.max())
+        alive = np.ones(len(rest_ids), dtype=bool)
+        for _ in range(n_sampled):
+            alive_idx = np.flatnonzero(alive)
+            cum = np.cumsum(weights[alive_idx])
+            j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            pick = alive_idx[min(j, len(alive_idx) - 1)]
+            chosen.append(rest_ids[pick])
+            alive[pick] = False
+    return np.asarray(chosen, dtype=np.uint64)
+
+
+class AlmostOne:
+    """A generator stub whose every uniform is the largest double below 1."""
+
+    def random(self, size=None):
+        u = np.nextafter(1.0, 0.0)
+        return u if size is None else np.full(size, u)
 
 
 class TestSampleNegatives:
@@ -159,6 +216,49 @@ class TestSampleNegatives:
             counts[int(sample_negatives(pool, 99, cfg, rng)[0])] += 1
         np.testing.assert_allclose(counts / trials, [1 / 6, 2 / 6, 3 / 6],
                                    atol=0.01)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool_len=st.integers(2, 600), k_train=st.integers(2, 130),
+           fixed_fraction=st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]),
+           gold_in_pool=st.booleans(),
+           spread=st.sampled_from([0.0, 1.0, 30.0, 300.0, 745.0, 2000.0]),
+           integer_scores=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_same_draws_as_reference_loop(self, pool_len, k_train,
+                                          fixed_fraction, gold_in_pool,
+                                          spread, integer_scores, seed):
+        """Ids byte-equal and generator state equal after the call, over
+        pool sizes, draw counts, ties, and spreads wide enough that some
+        weights underflow to 0.0 and the running sum goes subnormal."""
+        data_rng = np.random.default_rng(seed)
+        scores = -spread * data_rng.random(pool_len)
+        if integer_scores:
+            scores = np.round(scores)
+        ids = data_rng.permutation(10 * pool_len)[:pool_len]
+        pool = make_ranked(ids, np.sort(scores)[::-1])
+        gold = (int(ids[data_rng.integers(pool_len)]) if gold_in_pool
+                else 10 * pool_len)
+        k_train = min(k_train, pool_len - gold_in_pool + 1)
+        cfg = TrainingConfig(k_train=k_train, fixed_fraction=fixed_fraction,
+                             negative_pool_size=1024)
+        rng = np.random.default_rng(seed)
+        expected_rng = np.random.default_rng(seed)
+        out = sample_negatives(pool, gold, cfg, rng)
+        expected = reference_sample_negatives(pool, gold, cfg, expected_rng)
+        assert out.dtype == np.uint64
+        assert out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_overshooting_draw_takes_last_entry_in_play(self):
+        """With weights [0, ~7e-309, 1], the first draw takes the 1.  The
+        sum left is subnormal, so u * sum rounds up to it for u just below 1
+        and no running sum exceeds the target: the draw must take the last
+        entry still in play (id 11), not the already-picked last slot."""
+        cfg = TrainingConfig(k_train=4, fixed_fraction=0.0, negative_pool_size=16)
+        pool = make_ranked([10, 11, 12], [-2000.0, -709.5, 0.0])
+        out = sample_negatives(pool, 99, cfg, AlmostOne())
+        assert out.tolist() == [12, 11, 10]
+        assert out.tobytes() == reference_sample_negatives(
+            pool, 99, cfg, AlmostOne()).tobytes()
 
     def test_pool_too_small(self):
         pool = make_ranked([1, 2], [1.0, 0.5])
@@ -365,6 +465,24 @@ class TestPoolCache:
         params = CmcParams.init(model_dim=16, head_count=2, seed=1)
         with pytest.raises(PoolTooSmall):
             train(cfg, queries[:1], golds[:1], small, table, params)
+
+
+class TestSubnormalFreeBackward:
+    def test_no_backward_kernel_gets_a_subnormal_dy(self, subnormal_dy):
+        """One float32 epoch on the default-shaped task: listwise losses give
+        far-ranked candidates tiny but normal score gradients, and none of
+        their downstream products reaches a backward kernel subnormal."""
+        data = generate_synthetic(SyntheticTaskSpec(corpus_size=500, seed=29))
+        index = CandidateIndex(data.candidate_ids, data.retriever_embeddings)
+        table = EmbeddingTable(data.candidate_ids, data.reranker_embeddings)
+        params = CmcParams.init(model_dim=data.spec.model_dim, head_count=4,
+                                seed=1)
+        cfg = TrainingConfig(k_train=16, negative_pool_size=250, base_lr=5e-4,
+                             epochs=1, seed=29)
+        train(cfg, data.query_embeddings[:40], data.gold_ids[:40], index,
+              table, params)
+        assert all(subnormal_dy.calls.values())
+        assert subnormal_dy.counts() == dict.fromkeys(subnormal_dy.calls, 0)
 
 
 class TestNonFiniteStep:
