@@ -15,8 +15,7 @@ from .evaluation import (BenchReport, BenchRow, EvalRecord, SyntheticDataset,
                          records_from_rankings)
 from .index import (CandidateIndex, RankedList, build_index, open_index,
                     rank_by_score, search_topk)
-from .pipeline import (CandidateRecord, Pipeline, PipelineConfig,
-                       PipelineResult, QueryRecord, ScorerHandle,
+from .pipeline import (Pipeline, PipelineConfig, PipelineResult, ScorerHandle,
                        gold_oracle_scorer, noisy_oracle_scorer)
 from .reranker import (CmcParams, ContextualizedSet, CmcTape, ScoreVector,
                        cmc_forward, cmc_forward_recorded, cmc_score, rerank)
@@ -35,8 +34,8 @@ __all__ = [
     "generate_synthetic", "metrics_to_csv", "records_from_rankings",
     "CandidateIndex", "RankedList", "build_index", "open_index",
     "rank_by_score", "search_topk",
-    "CandidateRecord", "Pipeline", "PipelineConfig", "PipelineResult",
-    "QueryRecord", "ScorerHandle", "gold_oracle_scorer", "noisy_oracle_scorer",
+    "Pipeline", "PipelineConfig", "PipelineResult",
+    "ScorerHandle", "gold_oracle_scorer", "noisy_oracle_scorer",
     "CmcParams", "ContextualizedSet", "CmcTape", "ScoreVector",
     "cmc_forward", "cmc_forward_recorded", "cmc_score", "rerank",
     "StepRecord", "TrainingBatch", "TrainingConfig", "TrainingLog",

@@ -22,7 +22,7 @@ import numpy as np
 from . import evaluation, training
 from .encoders import (EMBEDDING_MAGIC, EmbeddingTable, load_embedding_file,
                        load_embedding_text, save_embedding_file)
-from .errors import CmcRankError, DuplicateId, NumericError
+from .errors import CmcRankError, DuplicateId, InvalidInput, NumericError
 from .fileio import atomic_write_text
 from .index import CandidateIndex, build_index, open_index
 from .pipeline import (MODE_FINAL, MODE_INTERMEDIATE, Pipeline, PipelineConfig,
@@ -116,6 +116,14 @@ def _load_gold(path: str) -> dict[int, int]:
     return gold
 
 
+def _golds_for(query_ids, gold: dict[int, int], path: str | Path) -> list[int]:
+    """The gold of each query id; a query without one names ``path``."""
+    try:
+        return [gold[int(q)] for q in query_ids]
+    except KeyError as exc:
+        raise InvalidInput(f"{path}: no gold for query id {exc.args[0]}") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -151,6 +159,8 @@ def _cmd_generate_synthetic(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.holdout_every < 0:
+        raise UsageError(f"--holdout-every must be 0 or more, got {args.holdout_every}")
     data_dir = Path(args.data_dir)
     index = CandidateIndex(*load_embedding_file(data_dir / RETRIEVER_EMBEDDINGS))
     candidates = EmbeddingTable.from_file(data_dir / RERANKER_EMBEDDINGS)
@@ -174,7 +184,7 @@ def _cmd_train(args) -> int:
     if not finite.all():
         raise NumericError(
             f"training query id {int(train_qids[np.argmin(finite)])} is not finite")
-    train_gold = [gold[int(q)] for q in train_qids]
+    train_gold = _golds_for(train_qids, gold, data_dir / GOLD_FILE)
 
     params = CmcParams.init(model_dim=candidates.dim, head_count=args.heads,
                             seed=args.seed)
@@ -220,24 +230,17 @@ def _cmd_rerank(args) -> int:
         cfg, list(zip((int(q) for q in qids), queries)),
         gold_by_query=gold, threads=args.threads)
 
-    lines = []
-    ranking_lines = []
-    for r in results:
-        lines.append(f"{r.query_id},{r.top1_id},"
-                     f"{r.timings_us['retrieve']:.0f},"
-                     f"{r.timings_us['rerank']:.0f},"
-                     f"{r.timings_us['final']:.0f}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    atomic_write_text(args.out, "\n".join(
+        f"{r.query_id},{r.top1_id},{r.timings_us['retrieve']:.0f},"
+        f"{r.timings_us['rerank']:.0f},{r.timings_us['final']:.0f}" for r in results) + "\n")
     if args.rankings_out:
-        for r in results:
-            ranked = " ".join(str(int(c)) for c in r.reranked.ids)
-            ranking_lines.append(f"{r.query_id},{ranked}")
-        atomic_write_text(args.rankings_out, "\n".join(ranking_lines) + "\n")
+        atomic_write_text(args.rankings_out, "\n".join(
+            f"{r.query_id},{' '.join(str(int(c)) for c in r.reranked.ids)}"
+            for r in results) + "\n")
     for qid, exc in errors.items():
         print(f"query {qid} failed: {exc}", file=sys.stderr)
-    if metrics:
-        for name, value in metrics.items():
-            print(f"{name} = {value:.4f}")
+    for name, value in metrics.items():
+        print(f"{name} = {value:.4f}")
     print(f"reranked {len(results)} queries -> {args.out}")
     return 0
 
@@ -252,7 +255,7 @@ def _cmd_evaluate(args) -> int:
         qid_text, _, ranked_text = line.partition(",")
         query_ids.append(int(qid_text))
         rankings.append([int(c) for c in ranked_text.split()])
-    gold_ids = [gold[qid] for qid in query_ids]
+    gold_ids = _golds_for(query_ids, gold, args.gold)
     records = evaluation.records_from_rankings(query_ids, gold_ids, rankings)
     metrics = evaluation.compute_metrics(records, _parse_int_list(args.k))
     if args.out:

@@ -2,10 +2,12 @@
 
 Stage 1 retrieves K candidates by exact inner product, stage 2 reranks them
 down to K' in one joint forward pass, and in ``intermediate`` mode stage 3
-hands the K' survivors to a pluggable final scorer whose argmax becomes the
+makes one call to a pluggable final scorer with the query and the K'
+survivors' ids and rows, and the argmax of its K' scores becomes the
 answer: ``rank_by_score`` picks it, so NaN scores are ignored, ties go to
 the lowest id, and a query whose scores are all NaN fails with
-``NumericError``.  In ``final`` mode the reranker's own top-1 is the answer.
+``NumericError``.  A scorer that returns other than K' scores raises
+``ValueError``.  In ``final`` mode the reranker's own top-1 is the answer.
 
 The final scorer is an interface only: two built-ins are shipped, a gold
 oracle (for pipeline logic tests, where end-to-end accuracy collapses to
@@ -22,9 +24,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .encoders import EmbeddingTable, encode
-from .errors import CmcRankError, DuplicateId, InvalidConfig
+from .errors import CmcRankError, DuplicateId, InvalidConfig, InvalidInput
 from .evaluation import compute_metrics, records_from_rankings
 from .index import CandidateIndex, RankedList, rank_by_score, search_topk
 from .reranker import CmcParams, rerank
@@ -33,26 +36,18 @@ MODE_FINAL = "final"
 MODE_INTERMEDIATE = "intermediate"
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    query_id: int
-    embedding: np.ndarray
-
-
-@dataclass(frozen=True)
-class CandidateRecord:
-    candidate_id: int
-    embedding: np.ndarray
-
-
-ScorerHandle = Callable[[QueryRecord, CandidateRecord], float]
+ScorerHandle = Callable[[int, np.ndarray, np.ndarray, np.ndarray], ArrayLike]
+"""``scorer(query_id, query, candidate_ids, rows) -> scores``: the encoded
+(d,) float32 query, the K' survivors' (K',) uint64 ids and (K', d) float32
+rows; the result holds one score per candidate, in ``candidate_ids`` order."""
 
 
 def gold_oracle_scorer(gold_by_query: Mapping[int, int]) -> ScorerHandle:
     """Scores 1.0 for the query's gold candidate, 0.0 otherwise."""
 
-    def scorer(query: QueryRecord, candidate: CandidateRecord) -> float:
-        return 1.0 if gold_by_query.get(query.query_id) == candidate.candidate_id else 0.0
+    def scorer(query_id, query, candidate_ids, rows) -> list[float]:
+        gold = gold_by_query.get(query_id)
+        return [1.0 if gold == cid else 0.0 for cid in candidate_ids.tolist()]
 
     return scorer
 
@@ -67,12 +62,12 @@ def _splitmix64(x: int) -> int:
 def noisy_oracle_scorer(gold_by_query: Mapping[int, int], seed: int = 0) -> ScorerHandle:
     """Gold scores 1.0; every other pair gets a stable uniform draw in [0, 1)."""
 
-    def scorer(query: QueryRecord, candidate: CandidateRecord) -> float:
-        if gold_by_query.get(query.query_id) == candidate.candidate_id:
-            return 1.0
-        mixed = _splitmix64(seed ^ _splitmix64(query.query_id)
-                            ^ _splitmix64(candidate.candidate_id * 0x9E3779B97F4A7C15))
-        return mixed / 2.0 ** 64
+    def scorer(query_id, query, candidate_ids, rows) -> list[float]:
+        gold = gold_by_query.get(query_id)
+        salt = seed ^ _splitmix64(query_id)
+        return [1.0 if gold == cid
+                else _splitmix64(salt ^ _splitmix64(cid * 0x9E3779B97F4A7C15)) / 2.0 ** 64
+                for cid in candidate_ids.tolist()]
 
     return scorer
 
@@ -131,12 +126,11 @@ class Pipeline:
 
         final_us = 0.0
         if cfg.mode == MODE_INTERMEDIATE and len(reranked):
-            qrec = QueryRecord(query_id=query_id, embedding=q)
             rows = self.candidates.batch(reranked.ids)
-            scores = np.array([
-                float(cfg.final_scorer(qrec, CandidateRecord(candidate_id=int(cid),
-                                                             embedding=row)))
-                for cid, row in zip(reranked.ids, rows)])
+            scores = np.asarray(cfg.final_scorer(query_id, q, reranked.ids, rows), np.float64)
+            if scores.shape != reranked.ids.shape:
+                raise ValueError(f"final scorer returned shape {scores.shape} "
+                                 f"for {len(reranked)} candidates")
             top1 = int(rank_by_score(reranked.ids, scores, 1).ids[0])
             final_us = (time.perf_counter() - t2) * 1e6
         else:
@@ -164,12 +158,17 @@ class Pipeline:
         empty unless golds are supplied; a query that fails on its data (a
         ``CmcRankError``) is collected in the error map rather than aborting
         the batch, while any other exception is a bug and propagates.
-        Errors and golds are keyed by query id, so a repeated query id
-        raises ``DuplicateId`` before any query runs.
+        Errors and golds are keyed by query id, so before any query runs a
+        repeated query id raises ``DuplicateId`` and, when golds are
+        supplied, a query id without one raises ``InvalidInput``.
         """
         repeated = [q for q, n in Counter(q for q, _ in queries).items() if n > 1]
         if repeated:
             raise DuplicateId(f"query id {repeated[0]} appears more than once in the batch")
+        if gold_by_query is not None:
+            missing = [q for q, _ in queries if q not in gold_by_query]
+            if missing:
+                raise InvalidInput(f"query id {missing[0]} has no gold")
 
         results: list[PipelineResult | None] = [None] * len(queries)
         errors: dict[int, Exception] = {}

@@ -48,8 +48,7 @@ from .errors import (FormatError, InvalidConfig, InvalidShape, NumericError,
                      StateError)
 from .fileio import read_checked, write_checked
 from .index import RankedList, rank_by_score
-from .nn.layer import (LAYER_ARRAY_FIELDS, LayerParams, encoder_layer_backward,
-                       encoder_layer_forward)
+from .nn.layer import LayerParams, encoder_layer_backward, encoder_layer_forward
 from .nn.ops import flush_tiny
 
 MAX_CANDIDATES = 16384
@@ -79,9 +78,10 @@ class CmcParams:
     """Weights of the two-layer reranker plus the extra-skip switch.
 
     ``flat`` owns every weight, in ``arrays()`` (checkpoint payload) order
-    and the layers' dtype: construction copies the layers into it and
-    rebinds each ``LayerParams`` field to a view of it.  Rebinding a field
-    afterwards (``layer.w_q = ...``) detaches it from ``flat``."""
+    and the layers' dtype: construction copies the given layers into it and
+    keeps new ``LayerParams`` whose fields are views of it, so the caller's
+    layers stay as they were.  Rebinding a field afterwards
+    (``layer.w_q = ...``) detaches it from ``flat``."""
 
     layers: tuple[LayerParams, ...]
     extra_skip: bool = True
@@ -107,13 +107,16 @@ class CmcParams:
                                 f"{sorted(dims)}")
         for layer in self.layers:
             layer.validate()
-        fields = [(layer, name) for layer in self.layers for name in LAYER_ARRAY_FIELDS]
-        arrays = [getattr(layer, name) for layer, name in fields]
-        self.flat = np.concatenate(arrays, axis=None)
-        at = 0
-        for (layer, name), arr in zip(fields, arrays):
-            setattr(layer, name, self.flat[at:at + arr.size].reshape(arr.shape))
-            at += arr.size
+        self.flat = np.concatenate([a for layer in self.layers
+                                    for a in layer.arrays().values()], axis=None)
+        layers, at = [], 0
+        for layer in self.layers:
+            views = {}
+            for name, arr in layer.arrays().items():
+                views[name] = self.flat[at:at + arr.size].reshape(arr.shape)
+                at += arr.size
+            layers.append(replace(layer, **views))
+        self.layers = tuple(layers)
 
     @property
     def model_dim(self) -> int:
@@ -129,8 +132,7 @@ class CmcParams:
         return np.concatenate([named[name] for name in self.arrays()], axis=None)
 
     def copy(self) -> "CmcParams":
-        return CmcParams(layers=tuple(replace(l) for l in self.layers),
-                         extra_skip=self.extra_skip)
+        return CmcParams(layers=self.layers, extra_skip=self.extra_skip)
 
     def _check_finite(self, message: str) -> None:
         """Raise ``NumericError`` naming the first weight with a NaN or inf."""
@@ -155,15 +157,11 @@ class CmcParams:
         (extra_skip, d, f, head_count), buf = read_checked(
             path, _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
             _checkpoint_payload_bytes)
-        values = np.frombuffer(buf, dtype="<f4", offset=_CHECKPOINT_HEADER.size)
-        layers, at = [], 0
-        for _ in range(2):
-            arrays = {}
-            for name, shape in LayerParams.shapes(d, f).items():
-                arrays[name] = values[at:at + math.prod(shape)].reshape(shape)
-                at += arrays[name].size
-            layers.append(LayerParams(head_count=head_count, **arrays))
-        params = cls(layers=tuple(layers), extra_skip=bool(extra_skip))
+        layer = LayerParams(head_count=head_count, **{
+            name: np.zeros(shape, dtype=np.float32)
+            for name, shape in LayerParams.shapes(d, f).items()})
+        params = cls(layers=(layer, layer), extra_skip=bool(extra_skip))
+        params.flat[:] = np.frombuffer(buf, dtype="<f4", offset=_CHECKPOINT_HEADER.size)
         params._check_finite("checkpoint weight {} is not finite")
         return params
 

@@ -94,7 +94,6 @@ class TrainingBatch:
 
     query: np.ndarray
     candidates: np.ndarray        # (k_train, dim)
-    candidate_ids: np.ndarray
     gold_position: int
     retriever_scores: np.ndarray  # (k_train,)
 
@@ -229,7 +228,6 @@ def assemble_batch_example(query: np.ndarray, gold_id: int,
     return TrainingBatch(
         query=np.asarray(query, dtype=np.float32),
         candidates=candidates.batch(ids),
-        candidate_ids=ids,
         gold_position=gold_position,
         retriever_scores=retriever_scores,
     )

@@ -21,6 +21,16 @@ def saved(tmp_path, name="model.cmcp", **init):
     return path
 
 
+def assert_packed(params):
+    """Every field is the next consecutive view of ``params.flat``."""
+    assert params.flat.flags.c_contiguous and params.flat.ndim == 1
+    at = 0
+    for name, arr in params.arrays().items():
+        assert arr.ctypes.data == params.flat[at:].ctypes.data, name
+        at += arr.size
+    assert at == params.flat.size
+
+
 def patch_header(path, **changes):
     """Rewrite header fields in place; the CRC covers only the payload."""
     raw = path.read_bytes()
@@ -178,13 +188,25 @@ class TestRerankerCheckpoint:
         copied, loaded = params.copy(), CmcParams.load(path)
         wide = params_as_float64(params)
         for p in (params, copied, loaded, wide):
-            assert p.flat.flags.c_contiguous and p.flat.ndim == 1
-            at = 0
-            for name, arr in p.arrays().items():
-                assert arr.ctypes.data == p.flat[at:].ctypes.data, name
-                at += arr.size
-            assert at == p.flat.size
+            assert_packed(p)
         assert wide.flat.dtype == np.float64
         assert not np.shares_memory(copied.flat, params.flat)
         assert not np.shares_memory(wide.flat, params.flat)
         assert copied.flat.tobytes() == params.flat.tobytes()
+
+    def test_construction_leaves_the_given_layers_alone(self):
+        """A model built from another model's layers gets its own copy, so
+        a step on the first model's ``flat`` still reaches its forward; one
+        layer passed twice gives two layers with separate storage."""
+        a = CmcParams.init(model_dim=8, head_count=2, seed=7)
+        before = a.flat.copy()
+        b = CmcParams(layers=a.layers)
+        twice = CmcParams(layers=(a.layers[0], a.layers[0]))
+        for p in (a, b, twice):
+            assert_packed(p)
+        assert b.flat.tobytes() == before.tobytes()
+        first, second = np.split(twice.flat, 2)
+        assert first.tobytes() == second.tobytes() == np.split(before, 2)[0].tobytes()
+        adamw_step(a.flat, np.ones_like(a.flat), OptimizerState(learning_rate=1e-3))
+        assert not np.array_equal(a.layers[0].w_q, before[:64].reshape(8, 8))
+        assert b.flat.tobytes() == before.tobytes()

@@ -82,6 +82,48 @@ class TestExitCodes:
         assert f"training query id {qids[7]} is not finite" in capsys.readouterr().err
         assert not (tmp_path / "m.cmcp").exists()
 
+    def test_negative_holdout_is_usage_error(self, task_dir, tmp_path, capsys):
+        assert run("train", "--data-dir", str(task_dir),
+                   "--out", str(tmp_path / "m.cmcp"), "--holdout-every", "-3") == 1
+        assert "--holdout-every" in capsys.readouterr().err
+        assert not (tmp_path / "m.cmcp").exists()
+
+    def test_missing_gold_line_named_by_query_id(self, task_dir, tmp_path, capsys):
+        """File row 1 is a training query; without its gold line, train,
+        rerank --gold and evaluate each stop with a data error naming it,
+        and rerank writes nothing."""
+        gold_path = task_dir / "gold.txt"
+        lines = gold_path.read_text().splitlines()
+        qid = lines[1].split()[0]
+        gold_path.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        assert run("train", "--data-dir", str(task_dir),
+                   "--out", str(tmp_path / "m.cmcp"), "--epochs", "1",
+                   "--k-train", "4", "--negative-pool-size", "16") == 2
+        assert f"{gold_path}: no gold for query id {qid}\n" in capsys.readouterr().err
+        assert not (tmp_path / "m.cmcp").exists()
+
+        index_path, ckpt = tmp_path / "task.cmci", tmp_path / "model.cmcp"
+        assert run("build-index",
+                   "--embeddings", str(task_dir / "retriever_embeddings.cmce"),
+                   "--out", str(index_path)) == 0
+        embeddings = task_dir / "reranker_embeddings.cmce"
+        CmcParams.init(model_dim=EmbeddingTable.from_file(embeddings).dim,
+                       head_count=2, seed=1).save(ckpt)
+        results = tmp_path / "results.txt"
+        assert run("rerank", "--index", str(index_path), "--checkpoint", str(ckpt),
+                   "--embeddings", str(embeddings),
+                   "--queries", str(task_dir / "queries.cmce"),
+                   "--gold", str(gold_path), "--k-retrieve", "16", "--k-prime", "8",
+                   "--out", str(results)) == 2
+        assert f"query id {qid} has no gold" in capsys.readouterr().err
+        assert not results.exists()
+
+        rankings = tmp_path / "rankings.txt"
+        rankings.write_text(f"{lines[0].replace(' ', ',')}\n{qid},1 2\n")
+        assert run("evaluate", "--rankings", str(rankings),
+                   "--gold", str(gold_path), "--k", "1") == 2
+        assert f"{gold_path}: no gold for query id {qid}\n" in capsys.readouterr().err
+
     def test_intermediate_mode_needs_scorer(self, task_dir, tmp_path):
         assert run("rerank", "--index", "x", "--checkpoint", "y",
                    "--embeddings", "z", "--queries", "q",

@@ -1,9 +1,11 @@
 """Pipeline orchestration: subset chain, oracle equivalences, parallelism."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmcrank.encoders import EmbeddingTable
-from cmcrank.errors import DuplicateId, InvalidConfig, NumericError
+from cmcrank.errors import DuplicateId, InvalidConfig, InvalidInput, NumericError
 from cmcrank.evaluation import SyntheticTaskSpec, generate_synthetic
 from cmcrank.index import CandidateIndex
 from cmcrank.pipeline import (Pipeline, PipelineConfig, gold_oracle_scorer,
@@ -170,11 +172,9 @@ class TestRunBatch:
     def test_final_scorer_nan_is_ignored(self, world):
         """A NaN final score never wins over finite ones."""
         data, pipe, golds, queries = world
-        reranked = {}
 
-        def scorer(query, candidate):
-            first = reranked.setdefault(query.query_id, candidate.candidate_id)
-            return float("nan") if candidate.candidate_id == first else 0.5
+        def scorer(query_id, query, candidate_ids, rows):
+            return [float("nan")] + [0.5] * (len(candidate_ids) - 1)
 
         cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="intermediate",
                              final_scorer=scorer)
@@ -185,7 +185,7 @@ class TestRunBatch:
     def test_final_scorer_tie_goes_to_lowest_id(self, world):
         data, pipe, golds, queries = world
         cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="intermediate",
-                             final_scorer=lambda query, candidate: 0.5)
+                             final_scorer=lambda qid, q, ids, rows: [0.5] * len(ids))
         for qid, q in queries[:5]:
             result = pipe.run_query(cfg, qid, q)
             assert result.top1_id == min(result.reranked.ids.tolist())
@@ -193,7 +193,7 @@ class TestRunBatch:
     def test_all_nan_final_scores_reported_as_error(self, world):
         data, pipe, golds, queries = world
         cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="intermediate",
-                             final_scorer=lambda query, candidate: float("nan"))
+                             final_scorer=lambda qid, q, ids, rows: np.full(len(ids), np.nan))
         results, _, errors = pipe.run_batch(cfg, queries[:2])
         assert results == []
         assert all(isinstance(errors[q], NumericError) for q, _ in queries[:2])
@@ -202,7 +202,7 @@ class TestRunBatch:
         """Only data errors are collected per query; a bug ends the batch."""
         data, pipe, golds, queries = world
 
-        def broken_scorer(query, candidate):
+        def broken_scorer(query_id, query, candidate_ids, rows):
             raise TypeError("scorer bug")
 
         cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="intermediate",
@@ -210,6 +210,53 @@ class TestRunBatch:
         for threads in (None, 2):
             with pytest.raises(TypeError, match="scorer bug"):
                 pipe.run_batch(cfg, queries[:3], threads=threads)
+
+    def test_final_scorer_called_once_per_query(self, world):
+        """One call per query, with the encoded query and the K' survivors'
+        ids and rows in reranked order."""
+        data, pipe, golds, queries = world
+        calls = []
+
+        def scorer(query_id, query, candidate_ids, rows):
+            calls.append((query_id, query, candidate_ids, rows))
+            return np.zeros(len(candidate_ids))
+
+        cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="intermediate",
+                             final_scorer=scorer)
+        results, _, errors = pipe.run_batch(cfg, queries[:6])
+        assert not errors
+        assert [c[0] for c in calls] == [q for q, _ in queries[:6]]
+        for (qid, query, ids, rows), r, (_, q) in zip(calls, results, queries):
+            assert query.dtype == np.float32 and np.array_equal(query, q)
+            assert ids.dtype == np.uint64 and ids.tolist() == r.reranked.ids.tolist()
+            assert rows.dtype == np.float32
+            assert np.array_equal(rows, pipe.candidates.batch(ids))
+
+    @pytest.mark.parametrize("make", [lambda n: np.zeros(n - 1), lambda n: [0.5] * (n + 1),
+                                      lambda n: np.zeros((n, 1)), lambda n: 0.5],
+                             ids=["short", "long", "column", "scalar"])
+    def test_wrong_number_of_final_scores_ends_the_batch(self, world, make):
+        """A scorer that does not return one score per candidate is a bug,
+        so the ``ValueError`` propagates out of the batch."""
+        data, pipe, golds, queries = world
+        cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="intermediate",
+                             final_scorer=lambda qid, q, ids, rows: make(len(ids)))
+        for threads in (None, 2):
+            with pytest.raises(ValueError, match="final scorer returned shape"):
+                pipe.run_batch(cfg, queries[:3], threads=threads)
+
+    def test_query_without_gold_rejected_before_any_query_runs(self, world):
+        data, pipe, golds, queries = world
+        calls = []
+        cfg = PipelineConfig(
+            k_retrieve=16, k_prime=4, mode="intermediate",
+            final_scorer=lambda qid, q, ids, rows: calls.append(qid) or [0.0] * len(ids))
+        missing = queries[2][0]
+        partial = {q: g for q, g in golds.items() if q != missing}
+        for threads in (None, 2):
+            with pytest.raises(InvalidInput, match=f"query id {missing} has no gold"):
+                pipe.run_batch(cfg, queries[:5], gold_by_query=partial, threads=threads)
+        assert calls == []
 
 
 class TestStageLatency:
@@ -237,16 +284,64 @@ class TestStageLatency:
         assert (m1 + m2) <= 1.5 * m1, f"stage1 {m1:.0f}us stage2 {m2:.0f}us"
 
 
+def reference_splitmix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return x ^ (x >> 31)
+
+
+def reference_gold_score(gold_by_query, query_id, candidate_id):
+    """The gold oracle's per-pair formula."""
+    return 1.0 if gold_by_query.get(query_id) == candidate_id else 0.0
+
+
+def reference_noisy_score(gold_by_query, seed, query_id, candidate_id):
+    """The noisy oracle's per-pair formula."""
+    if gold_by_query.get(query_id) == candidate_id:
+        return 1.0
+    mixed = reference_splitmix64(seed ^ reference_splitmix64(query_id)
+                                 ^ reference_splitmix64(candidate_id * 0x9E3779B97F4A7C15))
+    return mixed / 2.0 ** 64
+
+
+ID = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63 - 2, 2**63 + 2),
+               st.integers(2**64 - 3, 2**64 - 1), st.integers(0, 20))
+
+
 class TestScorers:
     def test_noisy_oracle_deterministic_and_bounded(self):
-        from cmcrank.pipeline import CandidateRecord, QueryRecord
         scorer = noisy_oracle_scorer({5: 77}, seed=3)
-        q = QueryRecord(query_id=5, embedding=np.zeros(1, dtype=np.float32))
-        gold = CandidateRecord(candidate_id=77, embedding=np.zeros(1))
-        other = CandidateRecord(candidate_id=78, embedding=np.zeros(1))
-        assert scorer(q, gold) == 1.0
-        first = scorer(q, other)
+        q = np.zeros(1, dtype=np.float32)
+        ids = np.array([77, 78], dtype=np.uint64)
+        rows = np.zeros((2, 1), dtype=np.float32)
+        gold, first = scorer(5, q, ids, rows)
+        assert gold == 1.0
         assert 0.0 <= first < 1.0
-        assert scorer(q, other) == first
-        assert noisy_oracle_scorer({5: 77}, seed=3)(q, other) == first
-        assert noisy_oracle_scorer({5: 77}, seed=4)(q, other) != first
+        assert scorer(5, q, ids, rows)[1] == first
+        assert noisy_oracle_scorer({5: 77}, seed=3)(5, q, ids[1:], rows[1:])[0] == first
+        assert noisy_oracle_scorer({5: 77}, seed=4)(5, q, ids, rows)[1] != first
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), query_id=st.one_of(ID, st.integers(-2**63, -1)),
+           seed=st.one_of(st.integers(-2**64, 2**64), st.integers(-3, 3)),
+           ids=st.lists(ID, min_size=1, max_size=12, unique=True),
+           gold_case=st.sampled_from(["in list", "not in list", "no gold"]))
+    def test_oracles_equal_per_pair_formula(self, data, query_id, seed, ids, gold_case):
+        """Both oracles score a whole list bit for bit as the per-pair
+        formulas do, for ids at and above 2**63, negative seeds, and the
+        gold in the list, outside it, or absent."""
+        gold_by_query = {query_id + 1: ids[0]}
+        if gold_case == "in list":
+            gold_by_query[query_id] = data.draw(st.sampled_from(ids))
+        elif gold_case == "not in list":
+            gold_by_query[query_id] = data.draw(ID.filter(lambda g: g not in ids))
+        cids = np.array(ids, dtype=np.uint64)
+        q = np.zeros(3, dtype=np.float32)
+        rows = np.zeros((len(ids), 3), dtype=np.float32)
+        for got, want in [
+                (gold_oracle_scorer(gold_by_query)(query_id, q, cids, rows),
+                 [reference_gold_score(gold_by_query, query_id, c) for c in ids]),
+                (noisy_oracle_scorer(gold_by_query, seed)(query_id, q, cids, rows),
+                 [reference_noisy_score(gold_by_query, seed, query_id, c) for c in ids])]:
+            assert np.asarray(got, dtype=np.float64).tobytes() == np.array(want).tobytes()
