@@ -100,6 +100,18 @@ def _load_embeddings_any(path: str):
     return load_embedding_text(path)
 
 
+def _parse_id(text: str, where: str) -> int:
+    """A query or candidate id read from a text file; ``where`` is its
+    ``path:line``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise InvalidInput(f"{where}: id {text!r} is not an integer") from None
+    if not 0 <= value < 2 ** 64:
+        raise InvalidInput(f"{where}: id {value} is not in [0, 2**64)")
+    return value
+
+
 def _load_gold(path: str) -> dict[int, int]:
     gold: dict[int, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -109,10 +121,10 @@ def _load_gold(path: str) -> dict[int, int]:
         parts = line.split()
         if len(parts) != 2:
             raise CmcRankError(f"{path}:{lineno}: expected 'query_id gold_id'")
-        query_id = int(parts[0])
+        query_id, gold_id = (_parse_id(p, f"{path}:{lineno}") for p in parts)
         if query_id in gold:
             raise DuplicateId(f"{path}:{lineno}: query id {query_id} appears more than once")
-        gold[query_id] = int(parts[1])
+        gold[query_id] = gold_id
     return gold
 
 
@@ -253,8 +265,9 @@ def _cmd_evaluate(args) -> int:
         if not line:
             continue
         qid_text, _, ranked_text = line.partition(",")
-        query_ids.append(int(qid_text))
-        rankings.append([int(c) for c in ranked_text.split()])
+        where = f"{args.rankings}:{lineno}"
+        query_ids.append(_parse_id(qid_text, where))
+        rankings.append([_parse_id(c, where) for c in ranked_text.split()])
     gold_ids = _golds_for(query_ids, gold, args.gold)
     records = evaluation.records_from_rankings(query_ids, gold_ids, rankings)
     metrics = evaluation.compute_metrics(records, _parse_int_list(args.k))

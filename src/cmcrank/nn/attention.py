@@ -28,8 +28,10 @@ to it: the block is written straight into the full (heads, L, L) buffer
 and divided by its denominators after the value product, so the context
 arithmetic is the same with and without a tape.  The backward leaves the
 four projections to ``ops.linear_backward`` and flushes tiny score
-gradients to zero (``ops.flush_tiny``).  Attention takes one (L, d)
-example per call; ``nn.layer`` loops over a batch.
+gradients to zero (``ops.flush_tiny``).  The forward takes one (L, d)
+example per call, and ``nn.layer`` loops over a batch; the backward takes
+one example or a (B, L, d) stack, pops the B entries and runs each product
+and projection once over the stack.
 """
 from __future__ import annotations
 
@@ -55,14 +57,16 @@ _BLOCK_ROWS = 64
 
 
 def _split_heads(x: np.ndarray, head_count: int) -> np.ndarray:
-    length, dim = x.shape
+    """(..., L, d) -> a (..., heads, L, d_h) view."""
+    *lead, length, dim = x.shape
     head_dim = dim // head_count
-    return x.reshape(length, head_count, head_dim).transpose(1, 0, 2)
+    return x.reshape(*lead, length, head_count, head_dim).swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    head_count, length, head_dim = x.shape
-    return x.transpose(1, 0, 2).reshape(length, head_count * head_dim)
+    """(..., heads, L, d_h) -> (..., L, d)."""
+    *lead, head_count, length, head_dim = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, length, head_count * head_dim)
 
 
 def _check_input(x: np.ndarray, params: "LayerParams") -> None:
@@ -139,25 +143,41 @@ def attention_forward(x: np.ndarray, params: "LayerParams"):
 def attention_backward(dy: np.ndarray, tape: list):
     """Gradients w.r.t. the input and the four projections.
 
-    Pops the entry :func:`multi_head_self_attention` appended to ``tape``.
-    The input gradient sums the q, k and v paths in that order.
+    ``dy`` is one (L, d) example's output gradient, or a stack of B of them,
+    (B, L, d), for the last B sequences that
+    :func:`multi_head_self_attention` recorded on ``tape``; their entries
+    are popped and stacked, and every product runs once over the stack.
+    The input gradient sums the q, k and v paths in that order.  Parameter
+    gradients of a stack are the per-example ones summed in example order,
+    bit for bit.
     """
-    x, qh, kh, vh, attn, out, params, scale = tape.pop()
+    if dy.ndim == 2:
+        x, qh, kh, vh, attn, out, params, scale = tape.pop()
+    else:
+        entries = tape[-len(dy):]
+        del tape[-len(dy):]
+        x, qh, kh, vh, attn, out = (np.stack(f) for f in list(zip(*entries))[:6])
+        params, scale = entries[0][6:]
     grads = {}
     d_out, grads["w_o"], grads["b_o"] = linear_backward(dy, (out, params.w_o))
     d_outh = _split_heads(d_out, params.head_count)
 
-    d_attn = d_outh @ vh.transpose(0, 2, 1)
-    d_vh = attn.transpose(0, 2, 1) @ d_outh
+    d_attn = d_outh @ vh.swapaxes(-1, -2)
+    d_vh = attn.swapaxes(-1, -2) @ d_outh
     # Near-zero probabilities make tiny score gradients, whose products in
     # the four matmuls below and the projection backwards go subnormal.
-    d_scores = flush_tiny(
-        attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)))
+    d_scores = d_attn * attn
+    np.subtract(d_attn, d_scores.sum(axis=-1, keepdims=True), out=d_attn)
+    np.multiply(attn, d_attn, out=d_scores)
+    flush_tiny(d_scores)
     # qh was recorded with the 1/sqrt(d_h) scale folded in.
-    d_qh = (d_scores @ kh) * scale
-    d_kh = d_scores.transpose(0, 2, 1) @ qh
+    d_qh = d_scores @ kh
+    d_qh *= scale
+    d_kh = d_scores.swapaxes(-1, -2) @ qh
 
-    dx_q, grads["w_q"], grads["b_q"] = linear_backward(_merge_heads(d_qh), (x, params.w_q))
+    dx, grads["w_q"], grads["b_q"] = linear_backward(_merge_heads(d_qh), (x, params.w_q))
     dx_k, grads["w_k"], grads["b_k"] = linear_backward(_merge_heads(d_kh), (x, params.w_k))
     dx_v, grads["w_v"], grads["b_v"] = linear_backward(_merge_heads(d_vh), (x, params.w_v))
-    return dx_q + dx_k + dx_v, grads
+    dx += dx_k
+    dx += dx_v
+    return dx, grads

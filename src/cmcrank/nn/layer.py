@@ -7,14 +7,15 @@ attention first, and the backward pops those entries in reverse order.
 
 The input is one (L, d) sequence or a stack of B of them, (B, L, d).  On
 a stack, layer norm, the feed-forward and the residuals run once over the
-whole batch, while attention runs once per sequence on its (L, d) slice,
-appending one tape entry each.  The batched backward returns the sum of
-the per-sequence parameter gradients, bit for bit as a loop over the
-sequences adding them in order would.
+whole batch, while the attention forward runs once per sequence on its
+(L, d) slice, appending one tape entry each; the backward, attention
+included, runs once over the stack.  It returns the sum of the
+per-sequence parameter gradients, bit for bit as a loop over the
+sequences adding them in order would.  The residual adds write into
+arrays the layer made itself, never into its input or a taped array.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,11 +123,13 @@ def encoder_layer_forward(x: np.ndarray, params: LayerParams,
         a = multi_head_self_attention(x, params, tape)
     else:
         a = np.stack([multi_head_self_attention(xb, params, tape) for xb in x])
-    u, ln1_cache = ops.layer_norm_forward(x + a, params.ln1_gain, params.ln1_bias)
+    a += x
+    u, ln1_cache = ops.layer_norm_forward(a, params.ln1_gain, params.ln1_bias)
     h1, lin1_cache = ops.linear_forward(u, params.w_1, params.b_1)
     g = ops.gelu(h1)
     h2, lin2_cache = ops.linear_forward(g, params.w_2, params.b_2)
-    y, ln2_cache = ops.layer_norm_forward(u + h2, params.ln2_gain, params.ln2_bias)
+    h2 += u
+    y, ln2_cache = ops.layer_norm_forward(h2, params.ln2_gain, params.ln2_bias)
     if tape is not None:
         tape.append((ln1_cache, h1, lin1_cache, lin2_cache, ln2_cache))
     return y
@@ -146,25 +149,14 @@ def encoder_layer_backward(dy: np.ndarray, tape: list):
     ln1_cache, h1, lin1_cache, lin2_cache, ln2_cache = tape.pop()
 
     d_s2, d_ln2_gain, d_ln2_bias = ops.layer_norm_backward(dy, ln2_cache)
-    d_u = d_s2
     d_g, d_w2, d_b2 = ops.linear_backward(d_s2, lin2_cache)
     d_h1 = ops.gelu_backward(d_g, h1)
-    d_u2, d_w1, d_b1 = ops.linear_backward(d_h1, lin1_cache)
-    d_u = d_u + d_u2
+    d_u, d_w1, d_b1 = ops.linear_backward(d_h1, lin1_cache)
+    d_u += d_s2
 
     d_s1, d_ln1_gain, d_ln1_bias = ops.layer_norm_backward(d_u, ln1_cache)
-    if d_s1.ndim == 2:
-        dx_attn, attn_grads = attention_backward(d_s1, tape)
-    else:
-        # The last sequence's attention entry is on top of the tape; its
-        # gradients are added in sequence order all the same.
-        dx_attn = np.empty_like(d_s1)
-        per_seq = [None] * len(d_s1)
-        for b in reversed(range(len(d_s1))):
-            dx_attn[b], per_seq[b] = attention_backward(d_s1[b], tape)
-        attn_grads = {name: functools.reduce(np.add, [g[name] for g in per_seq])
-                      for name in per_seq[0]}
-    dx = d_s1 + dx_attn
+    dx, attn_grads = attention_backward(d_s1, tape)
+    dx += d_s1
 
     return dx, {
         **attn_grads,

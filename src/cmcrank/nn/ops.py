@@ -13,6 +13,11 @@ the examples would build.  ``flush_tiny`` zeroes gradient entries below
 the square root of the dtype's smallest normal number, so that neither
 they nor their products are subnormal: float32 arithmetic on subnormal
 operands is many times slower than on normal ones.
+
+The elementwise kernels (layer norm, GELU, the bias add) compute their
+results in buffers they allocate and then update in place, in the order
+of operations of the plain expressions, so they give the same bits with
+fewer temporaries; they never write into an argument.
 """
 from __future__ import annotations
 
@@ -69,11 +74,15 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
             f"layer_norm shape mismatch: x has {x.shape[-1]} features, "
             f"gain {gain.shape}, bias {bias.shape}")
     mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centered * inv_std
-    y = gain * x_hat + bias
+    x_hat = x - mean
+    y = np.multiply(x_hat, x_hat)
+    inv_std = y.mean(axis=-1, keepdims=True)
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    x_hat *= inv_std
+    np.multiply(gain, x_hat, out=y)
+    y += bias
     return y, (x_hat, inv_std, gain)
 
 
@@ -106,26 +115,59 @@ def _sum_rows(g: np.ndarray) -> np.ndarray:
 def layer_norm_backward(dy: np.ndarray, cache):
     """Gradients of layer_norm w.r.t. input, gain and bias."""
     x_hat, inv_std, gain = cache
-    d_gain = _sum_rows(dy * x_hat)
+    t = dy * x_hat
+    d_gain = _sum_rows(t)
     d_bias = _sum_rows(dy)
-    d_hat = dy * gain
-    mean_d = d_hat.mean(axis=-1, keepdims=True)
-    mean_dh = (d_hat * x_hat).mean(axis=-1, keepdims=True)
-    dx = inv_std * (d_hat - mean_d - x_hat * mean_dh)
+    dx = dy * gain
+    mean_d = dx.mean(axis=-1, keepdims=True)
+    np.multiply(dx, x_hat, out=t)
+    mean_dh = t.mean(axis=-1, keepdims=True)
+    # dx = inv_std * ((d_hat - mean_d) - x_hat * mean_dh), d_hat = dy * gain
+    np.multiply(x_hat, mean_dh, out=t)
+    dx -= mean_d
+    dx -= t
+    dx *= inv_std
     return dx, d_gain, d_bias
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """A new array holding tanh(c * (x + a * x^3)), in that order of operations."""
+    t = np.multiply(x, _GELU_A)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh-approximation GELU (the BERT-family convention)."""
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    """Tanh-approximation GELU (the BERT-family convention):
+    0.5 * x * (1 + tanh(c * (x + a * x^3)))."""
+    t = _gelu_tanh(x)
+    t += 1.0
+    y = np.multiply(x, 0.5)
+    y *= t
+    return y
 
 
 def gelu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    t = np.tanh(inner)
-    d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
+    """dy * (0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3a * x^2)), with
+    t = tanh(c * (x + a * x^3))."""
+    t = _gelu_tanh(x)
+    d_inner = np.multiply(x, 3.0 * _GELU_A)
+    d_inner *= x
+    d_inner += 1.0
+    d_inner *= _GELU_C
+    one_minus = np.multiply(t, t)
+    np.subtract(1.0, one_minus, out=one_minus)
+    h = np.multiply(x, 0.5)
+    h *= one_minus
+    h *= d_inner
+    t += 1.0
+    t *= 0.5
+    t += h
+    t *= dy
+    return t
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -133,7 +175,9 @@ def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     if x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise InvalidShape(
             f"linear shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
-    return x @ w + b, (x, w)
+    y = x @ w
+    y += b
+    return y, (x, w)
 
 
 def linear_backward(dy: np.ndarray, cache):

@@ -155,7 +155,9 @@ class Pipeline:
         """Map run_query over the batch; optionally in a worker pool.
 
         Returns (results, aggregate metrics, per-query errors).  Metrics are
-        empty unless golds are supplied; a query that fails on its data (a
+        empty unless golds are supplied; ``recall@k`` of the reranked list
+        comes with ``retriever_recall@k`` of the retrieved one, its first k
+        ids, at the same cutoffs (1 and K'); a query that fails on its data (a
         ``CmcRankError``) is collected in the error map rather than aborting
         the batch, while any other exception is a bug and propagates.
         Errors and golds are keyed by query id, so before any query runs a
@@ -190,13 +192,19 @@ class Pipeline:
         ok = [r for r in results if r is not None]
         metrics: dict[str, float] = {}
         if gold_by_query is not None and ok:
-            records = records_from_rankings(
-                [r.query_id for r in ok],
-                [gold_by_query[r.query_id] for r in ok],
-                [r.reranked.ids for r in ok],
-                pools=[r.retrieved.ids for r in ok])
-            metrics = compute_metrics(records, sorted({1, cfg.k_prime}),
-                                      require_normalized=False)
+            query_ids = [r.query_id for r in ok]
+            golds = [gold_by_query[q] for q in query_ids]
+            retrieved = [r.retrieved.ids for r in ok]
+            ks = sorted({1, cfg.k_prime})
+            metrics = compute_metrics(
+                records_from_rankings(query_ids, golds, [r.reranked.ids for r in ok],
+                                      pools=retrieved),
+                ks, require_normalized=False)
+            # The retriever alone at the same cutoffs: its first k ids.
+            retriever = compute_metrics(
+                records_from_rankings(query_ids, golds, [ids[:max(ks)] for ids in retrieved]),
+                ks, require_normalized=False)
+            metrics.update({f"retriever_recall@{k}": retriever[f"recall@{k}"] for k in ks})
             metrics["accuracy_end_to_end"] = float(np.mean(
                 [r.top1_id == gold_by_query[r.query_id] for r in ok]))
         return ok, metrics, errors

@@ -13,8 +13,9 @@ invariant.  One forward pass covers all K candidates of a query.
 ``cmc_forward`` serves inference and training alike: given a ``tape`` list
 it appends each layer's entries, and ``CmcTape.backward`` pops them in
 reverse order.  Serving passes one query, (d,) with (K, d) candidates;
-training passes a step's B queries at once, (B, d) with (B, K, d), and
-gets back the summed parameter gradients of the B examples.  The backward
+training passes a step's B queries at once, (B, d) with (B, K, d), gets
+(B, K) scores from one ``cmc_score`` call, and gets back the summed
+parameter gradients of the B examples from one backward over the stack.  The backward
 flushes tiny entries of the scoring head's gradient to zero.
 
 Checkpoint layout (little-endian), in the checked container of ``fileio``:
@@ -179,8 +180,8 @@ class ContextualizedSet:
 class ScoreVector:
     """Per-candidate scores; argmax ties break to the lowest index."""
 
-    scores: np.ndarray
-    argmax_index: int
+    scores: np.ndarray               # (K,) or (B, K)
+    argmax_index: int | np.ndarray   # one per row of a batch
 
 
 class CmcTape:
@@ -199,7 +200,9 @@ class CmcTape:
 
     def backward(self, d_scores: np.ndarray):
         """Gradients of a scalar loss given dLoss/dScores, shaped like the
-        scores: (K,), or (B, K) for a batched forward.
+        scores: (K,), or (B, K) for a batched forward.  A batched backward
+        runs every kernel once over the stack, each layer's attention
+        backward included, which pops the B sequences' entries together.
 
         Returns (name -> gradient over both layers, summed over the batch,
         d_query, d_candidates), the latter two being gradients w.r.t. the
@@ -227,7 +230,7 @@ class CmcTape:
         for i in reversed(range(self._layer_count)):
             dx, layer_grads = encoder_layer_backward(d_out, self._tape)
             if self._extra_skip:
-                dx = dx + d_out
+                dx += d_out
             grads.update({f"layers.{i}.{k}": g for k, g in layer_grads.items()})
             d_out = dx
         return grads, d_out[..., 0, :], d_out[..., 1:, :]
@@ -269,7 +272,10 @@ def cmc_forward(params: CmcParams, h_query: np.ndarray,
     x = _sequence_from(params, h_query, h_candidates)
     for layer in params.layers:
         y = encoder_layer_forward(x, layer, tape)
-        x = x + y if params.extra_skip else y
+        if params.extra_skip:
+            # x is on the tape; y is a new array.
+            y += x
+        x = y
     return ContextualizedSet(h_query=x[..., 0, :], h_candidates=x[..., 1:, :])
 
 
@@ -282,9 +288,11 @@ def cmc_forward_recorded(params: CmcParams, h_query: np.ndarray,
 
 
 def cmc_score(ctx: ContextualizedSet) -> ScoreVector:
-    """Dot-product scores of the contextualized query against each candidate."""
-    scores = ctx.h_candidates @ ctx.h_query
-    return ScoreVector(scores=scores, argmax_index=int(np.argmax(scores)))
+    """Dot-product scores of the contextualized query against each candidate:
+    (K,), or (B, K) from one (B, K, d) @ (B, d, 1) product for a batch."""
+    scores = (ctx.h_candidates @ ctx.h_query[..., None])[..., 0]
+    best = np.argmax(scores, axis=-1)
+    return ScoreVector(scores=scores, argmax_index=int(best) if best.ndim == 0 else best)
 
 
 def rerank(params: CmcParams, h_query: np.ndarray, ranked: RankedList,

@@ -18,20 +18,25 @@ The retriever is frozen, so a query's pool is the same in every epoch:
 ``train`` searches each training query's pool once per call, before the
 first epoch (so epoch 1 carries that cost), and keeps it as ``n x P`` int32
 index rows plus ``n x P`` float32 scores (``n * P * 8`` bytes, with
-``P = min(negative_pool_size, len(index))``).  A step whose loss or
-gradient norm is not finite raises ``NumericError`` before the update.
+``P = min(negative_pool_size, len(index))``).  A pool too small for
+``k_train - 1`` negatives raises ``PoolTooSmall`` before the first update,
+and a step whose loss or gradient norm is not finite raises
+``NumericError`` before its update.
 AdamW runs without weight decay, on ``nn.optim``'s fixed warmup.
 
-A step first assembles all of its examples, drawing from the generator in
-example order, then runs one taped ``cmc_forward`` over the stacked
-(B, d) queries and (B, K, d) candidates and one ``CmcTape.backward`` on
-the (B, K) score gradients; ``compute_loss`` runs once per example, in
-order.  The summed gradients equal, bit for bit, those of a loop that runs
-a forward and a backward per example and adds them in order.
-``compute_loss`` flushes tiny entries of its score gradient to zero, as
-the backward does for the scoring head's and the attention scores'
-gradients (``nn.ops.flush_tiny``): entries below the square root of the
-smallest normal float, whose products would be subnormal and slow.
+Examples are assembled a chunk of steps at a time (about ``CHUNK_EXAMPLES``
+examples, so assembly's memory is set by the chunk, not the training set):
+every example draws its uniforms and then its gold slot from the one
+generator, in example order, and the sampler then runs its draws over all
+of the chunk's pools at once.  A step runs one taped ``cmc_forward`` over
+its stacked (B, d) queries and (B, K, d) candidates, one ``cmc_score`` and
+one ``compute_loss`` over the (B, K) scores, and one ``CmcTape.backward``.
+Draws, losses and summed gradients equal, bit for bit, those of a loop
+that samples, runs a forward and a backward per example and adds them in
+order.  ``compute_loss`` flushes tiny entries of its score gradient to
+zero, as the backward does for the scoring head's and the attention
+scores' gradients (``nn.ops.flush_tiny``): entries below the square root
+of the smallest normal float, whose products would be subnormal and slow.
 ``adamw_step`` gets the gradients packed into one vector laid out like
 ``CmcParams.flat``.
 """
@@ -49,8 +54,7 @@ from .errors import (InvalidConfig, InvalidIndex, InvalidInput, InvalidShape,
 from .index import CandidateIndex, RankedList, search_topk
 from .nn.optim import OptimizerState, adamw_step
 from .nn.ops import flush_tiny
-from .reranker import (CmcParams, ContextualizedSet, cmc_forward_recorded,
-                       cmc_score)
+from .reranker import CmcParams, cmc_forward_recorded, cmc_score
 
 LOG_CLAMP = 1e-12
 
@@ -90,12 +94,13 @@ class TrainingConfig:
 
 @dataclass
 class TrainingBatch:
-    """One query's training example: embeddings, gold slot, retriever scores."""
+    """A chunk of C training examples, one row each: query and candidate
+    embeddings, gold slot, retriever scores."""
 
-    query: np.ndarray
-    candidates: np.ndarray        # (k_train, dim)
-    gold_position: int
-    retriever_scores: np.ndarray  # (k_train,)
+    query: np.ndarray             # (C, dim)
+    candidates: np.ndarray        # (C, k_train, dim)
+    gold_position: np.ndarray     # (C,)
+    retriever_scores: np.ndarray  # (C, k_train)
 
 
 @dataclass
@@ -121,49 +126,128 @@ class TrainingLog:
         return "\n".join(lines) + "\n"
 
 
-def compute_loss(scores: np.ndarray, gold_position: int,
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products of two (B, K) arrays, as a (B, 1) column, with
+    the bits of ``np.dot`` on each row (a summed elementwise product differs)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0]
+
+
+def compute_loss(scores: np.ndarray, gold_position,
                  retriever_scores: np.ndarray,
-                 lambda1: float, lambda2: float) -> tuple[float, np.ndarray]:
+                 lambda1: float, lambda2: float):
     """Loss value and its gradient w.r.t. the raw reranker scores.
 
-    The gradient has the scores' dtype, with entries below the square root
-    of its smallest normal number flushed to zero (``nn.ops.flush_tiny``):
-    a candidate scored far below the best gets a probability whose
-    products in the backward would be subnormal.
+    Takes one example, (K,) scores with an int gold position, and returns
+    (float loss, (K,) gradient); or a batch, (B, K) scores with B gold
+    positions, and returns ((B,) losses, (B, K) gradients), each row the
+    bits its example gives alone.  The gradient has the scores' dtype,
+    with entries below the square root of its smallest normal number
+    flushed to zero (``nn.ops.flush_tiny``): a candidate scored far below
+    the best gets a probability whose products in the backward would be
+    subnormal.
     """
     scores = np.asarray(scores)
     retriever_scores = np.asarray(retriever_scores)
-    k = scores.shape[0]
-    if scores.shape != retriever_scores.shape or scores.ndim != 1:
+    if scores.shape != retriever_scores.shape or scores.ndim not in (1, 2):
         raise InvalidShape(
             f"scores {scores.shape} and retriever scores {retriever_scores.shape} "
-            "must be equal-length vectors")
-    if not 0 <= gold_position < k:
-        raise InvalidIndex(f"gold position {gold_position} not in [0, {k})")
+            "must be equal-shaped (K,) vectors or (B, K) arrays")
+    s = np.atleast_2d(scores).astype(np.float64)
+    batch, k = s.shape
+    gold = np.atleast_1d(np.asarray(gold_position))
+    if gold.shape != (batch,):
+        raise InvalidShape(f"{gold.shape} gold positions for {batch} score rows")
+    outside = (gold < 0) | (gold >= k)
+    if outside.any():
+        raise InvalidIndex(f"gold position {gold[outside][0]} not in [0, {k})")
+    rows = np.arange(batch)
 
-    s = scores.astype(np.float64)
-    p = np.exp(s - s.max())
-    p /= p.sum()
-    r = retriever_scores.astype(np.float64)
-    r = np.exp(r - r.max())
-    r /= r.sum()
+    p = np.exp(s - s.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    r = np.atleast_2d(retriever_scores).astype(np.float64)
+    r = np.exp(r - r.max(axis=1, keepdims=True))
+    r /= r.sum(axis=1, keepdims=True)
 
     log_p = np.log(np.maximum(p, LOG_CLAMP))
     log_ratio = log_p - np.log(np.maximum(r, LOG_CLAMP))
-    kl = float(np.dot(p, log_ratio))
-    loss = -lambda1 * log_p[gold_position] + lambda2 * kl
+    loss = -lambda1 * log_p[rows, gold] + lambda2 * _row_dots(p, log_ratio)[:, 0]
 
     # Exact gradient of the loss as computed: where the clamp is active the
     # log is flat, which the indicator terms below account for.
     unclamped = (p > LOG_CLAMP).astype(np.float64)
-    d_scores = np.zeros(k, dtype=np.float64)
-    if lambda1 and unclamped[gold_position]:
-        d_scores += lambda1 * p
-        d_scores[gold_position] -= lambda1
+    d_scores = np.zeros_like(p)
+    if lambda1:
+        ce = unclamped[rows, gold] > 0
+        d_scores[ce] += lambda1 * p[ce]
+        d_scores[rows[ce], gold[ce]] -= lambda1
     if lambda2:
         g = log_ratio + unclamped
-        d_scores += lambda2 * p * (g - float(np.dot(p, g)))
-    return float(loss), flush_tiny(d_scores.astype(scores.dtype))
+        d_scores += lambda2 * p * (g - _row_dots(p, g))
+    d_scores = flush_tiny(d_scores.astype(scores.dtype))
+    if scores.ndim == 1:
+        return float(loss[0]), d_scores[0]
+    return loss, d_scores
+
+
+def _draw_slots(scores: np.ndarray, in_play: np.ndarray,
+                uniforms: np.ndarray) -> np.ndarray:
+    """Row-wise draws without replacement, with probability proportional to
+    exp(score), among the entries of the (C, R) ``scores`` that ``in_play``
+    marks; the others weigh 0.0.  Returns the (C, S) slots drawn with the
+    (C, S) uniforms, and clears their ``in_play`` entries.
+
+    Round t takes uniform t of every row and searches the row's running
+    sum of the weights, with the slots already drawn set to 0.0, for the
+    first sum above that uniform times the total.  Adding 0.0 is exact, so
+    the sums at the entries in play are the same bits as over those
+    entries alone.  A row where no sum is above the target (the weights
+    left are 0 or subnormal) takes its last entry still in play.
+    """
+    count, width = scores.shape
+    weights = scores.astype(np.float64)
+    weights[~in_play] = -np.inf
+    weights -= weights.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    every = np.arange(count)
+    cum = np.empty_like(weights)
+    slots = np.empty(uniforms.shape, dtype=np.intp)
+    for t in range(uniforms.shape[1]):
+        np.cumsum(weights, axis=1, out=cum)
+        above = cum > (uniforms[:, t] * cum[:, -1])[:, None]
+        pick = above.argmax(axis=1)
+        short = ~above[every, pick]
+        if short.any():
+            pick[short] = width - 1 - in_play[short, ::-1].argmax(axis=1)
+        slots[:, t] = pick
+        weights[every, pick] = 0.0
+        in_play[every, pick] = False
+    return slots
+
+
+def _fixed_count(cfg: TrainingConfig) -> int:
+    """Negatives taken from the top of the pool, the rest being sampled."""
+    return int(math.floor(cfg.fixed_fraction * (cfg.k_train - 1)))
+
+
+def _negatives(pools: np.ndarray, scores: np.ndarray, gold: np.ndarray,
+               cfg: TrainingConfig, uniforms: np.ndarray) -> np.ndarray:
+    """The ``k_train - 1`` negatives of each of C examples: the first
+    ``n_fixed`` non-gold entries of its (P,) pool, best first, then draws
+    from the entries after them with the (C, S) uniforms.  Pools are ids
+    or index rows, (C, P), with their scores and the (C,) golds."""
+    n_fixed = _fixed_count(cfg)
+    width = pools.shape[1]
+    is_gold = pools == gold[:, None]
+    gold_at = np.where(is_gold.any(axis=1), is_gold.argmax(axis=1), width)
+    # A gold among the first n_fixed entries moves the fixed block one on.
+    cols = np.arange(n_fixed)
+    fixed = np.take_along_axis(pools, cols + (cols >= gold_at[:, None]), axis=1)
+    if not uniforms.shape[1]:
+        return fixed
+    last_fixed = n_fixed - 1 + (gold_at < n_fixed)
+    in_play = (np.arange(width) > last_fixed[:, None]) & ~is_gold
+    drawn = np.take_along_axis(pools, _draw_slots(scores, in_play, uniforms), axis=1)
+    return np.concatenate([fixed, drawn], axis=1)
 
 
 def sample_negatives(ranked_pool: RankedList, gold_id: int,
@@ -171,65 +255,122 @@ def sample_negatives(ranked_pool: RankedList, gold_id: int,
     """Pick ``k_train - 1`` negative ids: a fixed top block plus score-
     proportional draws without replacement from the remainder.
 
-    Each draw takes one uniform, all of them from one ``rng.random`` call,
-    and searches the running sum of the weights with the picked entries
-    set to 0.0.  Adding 0.0 is exact, so the sums at the entries still in
-    play are the same bits as over those entries alone.
+    The draws take their uniforms from one ``rng.random`` call, one per
+    draw, and run as a one-row case of the row-wise sampler that ``train``
+    runs over a chunk of examples.
     """
-    mask = ranked_pool.ids != np.uint64(gold_id)
-    pool_ids = ranked_pool.ids[mask]
-    pool_scores = ranked_pool.scores[mask]
+    gold = np.array([gold_id], dtype=np.uint64)
+    available = len(ranked_pool) - int(np.any(ranked_pool.ids == gold))
     needed = cfg.k_train - 1
-    if len(pool_ids) < needed:
+    if available < needed:
         raise PoolTooSmall(
-            f"pool has {len(pool_ids)} non-gold candidates, need {needed}")
-
-    n_fixed = int(math.floor(cfg.fixed_fraction * needed))
-    chosen = np.empty(needed, dtype=np.uint64)
-    chosen[:n_fixed] = pool_ids[:n_fixed]
-
-    n_sampled = needed - n_fixed
-    if n_sampled:
-        rest_ids = pool_ids[n_fixed:]
-        rest_scores = pool_scores[n_fixed:].astype(np.float64)
-        weights = np.exp(rest_scores - rest_scores.max())
-        alive = np.ones(len(rest_ids), dtype=bool)
-        cum = np.empty_like(weights)
-        for t, u in enumerate(rng.random(n_sampled), start=n_fixed):
-            np.cumsum(weights, out=cum)
-            pick = int(np.searchsorted(cum, u * cum[-1], side="right"))
-            if pick == len(cum):
-                # No running sum exceeds the target (the weights left are 0
-                # or subnormal): take the last entry still in play.
-                pick = int(np.flatnonzero(alive)[-1])
-            chosen[t] = rest_ids[pick]
-            weights[pick] = 0.0
-            alive[pick] = False
-    return chosen
+            f"pool has {available} non-gold candidates, need {needed}")
+    uniforms = rng.random(needed - _fixed_count(cfg))
+    return _negatives(ranked_pool.ids[None], ranked_pool.scores[None], gold,
+                      cfg, uniforms[None])[0]
 
 
-def assemble_batch_example(query: np.ndarray, gold_id: int,
-                           pool: RankedList,
+@dataclass(frozen=True)
+class NegativePools:
+    """Every training query's frozen-retriever pool, searched once per
+    ``train`` call, with the rows its examples gather from.
+
+    Pools are index rows: ``rows[i]`` holds the P best rows of
+    ``index.matrix`` for query i, best first, and ``scores[i]`` their
+    retriever scores.  ``known`` lists, sorted, every index row in a pool,
+    and ``known_table_rows`` the ``candidates.matrix`` row of each; the
+    golds' rows in both stores are kept apart.
+    """
+
+    rows: np.ndarray              # (n, P) int32, or int64 for 2**31+ rows
+    scores: np.ndarray            # (n, P) float32
+    gold_rows: np.ndarray         # (n,) index rows
+    gold_table_rows: np.ndarray   # (n,) candidates rows
+    known: np.ndarray
+    known_table_rows: np.ndarray
+
+    @classmethod
+    def search(cls, cfg: TrainingConfig, queries: np.ndarray,
+               gold_ids: np.ndarray, index: CandidateIndex,
+               candidates: EmbeddingTable) -> "NegativePools":
+        """Search each query's pool; a gold missing from either store, a
+        pooled id missing from ``candidates`` (``MissingCandidate``) or a
+        pool with fewer than ``k_train - 1`` non-gold entries
+        (``PoolTooSmall``) raises."""
+        gold_rows = index._rows(gold_ids)
+        gold_table_rows = candidates._rows(gold_ids)
+        n = len(queries)
+        pool_size = min(cfg.negative_pool_size, len(index))
+        rows = np.empty((n, pool_size),
+                        dtype=np.int32 if len(index) < 2 ** 31 else np.int64)
+        scores = np.empty((n, pool_size), dtype=np.float32)
+        for i in range(n):
+            pool = search_topk(index, queries[i], cfg.negative_pool_size)
+            rows[i] = np.searchsorted(index.ids, pool.ids)
+            scores[i] = pool.scores
+        known = np.unique(rows)
+        known_table_rows = candidates._rows(index.ids[known])
+        short = pool_size - (rows == gold_rows[:, None]).any(axis=1) < cfg.k_train - 1
+        if short.any():
+            i = int(np.argmax(short))
+            raise PoolTooSmall(
+                f"training query row {i}: pool has "
+                f"{pool_size - int(gold_rows[i] in rows[i])} non-gold candidates, "
+                f"need {cfg.k_train - 1}")
+        return cls(rows, scores, gold_rows, gold_table_rows, known, known_table_rows)
+
+
+#: Examples assembled at a time; a chunk is the whole number of steps
+#: closest to this many from below (at least one step).  Its arrays, not
+#: the training set's size, set the memory that assembly takes.
+CHUNK_EXAMPLES = 64
+
+
+def _with_gold(negatives: np.ndarray, gold: np.ndarray,
+               slots: np.ndarray) -> np.ndarray:
+    """(C, K-1) negatives with each row's gold inserted at its slot."""
+    width = negatives.shape[1]
+    cols = np.arange(width + 1)
+    out = np.take_along_axis(
+        negatives, np.minimum(cols - (cols > slots[:, None]), width - 1), axis=1)
+    out[np.arange(len(out)), slots] = gold
+    return out
+
+
+def assemble_batch_example(queries: np.ndarray, members: np.ndarray,
+                           pools: NegativePools,
                            index: CandidateIndex,
                            candidates: EmbeddingTable,
                            cfg: TrainingConfig,
                            rng: np.random.Generator) -> TrainingBatch:
-    """Sample negatives from the query's retrieved pool and insert the gold
-    at a random slot."""
-    negatives = sample_negatives(pool, gold_id, cfg, rng)
+    """The examples of a chunk of training queries: ``queries`` holds their
+    (C, d) rows and ``members`` their positions in the training set.
 
-    gold_position = int(rng.integers(0, cfg.k_train))
-    ids = np.empty(cfg.k_train, dtype=np.uint64)
-    ids[:gold_position] = negatives[:gold_position]
-    ids[gold_position] = gold_id
-    ids[gold_position + 1:] = negatives[gold_position:]
+    Each example draws its uniforms, then its gold slot, from ``rng``, in
+    example order; then the sampler runs its draws over all C pools at
+    once, and one gather and one (C, K, d) @ (C, d, 1) product give the
+    candidate rows and the retriever scores.
+    """
+    k = cfg.k_train
+    n_sampled = k - 1 - _fixed_count(cfg)
+    uniforms = np.empty((len(members), n_sampled))
+    slots = np.empty(len(members), dtype=np.intp)
+    for c in range(len(members)):
+        if n_sampled:
+            rng.random(out=uniforms[c])
+        slots[c] = rng.integers(0, k)
 
-    retriever_scores = index.scores_for(query, ids)
+    negatives = _negatives(pools.rows[members], pools.scores[members],
+                           pools.gold_rows[members], cfg, uniforms)
+    index_rows = _with_gold(negatives, pools.gold_rows[members], slots)
+    table_rows = _with_gold(
+        pools.known_table_rows[np.searchsorted(pools.known, negatives)],
+        pools.gold_table_rows[members], slots)
     return TrainingBatch(
-        query=np.asarray(query, dtype=np.float32),
-        candidates=candidates.batch(ids),
-        gold_position=gold_position,
-        retriever_scores=retriever_scores,
+        query=queries,
+        candidates=candidates.matrix[table_rows],
+        gold_position=slots,
+        retriever_scores=(index.matrix[index_rows] @ queries[:, :, None])[..., 0],
     )
 
 
@@ -245,7 +386,8 @@ def train(cfg: TrainingConfig,
     A non-finite query (``NumericError`` naming its row), a negative or
     non-integer gold id (``InvalidInput``), or a gold id missing from
     ``index`` or ``candidates`` or a pooled id missing from ``candidates``
-    (``MissingCandidate``) raises before the first update.
+    (``MissingCandidate``), or a pool too small for ``k_train - 1``
+    negatives (``PoolTooSmall``) raises before the first update.
 
     Deterministic given ``cfg.seed``: example order, negative draws and gold
     positions all come from one generator consumed in a fixed order.
@@ -263,64 +405,49 @@ def train(cfg: TrainingConfig,
     if not finite.all():
         raise NumericError(
             f"training query row {int(np.argmin(finite))} is not finite")
-    index._rows(gold_ids)
-    candidates._rows(gold_ids)
+    pools = NegativePools.search(cfg, queries, gold_ids, index, candidates)
 
     rng = np.random.default_rng(cfg.seed)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     state = OptimizerState(learning_rate=cfg.base_lr,
                            total_steps=cfg.epochs * steps_per_epoch)
-
-    # The retriever is frozen, so each query's pool is searched once here
-    # and reused in every epoch.  Pool ids are kept as index rows.
-    pool_size = min(cfg.negative_pool_size, len(index))
-    pool_rows = np.empty((n, pool_size),
-                         dtype=np.int32 if len(index) < 2 ** 31 else np.int64)
-    pool_scores = np.empty((n, pool_size), dtype=np.float32)
-    for i in range(n):
-        pool = search_topk(index, queries[i], cfg.negative_pool_size)
-        pool_rows[i] = np.searchsorted(index.ids, pool.ids)
-        pool_scores[i] = pool.scores
-    candidates._rows(index.ids[np.unique(pool_rows)])
+    chunk_size = cfg.batch_size * max(1, CHUNK_EXAMPLES // cfg.batch_size)
 
     log = TrainingLog()
     step = 0
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            chunk = order[start:start + cfg.batch_size]
-            effective_lr = state.effective_lr()
-            examples = [assemble_batch_example(
-                queries[qi], int(gold_ids[qi]),
-                RankedList(ids=index.ids[pool_rows[qi]], scores=pool_scores[qi]),
-                index, candidates, cfg, rng) for qi in chunk]
-            tape = cmc_forward_recorded(
-                params, np.stack([e.query for e in examples]),
-                np.stack([e.candidates for e in examples]))
-            d_scores = np.empty((len(chunk), cfg.k_train), dtype=np.float32)
-            batch_loss = 0.0
-            for b, example in enumerate(examples):
-                scores = cmc_score(ContextualizedSet(
-                    tape.ctx.h_query[b], tape.ctx.h_candidates[b])).scores
-                loss, d_scores[b] = compute_loss(
-                    scores, example.gold_position, example.retriever_scores,
-                    cfg.lambda1, cfg.lambda2)
-                batch_loss += loss
-            grad = params.pack(tape.backward(d_scores)[0])
-            grad *= 1.0 / len(chunk)
-            # One sum covers the loss and every gradient entry: a NaN or inf
-            # anywhere, or a float32 squared norm past range, makes it
-            # non-finite and raises before the update.
-            grad_sq = float(np.vdot(grad, grad))
-            if not math.isfinite(batch_loss + grad_sq):
-                raise NumericError(
-                    f"step {step + 1} (epoch {epoch}): loss {batch_loss / len(chunk)!r}, "
-                    f"squared gradient norm {grad_sq!r}; parameters left unchanged")
-            adamw_step(params.flat, grad, state)
-            step += 1
-            log.steps.append(StepRecord(step=step, epoch=epoch,
-                                        effective_lr=effective_lr,
-                                        loss=batch_loss / len(chunk)))
+        for lo in range(0, n, chunk_size):
+            members = order[lo:lo + chunk_size]
+            chunk = assemble_batch_example(queries[members], members, pools,
+                                           index, candidates, cfg, rng)
+            for start in range(0, len(members), cfg.batch_size):
+                batch = slice(start, start + cfg.batch_size)
+                size = len(members[batch])
+                effective_lr = state.effective_lr()
+                tape = cmc_forward_recorded(params, chunk.query[batch],
+                                            chunk.candidates[batch])
+                losses, d_scores = compute_loss(
+                    cmc_score(tape.ctx).scores, chunk.gold_position[batch],
+                    chunk.retriever_scores[batch], cfg.lambda1, cfg.lambda2)
+                # A running sum adds the losses one at a time, in example
+                # order.
+                batch_loss = float(np.cumsum(losses)[-1])
+                grad = params.pack(tape.backward(d_scores)[0])
+                grad *= 1.0 / size
+                # One sum covers the loss and every gradient entry: a NaN or
+                # inf anywhere, or a float32 squared norm past range, makes
+                # it non-finite and raises before the update.
+                grad_sq = float(np.vdot(grad, grad))
+                if not math.isfinite(batch_loss + grad_sq):
+                    raise NumericError(
+                        f"step {step + 1} (epoch {epoch}): loss {batch_loss / size!r}, "
+                        f"squared gradient norm {grad_sq!r}; parameters left unchanged")
+                adamw_step(params.flat, grad, state)
+                step += 1
+                log.steps.append(StepRecord(step=step, epoch=epoch,
+                                            effective_lr=effective_lr,
+                                            loss=batch_loss / size))
         if epoch_callback is not None:
             epoch_callback(epoch, params, log)
     return log

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmcrank.errors import InvalidConfig, InvalidShape
-from cmcrank.nn import LayerParams, attention_forward, multi_head_self_attention
+from cmcrank.nn import (LayerParams, attention_backward, attention_forward,
+                        multi_head_self_attention)
 from cmcrank.nn import attention as attention_module
 
 
@@ -129,3 +130,47 @@ class TestAttention:
         attn = tape[0][4]
         assert attn.shape == (heads, length, length)
         assert np.abs(attn.sum(axis=-1) - 1.0).max() <= 1e-6
+
+
+class TestStackedBackward:
+    @settings(max_examples=120, deadline=None)
+    @given(batch=st.integers(1, 5), length=st.integers(1, 20),
+           heads=st.integers(1, 4), head_dim=st.integers(1, 6),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_example_loop_bit_for_bit(self, batch, length, heads,
+                                                 head_dim, dtype, seed):
+        """One backward over a (B, L, d) stack pops the B entries and gives
+        the input gradients of a loop over the examples, stacked, and the
+        sum of their parameter gradients in example order."""
+        rng = np.random.default_rng(seed)
+        dim = heads * head_dim
+        params = LayerParams.init(dim, heads, rng=rng)
+        params = dataclasses.replace(
+            params, **{name: (a + 0.3 * rng.standard_normal(a.shape)).astype(dtype)
+                       for name, a in params.arrays().items()})
+        x = rng.standard_normal((batch, length, dim)).astype(dtype)
+        dy = rng.standard_normal((batch, length, dim)).astype(dtype)
+
+        tape: list = ["below"]
+        for xb in x:
+            multi_head_self_attention(xb, params, tape)
+        dx, grads = attention_backward(dy, tape)
+        assert tape == ["below"]
+
+        loop_dx, loop_grads = [], []
+        for b in range(batch):
+            one: list = []
+            multi_head_self_attention(x[b], params, one)
+            g_dx, g = attention_backward(dy[b], one)
+            loop_dx.append(g_dx)
+            loop_grads.append(g)
+        assert dx.dtype == dtype
+        assert dx.tobytes() == np.stack(loop_dx).tobytes()
+        assert grads.keys() == loop_grads[0].keys()
+        for name, grad in grads.items():
+            total = loop_grads[0][name].copy()
+            for g in loop_grads[1:]:
+                total += g[name]
+            assert grad.dtype == dtype
+            assert grad.tobytes() == total.tobytes(), name

@@ -7,6 +7,7 @@ call arguments by position, so a traced ``train`` is run here as well.
 """
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import cmcrank.training as training_module
@@ -81,7 +82,9 @@ def test_traced_train_counts_one_pool_search_per_query():
             idx = tracer.parents[idx]
         return False
 
-    assert tracer.counts["training.pool_searches"] == cfg.epochs * n
+    # The hook counts assembly calls: one per chunk of steps.
+    chunk = cfg.batch_size * (training_module.CHUNK_EXAMPLES // cfg.batch_size)
+    assert tracer.counts["training.pool_searches"] == cfg.epochs * math.ceil(n / chunk)
     searches = [i for i, name in enumerate(names) if name == "index.search_topk"]
     assert len(searches) == n
     assert all(inside_train(tracer.parents[i]) for i in searches)

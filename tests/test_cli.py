@@ -296,6 +296,29 @@ class TestEvaluateFixture:
         assert "query id 0 appears more than once" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("gold_text, rankings_text, where, what", [
+        ("0 10\nx 20\n", "0,10 11\n", "gold.txt:2", "id 'x' is not an integer"),
+        ("0 10\n1 2.5\n", "0,10 11\n", "gold.txt:2", "id '2.5' is not an integer"),
+        ("0 10\n1 -20\n", "0,10 11\n", "gold.txt:2", "id -20 is not in [0, 2**64)"),
+        ("0 10\n1 20\n", "0,10 11\n1,20 x\n", "rankings.txt:2",
+         "id 'x' is not an integer"),
+        ("0 10\n1 20\n", "0,10 11\n-1,20 21\n", "rankings.txt:2",
+         "id -1 is not in [0, 2**64)"),
+        ("0 10\n", f"0,10 {2 ** 64}\n", "rankings.txt:1",
+         f"id {2 ** 64} is not in [0, 2**64)"),
+    ])
+    def test_bad_id_named_by_file_and_line(self, tmp_path, capsys, gold_text,
+                                           rankings_text, where, what):
+        gold = tmp_path / "gold.txt"
+        gold.write_text(gold_text)
+        rankings = tmp_path / "rankings.txt"
+        rankings.write_text(rankings_text)
+        assert run("evaluate", "--rankings", str(rankings),
+                   "--gold", str(gold), "--k", "1") == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / where}: {what}" in err
+
+
 class TestBenchCommand:
     def test_small_bench_writes_report(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

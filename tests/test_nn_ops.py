@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmcrank.errors import InvalidShape
-from cmcrank.nn import (gelu, gelu_backward, layer_norm, linear_forward,
-                        softmax_rows)
+from cmcrank.nn import (gelu, gelu_backward, layer_norm, layer_norm_backward,
+                        layer_norm_forward, linear_forward, softmax_rows)
+from cmcrank.nn.ops import LAYER_NORM_EPS
 
 
 def softmax64(row):
@@ -158,3 +161,54 @@ class TestLinear:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidShape):
             linear_forward(np.ones((2, 3)), np.ones((4, 2)), np.ones(2))
+
+
+class TestInPlaceKernels:
+    """The kernels build their results in buffers of their own; they equal
+    the plain expressions, operation for operation, and leave their
+    inputs as they were."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.lists(st.integers(1, 9), min_size=2, max_size=3),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           log_scale=st.floats(-25, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equal_the_plain_expressions_bit_for_bit(self, shape, dtype,
+                                                     log_scale, seed):
+        rng = np.random.default_rng(seed)
+        x = (10.0 ** log_scale * rng.standard_normal(shape)).astype(dtype)
+        dy = (10.0 ** log_scale * rng.standard_normal(shape)).astype(dtype)
+        gain, bias, b = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(3))
+        w = rng.standard_normal((shape[-1], shape[-1])).astype(dtype)
+        inputs = [a.copy() for a in (x, dy, gain, bias, w, b)]
+        c, a = math.sqrt(2.0 / math.pi), 0.044715
+
+        with np.errstate(all="ignore"):
+            t = np.tanh(c * (x + a * x * x * x))
+            plain = {
+                "gelu": 0.5 * x * (1.0 + t),
+                "gelu_backward": dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t)
+                                       * (c * (1.0 + 3.0 * a * x * x))),
+                "linear": x @ w + b,
+            }
+            centered = x - x.mean(axis=-1, keepdims=True)
+            inv_std = 1.0 / np.sqrt(np.mean(centered * centered, axis=-1, keepdims=True)
+                                    + LAYER_NORM_EPS)
+            x_hat = centered * inv_std
+            plain["layer_norm"] = gain * x_hat + bias
+            d_hat = dy * gain
+            plain["layer_norm_dx"] = inv_std * (
+                d_hat - d_hat.mean(axis=-1, keepdims=True)
+                - x_hat * (d_hat * x_hat).mean(axis=-1, keepdims=True))
+
+            y, cache = layer_norm_forward(x, gain, bias)
+            got = {
+                "gelu": gelu(x), "gelu_backward": gelu_backward(dy, x),
+                "linear": linear_forward(x, w, b)[0], "layer_norm": y,
+                "layer_norm_dx": layer_norm_backward(dy, cache)[0],
+            }
+        for name, value in got.items():
+            assert value.dtype == dtype, name
+            assert value.tobytes() == plain[name].tobytes(), name
+        assert cache[0].tobytes() == x_hat.tobytes()
+        for before, after in zip(inputs, (x, dy, gain, bias, w, b)):
+            assert before.tobytes() == after.tobytes()

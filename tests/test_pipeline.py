@@ -97,6 +97,21 @@ class TestRunBatch:
         results, metrics, errors = pipe.run_batch(cfg, [], gold_by_query=golds)
         assert results == [] and metrics == {} and errors == {}
 
+    def test_retriever_recall_at_the_reported_cutoffs(self, world):
+        """``retriever_recall@k`` counts golds among the first k retrieved
+        ids, next to the reranked list's ``recall@k`` at the same k."""
+        data, pipe, golds, queries = world
+        cfg = PipelineConfig(k_retrieve=32, k_prime=8, mode="final")
+        results, metrics, errors = pipe.run_batch(cfg, queries, gold_by_query=golds)
+        assert not errors
+        for k in (1, 8):
+            assert metrics[f"retriever_recall@{k}"] == pytest.approx(np.mean(
+                [golds[r.query_id] in r.retrieved.ids[:k].tolist() for r in results]))
+            assert metrics[f"recall@{k}"] == pytest.approx(np.mean(
+                [golds[r.query_id] in r.reranked.ids[:k].tolist() for r in results]))
+        assert sorted(m for m in metrics if "recall@" in m) == [
+            "recall@1", "recall@8", "retriever_recall@1", "retriever_recall@8"]
+
     def test_batch_of_one_equals_run_query(self, world):
         data, pipe, golds, queries = world
         cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="final")

@@ -270,8 +270,9 @@ class TestStackedExamples:
         d_scores = (0.1 * rng.standard_normal((3, 5))).astype(np.float32)
         d_scores[:, 2] = 1e-40
         grads, d_q, d_c = cmc_forward_recorded(params, hq, hc).backward(d_scores)
-        # Per layer: two feed-forward projections, four per example in attention.
-        assert len(seen) == 2 * (2 + 4 * 3) and not any(seen)
+        # Per layer: two feed-forward projections and attention's four, each
+        # once over the stack of three examples.
+        assert len(seen) == 2 * (2 + 4) and not any(seen)
         for name, grad in {**grads, "d_query": d_q, "d_candidates": d_c}.items():
             assert grad.dtype == np.float32
             assert not subnormal(grad), name
@@ -289,7 +290,7 @@ class TestStackedExamples:
         d_scores = (0.1 * rng.standard_normal((3, 5))).astype(np.float32)
         d_scores[:, 2] = 1e-37
         grads, d_q, d_c = cmc_forward_recorded(params, hq, hc).backward(d_scores)
-        assert len(subnormal_dy.calls["linear_backward"]) == 2 * (2 + 4 * 3)
+        assert len(subnormal_dy.calls["linear_backward"]) == 2 * (2 + 4)
         assert subnormal_dy.counts() == dict.fromkeys(subnormal_dy.calls, 0)
         for name, grad in {**grads, "d_query": d_q, "d_candidates": d_c}.items():
             assert grad.dtype == np.float32

@@ -1,6 +1,7 @@
 """Loss identities, negative sampling distribution, and the training loop."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +18,41 @@ from cmcrank.nn import (OptimizerState, adamw_step, finite_difference_gradient,
                         gradients_close)
 from cmcrank.reranker import (CmcParams, cmc_forward, cmc_forward_recorded,
                               cmc_score)
-from cmcrank.training import (TrainingConfig, compute_loss, sample_negatives,
-                              train)
+from cmcrank.training import (NegativePools, TrainingConfig,
+                              assemble_batch_example, compute_loss,
+                              sample_negatives, train)
 
 
 def make_ranked(ids, scores):
     return RankedList(ids=np.asarray(ids, dtype=np.uint64),
                       scores=np.asarray(scores, dtype=np.float32))
+
+
+def reference_compute_loss(scores, gold_position, retriever_scores, lambda1,
+                           lambda2):
+    """One example's loss and score gradient as the per-example loop
+    computed them, with ``np.dot`` for both dot products."""
+    k = scores.shape[0]
+    s = scores.astype(np.float64)
+    p = np.exp(s - s.max())
+    p /= p.sum()
+    r = retriever_scores.astype(np.float64)
+    r = np.exp(r - r.max())
+    r /= r.sum()
+    log_p = np.log(np.maximum(p, training_module.LOG_CLAMP))
+    log_ratio = log_p - np.log(np.maximum(r, training_module.LOG_CLAMP))
+    loss = -lambda1 * log_p[gold_position] + lambda2 * float(np.dot(p, log_ratio))
+    unclamped = (p > training_module.LOG_CLAMP).astype(np.float64)
+    d_scores = np.zeros(k, dtype=np.float64)
+    if lambda1 and unclamped[gold_position]:
+        d_scores += lambda1 * p
+        d_scores[gold_position] -= lambda1
+    if lambda2:
+        g = log_ratio + unclamped
+        d_scores += lambda2 * p * (g - float(np.dot(p, g)))
+    d_scores = d_scores.astype(scores.dtype)
+    d_scores[np.abs(d_scores) < np.sqrt(np.finfo(scores.dtype).tiny)] = 0.0
+    return float(loss), d_scores
 
 
 class TestComputeLoss:
@@ -112,6 +141,29 @@ class TestComputeLoss:
         _, d_scores = compute_loss(scores, 0, np.zeros(2), 1.0, 0.0)
         assert d_scores.dtype == np.float64
         assert d_scores[1] == pytest.approx(1e-30, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=st.integers(1, 6), k=st.integers(2, 40),
+           lambdas=st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.3, 2.0)]),
+           spread=st.sampled_from([1.0, 10.0, 100.0]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_batch_rows_equal_reference_bit_for_bit(self, batch, k, lambdas,
+                                                    spread, dtype, seed):
+        """(B, K) scores give each row the loss and gradient bits of the
+        per-example formula, and so does one (K,) example; wide spreads
+        clamp probabilities and flush gradient entries."""
+        rng = np.random.default_rng(seed)
+        scores = (spread * rng.standard_normal((batch, k))).astype(dtype)
+        retr = (spread * rng.standard_normal((batch, k))).astype(dtype)
+        gold = rng.integers(0, k, size=batch)
+        losses, d_scores = compute_loss(scores, gold, retr, *lambdas)
+        assert losses.shape == (batch,) and d_scores.dtype == dtype
+        for b in range(batch):
+            loss, grad = reference_compute_loss(scores[b], gold[b], retr[b], *lambdas)
+            one_loss, one_grad = compute_loss(scores[b], int(gold[b]), retr[b], *lambdas)
+            assert losses[b] == loss == one_loss
+            assert d_scores[b].tobytes() == grad.tobytes() == one_grad.tobytes()
 
     def test_gold_out_of_range(self):
         with pytest.raises(InvalidIndex):
@@ -283,6 +335,76 @@ class TestSampleNegatives:
         with pytest.raises(InvalidConfig, match="base_lr" if field == "base_lr"
                            else "loss weights"):
             TrainingConfig(**{field: value})
+
+
+class TestChunkAssembly:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 24), data=st.data(),
+           k_train=st.integers(2, 20), extra_pool=st.integers(0, 30),
+           fixed_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+           spread=st.sampled_from([0.1, 1.0, 30.0, 1000.0, 1e5]),
+           integer_scores=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_example_loop(self, n, data, k_train, extra_pool,
+                                     fixed_fraction, spread, integer_scores,
+                                     seed):
+        """One chunk (any size up to the training set, so a partial last
+        chunk too) against ``sample_negatives`` and ``rng.integers`` per
+        example on a fresh pool search: the same ids, gold slots, row and
+        score bytes, and generator state.  Golds sit in or out of their
+        pools, integer scores tie, and wide spreads make weights of 0.0
+        or subnormal, down to draws where every weight left is 0.0."""
+        rng = np.random.default_rng(seed)
+        corpus, dim = 60, 4
+        ids = np.sort(rng.choice(10_000, corpus, replace=False)).astype(np.uint64)
+        matrix = spread * rng.standard_normal((corpus, dim))
+        queries = rng.standard_normal((n, dim))
+        if integer_scores:
+            matrix, queries = np.round(matrix), np.round(queries)
+        index = CandidateIndex(ids, matrix.astype(np.float32))
+        # The table holds more ids than the index, and each row starts with
+        # its id, so table rows differ from index rows and name their id.
+        extra = np.arange(10_000, 10_000 + corpus, dtype=np.uint64)
+        table_ids = np.concatenate([ids, extra])
+        rows = rng.standard_normal((2 * corpus, 3)).astype(np.float32)
+        rows[:, 0] = table_ids
+        table = EmbeddingTable(table_ids, rows)
+        queries = queries.astype(np.float32)
+        cfg = TrainingConfig(k_train=k_train, fixed_fraction=fixed_fraction,
+                             negative_pool_size=k_train + extra_pool, seed=seed)
+        pool_size = min(cfg.negative_pool_size, corpus)
+        golds = np.empty(n, dtype=np.uint64)
+        for i in range(n):
+            ranked = search_topk(index, queries[i], corpus).ids
+            # In the pool (when it can spare a slot) or from the bottom.
+            in_pool = pool_size > k_train - 1 and data.draw(st.booleans())
+            golds[i] = ranked[data.draw(st.integers(0, pool_size - 1)) if in_pool
+                              else data.draw(st.integers(pool_size, corpus - 1))]
+        members = rng.permutation(n)[:data.draw(st.integers(1, n))]
+
+        pools = NegativePools.search(cfg, queries, golds, index, table)
+        chunk_rng = np.random.default_rng(seed)
+        batch = assemble_batch_example(queries[members], members, pools, index,
+                                       table, cfg, chunk_rng)
+
+        loop_rng = np.random.default_rng(seed)
+        expected = []
+        for qi in members:
+            gold = int(golds[qi])
+            pool = search_topk(index, queries[qi], cfg.negative_pool_size)
+            negatives = sample_negatives(pool, gold, cfg, loop_rng)
+            slot = int(loop_rng.integers(0, cfg.k_train))
+            expected.append((slot, np.insert(negatives, slot, np.uint64(gold))))
+        slots = [slot for slot, _ in expected]
+        expected_ids = np.stack([i for _, i in expected])
+        assert batch.gold_position.tolist() == slots
+        assert batch.candidates[..., 0].astype(np.uint64).tolist() == expected_ids.tolist()
+        assert batch.candidates.tobytes() == np.stack(
+            [table.batch(i) for i in expected_ids]).tobytes()
+        assert batch.retriever_scores.tobytes() == np.stack(
+            [index.scores_for(queries[qi], i)
+             for qi, i in zip(members, expected_ids)]).tobytes()
+        assert batch.query.tobytes() == queries[members].tobytes()
+        assert chunk_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def small_task(seed=0):
@@ -465,6 +587,62 @@ class TestPoolCache:
         params = CmcParams.init(model_dim=16, head_count=2, seed=1)
         with pytest.raises(PoolTooSmall):
             train(cfg, queries[:1], golds[:1], small, table, params)
+
+
+class TestPoolTooSmall:
+    def test_raises_before_any_update(self):
+        """Pools of k_train - 1 entries: the five queries whose gold is
+        outside theirs have negatives enough, and the last one, whose gold
+        is inside, has one too few.  With steps of one example, the
+        others would update the weights first if the check waited for it."""
+        data, index, table = small_task()
+        cfg = TrainingConfig(k_train=4, negative_pool_size=3, base_lr=1e-3,
+                             epochs=1, batch_size=1, seed=2)
+        inside = [int(g) in search_topk(index, q, 3).ids.tolist()
+                  for q, g in zip(data.query_embeddings, data.gold_ids)]
+        rows = [i for i, v in enumerate(inside) if not v][:5] + [inside.index(True)]
+        params = CmcParams.init(model_dim=16, head_count=2, seed=1)
+        before = params.flat.copy()
+        with pytest.raises(PoolTooSmall, match="training query row 5: pool has 2 "):
+            train(cfg, data.query_embeddings[rows], data.gold_ids[rows], index,
+                  table, params)
+        assert params.flat.tobytes() == before.tobytes()
+
+
+class TestTrainMemory:
+    def test_growth_per_query_is_below_the_pools(self, monkeypatch):
+        """Traced peak of one train call at 100 and at 500 queries: each
+        query adds less than twice its pool's own bytes (P int32 rows and P
+        float32 scores), so what a step's examples take is set by the chunk.
+        Assembling an epoch's examples at once (a chunk as large as the
+        training set) adds their (K, d) rows per query and breaks the bound."""
+        data = generate_synthetic(SyntheticTaskSpec(
+            corpus_size=2400, confusables=4, surface_dim=12, latent_dim=4, seed=3))
+        index = CandidateIndex(data.candidate_ids, data.retriever_embeddings)
+        table = EmbeddingTable(data.candidate_ids, data.reranker_embeddings)
+        cfg = TrainingConfig(k_train=16, negative_pool_size=64, base_lr=1e-3,
+                             epochs=1, batch_size=4, seed=1)
+
+        def peak(n):
+            queries = data.query_embeddings[:n].copy()
+            golds = data.gold_ids[:n].copy()
+            params = CmcParams.init(model_dim=16, head_count=2, seed=1)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train(cfg, queries, golds, index, table, params)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        def growth_per_query():
+            peak(8)  # first-call allocations
+            return (peak(500) - peak(100)) / 400
+
+        pool_bytes = cfg.negative_pool_size * 8
+        assert growth_per_query() < 2 * pool_bytes
+        monkeypatch.setattr(training_module, "CHUNK_EXAMPLES", 10 ** 6)
+        assert growth_per_query() > 2 * pool_bytes
 
 
 class TestSubnormalFreeBackward:
