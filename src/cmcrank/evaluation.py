@@ -77,10 +77,9 @@ def compute_metrics(records: Sequence[EvalRecord], k_values: Iterable[int],
     top1 = sum(1 for rank in ranks if rank == 1)
     metrics["accuracy_unnormalized"] = top1 / n
 
-    in_pool = [r for r, rank in zip(records, ranks) if r.gold_in_pool]
+    in_pool = [rank for r, rank in zip(records, ranks) if r.gold_in_pool]
     if in_pool:
-        correct = sum(1 for r in in_pool if r.gold_rank() == 1)
-        metrics["accuracy_normalized"] = correct / len(in_pool)
+        metrics["accuracy_normalized"] = in_pool.count(1) / len(in_pool)
     elif require_normalized:
         raise UndefinedMetric("normalized accuracy undefined: no query has its "
                               "gold in the retrieval pool")

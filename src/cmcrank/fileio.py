@@ -71,7 +71,7 @@ def read_checked(path: str | Path, header: struct.Struct, magic: bytes,
         if raw[:4] != magic:
             raise FormatError(f"bad magic: expected {magic!r}, got {raw[:4]!r}")
         got = int.from_bytes(raw[4:6], "little")
-        if got != version:
+        if len(raw) >= 6 and got != version:
             raise FormatError(f"unsupported {kind} version {got}; regenerate the file")
         if len(raw) != header.size:
             raise FormatError(f"truncated {kind} header: {len(raw)} of {header.size} bytes")

@@ -1,8 +1,8 @@
 """Minimal numerical kernel: forward ops, manual gradients, AdamW, oracles.
 
-The backward returns plain ``name -> array`` gradient dicts keyed like
-the parameter buffers, and AdamW updates one flat vector.  ``CmcParams``
-in ``reranker`` owns the parameter layout and the checkpoint format.
+The backward writes parameter gradients into the views it is given (see
+``ops``) and AdamW updates one flat vector.  ``CmcParams`` in ``reranker``
+owns the layout of weights and gradients alike, and the checkpoint format.
 """
 
 from .attention import attention_backward, attention_forward, multi_head_self_attention

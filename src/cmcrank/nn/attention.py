@@ -140,8 +140,8 @@ def attention_forward(x: np.ndarray, params: "LayerParams"):
     return multi_head_self_attention(x, params, tape), tape
 
 
-def attention_backward(dy: np.ndarray, tape: list):
-    """Gradients w.r.t. the input and the four projections.
+def attention_backward(dy: np.ndarray, tape: list, grads: "LayerParams") -> np.ndarray:
+    """Gradients w.r.t. the input (returned) and the four projections.
 
     ``dy`` is one (L, d) example's output gradient, or a stack of B of them,
     (B, L, d), for the last B sequences that
@@ -158,8 +158,7 @@ def attention_backward(dy: np.ndarray, tape: list):
         del tape[-len(dy):]
         x, qh, kh, vh, attn, out = (np.stack(f) for f in list(zip(*entries))[:6])
         params, scale = entries[0][6:]
-    grads = {}
-    d_out, grads["w_o"], grads["b_o"] = linear_backward(dy, (out, params.w_o))
+    d_out = linear_backward(dy, (out, params.w_o), grads.w_o, grads.b_o)
     d_outh = _split_heads(d_out, params.head_count)
 
     d_attn = d_outh @ vh.swapaxes(-1, -2)
@@ -175,9 +174,7 @@ def attention_backward(dy: np.ndarray, tape: list):
     d_qh *= scale
     d_kh = d_scores.swapaxes(-1, -2) @ qh
 
-    dx, grads["w_q"], grads["b_q"] = linear_backward(_merge_heads(d_qh), (x, params.w_q))
-    dx_k, grads["w_k"], grads["b_k"] = linear_backward(_merge_heads(d_kh), (x, params.w_k))
-    dx_v, grads["w_v"], grads["b_v"] = linear_backward(_merge_heads(d_vh), (x, params.w_v))
-    dx += dx_k
-    dx += dx_v
-    return dx, grads
+    dx = linear_backward(_merge_heads(d_qh), (x, params.w_q), grads.w_q, grads.b_q)
+    dx += linear_backward(_merge_heads(d_kh), (x, params.w_k), grads.w_k, grads.b_k)
+    dx += linear_backward(_merge_heads(d_vh), (x, params.w_v), grads.w_v, grads.b_v)
+    return dx

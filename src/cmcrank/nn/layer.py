@@ -9,7 +9,7 @@ The input is one (L, d) sequence or a stack of B of them, (B, L, d).  On
 a stack, layer norm, the feed-forward and the residuals run once over the
 whole batch, while the attention forward runs once per sequence on its
 (L, d) slice, appending one tape entry each; the backward, attention
-included, runs once over the stack.  It returns the sum of the
+included, runs once over the stack.  It writes the sum of the
 per-sequence parameter gradients, bit for bit as a loop over the
 sequences adding them in order would.  The residual adds write into
 arrays the layer made itself, never into its input or a taped array.
@@ -141,26 +141,20 @@ def encoder_layer_forward_recorded(x: np.ndarray, params: LayerParams):
     return encoder_layer_forward(x, params, tape), tape
 
 
-def encoder_layer_backward(dy: np.ndarray, tape: list):
-    """Gradients of one encoder layer; returns (dx, name -> gradient dict).
+def encoder_layer_backward(dy: np.ndarray, tape: list, grads: LayerParams) -> np.ndarray:
+    """Gradients of one encoder layer; returns the input's.
 
     Pops the entries :func:`encoder_layer_forward` appended to ``tape``.
     """
     ln1_cache, h1, lin1_cache, lin2_cache, ln2_cache = tape.pop()
 
-    d_s2, d_ln2_gain, d_ln2_bias = ops.layer_norm_backward(dy, ln2_cache)
-    d_g, d_w2, d_b2 = ops.linear_backward(d_s2, lin2_cache)
+    d_s2 = ops.layer_norm_backward(dy, ln2_cache, grads.ln2_gain, grads.ln2_bias)
+    d_g = ops.linear_backward(d_s2, lin2_cache, grads.w_2, grads.b_2)
     d_h1 = ops.gelu_backward(d_g, h1)
-    d_u, d_w1, d_b1 = ops.linear_backward(d_h1, lin1_cache)
+    d_u = ops.linear_backward(d_h1, lin1_cache, grads.w_1, grads.b_1)
     d_u += d_s2
 
-    d_s1, d_ln1_gain, d_ln1_bias = ops.layer_norm_backward(d_u, ln1_cache)
-    dx, attn_grads = attention_backward(d_s1, tape)
+    d_s1 = ops.layer_norm_backward(d_u, ln1_cache, grads.ln1_gain, grads.ln1_bias)
+    dx = attention_backward(d_s1, tape, grads)
     dx += d_s1
-
-    return dx, {
-        **attn_grads,
-        "w_1": d_w1, "b_1": d_b1, "w_2": d_w2, "b_2": d_b2,
-        "ln1_gain": d_ln1_gain, "ln1_bias": d_ln1_bias,
-        "ln2_gain": d_ln2_gain, "ln2_bias": d_ln2_bias,
-    }
+    return dx

@@ -5,10 +5,14 @@ taking the upstream gradient plus the forward's cache tuple.  All kernels
 preserve the dtype of their inputs: the production path runs in float32,
 while verification code may push float64 through the same graph.
 
+A backward with parameters writes their gradients into the views it is
+given, overwriting them, and returns only the input gradient; training
+gives it views of one vector laid out like ``CmcParams.flat``.
+
 Layer norm, linear and GELU take one (L, d) example or a stack of them
 with a leading batch axis, (B, L, d).  A batched backward reduces its
 parameter gradients over the L rows of each example first and then over
-the examples in order, so it returns bit for bit the sum that a loop over
+the examples in order, so it writes bit for bit the sum that a loop over
 the examples would build.  ``flush_tiny`` zeroes gradient entries below
 the square root of the dtype's smallest normal number, so that neither
 they nor their products are subnormal: float32 arithmetic on subnormal
@@ -105,19 +109,18 @@ def flush_tiny(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _sum_rows(g: np.ndarray) -> np.ndarray:
+def _sum_rows(g: np.ndarray, out: np.ndarray) -> None:
     """Sum over the rows of each example, then over a leading batch axis
-    in example order."""
-    g = g.sum(axis=-2)
-    return g.sum(axis=0) if g.ndim == 2 else g
+    in example order, into ``out``."""
+    np.sum(g.sum(axis=1) if g.ndim == 3 else g, axis=0, out=out)
 
 
-def layer_norm_backward(dy: np.ndarray, cache):
-    """Gradients of layer_norm w.r.t. input, gain and bias."""
+def layer_norm_backward(dy: np.ndarray, cache, d_gain, d_bias) -> np.ndarray:
+    """Gradients of layer_norm w.r.t. input (returned), gain and bias."""
     x_hat, inv_std, gain = cache
     t = dy * x_hat
-    d_gain = _sum_rows(t)
-    d_bias = _sum_rows(dy)
+    _sum_rows(t, d_gain)
+    _sum_rows(dy, d_bias)
     dx = dy * gain
     mean_d = dx.mean(axis=-1, keepdims=True)
     np.multiply(dx, x_hat, out=t)
@@ -127,7 +130,7 @@ def layer_norm_backward(dy: np.ndarray, cache):
     dx -= mean_d
     dx -= t
     dx *= inv_std
-    return dx, d_gain, d_bias
+    return dx
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
@@ -180,10 +183,11 @@ def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return y, (x, w)
 
 
-def linear_backward(dy: np.ndarray, cache):
+def linear_backward(dy: np.ndarray, cache, dw, db) -> np.ndarray:
     x, w = cache
-    dx = dy @ w.T
-    dw = np.matmul(x.swapaxes(-1, -2), dy)
-    if dw.ndim == 3:
-        dw = dw.sum(axis=0)
-    return dx, dw, _sum_rows(dy)
+    if dy.ndim == 3:
+        np.sum(np.matmul(x.swapaxes(-1, -2), dy), axis=0, out=dw)
+    else:
+        np.matmul(x.T, dy, out=dw)
+    _sum_rows(dy, db)
+    return dy @ w.T

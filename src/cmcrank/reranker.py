@@ -15,8 +15,9 @@ it appends each layer's entries, and ``CmcTape.backward`` pops them in
 reverse order.  Serving passes one query, (d,) with (K, d) candidates;
 training passes a step's B queries at once, (B, d) with (B, K, d), gets
 (B, K) scores from one ``cmc_score`` call, and gets back the summed
-parameter gradients of the B examples from one backward over the stack.  The backward
-flushes tiny entries of the scoring head's gradient to zero.
+parameter gradients of the B examples, in a ``CmcParams``, from one
+backward over the stack, which flushes tiny entries of the scoring head's
+gradient to zero.
 
 Checkpoint layout (little-endian), in the checked container of ``fileio``:
 
@@ -36,11 +37,12 @@ weights are writable copies.
 """
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,16 +110,26 @@ class CmcParams:
                                 f"{sorted(dims)}")
         for layer in self.layers:
             layer.validate()
-        self.flat = np.concatenate([a for layer in self.layers
-                                    for a in layer.arrays().values()], axis=None)
+        self._lay_out(np.concatenate([a for layer in self.layers
+                                      for a in layer.arrays().values()], axis=None))
+
+    def _lay_out(self, flat: np.ndarray) -> None:
+        """Make ``flat`` the buffer, and the layers' fields views of it."""
+        self.flat = flat
         layers, at = [], 0
         for layer in self.layers:
             views = {}
             for name, arr in layer.arrays().items():
-                views[name] = self.flat[at:at + arr.size].reshape(arr.shape)
+                views[name] = flat[at:at + arr.size].reshape(arr.shape)
                 at += arr.size
             layers.append(replace(layer, **views))
         self.layers = tuple(layers)
+
+    def empty_like(self) -> "CmcParams":
+        """This layout over a new, uninitialized ``flat``: a gradient buffer."""
+        out = copy.copy(self)
+        out._lay_out(np.empty_like(self.flat))
+        return out
 
     @property
     def model_dim(self) -> int:
@@ -127,10 +139,6 @@ class CmcParams:
         """Live name -> buffer views, namespaced per layer."""
         return {f"layers.{i}.{name}": arr for i, layer in enumerate(self.layers)
                 for name, arr in layer.arrays().items()}
-
-    def pack(self, named: Mapping[str, np.ndarray]) -> np.ndarray:
-        """A new vector of ``named``'s arrays (say, gradients) in ``arrays()`` order."""
-        return np.concatenate([named[name] for name in self.arrays()], axis=None)
 
     def copy(self) -> "CmcParams":
         return CmcParams(layers=self.layers, extra_skip=self.extra_skip)
@@ -190,8 +198,7 @@ class CmcTape:
     def __init__(self, tape: list, ctx: ContextualizedSet, params: CmcParams):
         self._tape = tape
         self._ctx = ctx
-        self._layer_count = len(params.layers)
-        self._extra_skip = params.extra_skip
+        self._params = params
         self._spent = False
 
     @property
@@ -204,9 +211,9 @@ class CmcTape:
         runs every kernel once over the stack, each layer's attention
         backward included, which pops the B sequences' entries together.
 
-        Returns (name -> gradient over both layers, summed over the batch,
-        d_query, d_candidates), the latter two being gradients w.r.t. the
-        input embeddings.
+        Returns (grad, d_query, d_candidates): ``grad`` holds the weights'
+        gradients, summed over the batch, in a new ``CmcParams`` (see
+        ``empty_like``), and the others are the input embeddings'.
         """
         if self._spent:
             raise StateError("backward called twice on the same forward tape")
@@ -225,15 +232,14 @@ class CmcTape:
         d_seq[..., 1:, :] = d_scores[..., :, None] * hq[..., None, :]
         flush_tiny(d_seq)
 
-        grads: dict[str, np.ndarray] = {}
+        grad = self._params.empty_like()
         d_out = d_seq
-        for i in reversed(range(self._layer_count)):
-            dx, layer_grads = encoder_layer_backward(d_out, self._tape)
-            if self._extra_skip:
+        for layer_grad in reversed(grad.layers):
+            dx = encoder_layer_backward(d_out, self._tape, layer_grad)
+            if self._params.extra_skip:
                 dx += d_out
-            grads.update({f"layers.{i}.{k}": g for k, g in layer_grads.items()})
             d_out = dx
-        return grads, d_out[..., 0, :], d_out[..., 1:, :]
+        return grad, d_out[..., 0, :], d_out[..., 1:, :]
 
 
 def _sequence_from(params: CmcParams, h_query: np.ndarray,

@@ -30,15 +30,14 @@ every example draws its uniforms and then its gold slot from the one
 generator, in example order, and the sampler then runs its draws over all
 of the chunk's pools at once.  A step runs one taped ``cmc_forward`` over
 its stacked (B, d) queries and (B, K, d) candidates, one ``cmc_score`` and
-one ``compute_loss`` over the (B, K) scores, and one ``CmcTape.backward``.
-Draws, losses and summed gradients equal, bit for bit, those of a loop
+one ``compute_loss`` over the (B, K) scores, and one ``CmcTape.backward``,
+whose gradient vector, laid out like ``CmcParams.flat``, goes to
+``adamw_step`` as it is.  Draws, losses and summed gradients equal, bit for bit, those of a loop
 that samples, runs a forward and a backward per example and adds them in
 order.  ``compute_loss`` flushes tiny entries of its score gradient to
 zero, as the backward does for the scoring head's and the attention
 scores' gradients (``nn.ops.flush_tiny``): entries below the square root
 of the smallest normal float, whose products would be subnormal and slow.
-``adamw_step`` gets the gradients packed into one vector laid out like
-``CmcParams.flat``.
 """
 from __future__ import annotations
 
@@ -155,6 +154,8 @@ def compute_loss(scores: np.ndarray, gold_position,
     s = np.atleast_2d(scores).astype(np.float64)
     batch, k = s.shape
     gold = np.atleast_1d(np.asarray(gold_position))
+    if gold.dtype.kind not in "iu":
+        raise InvalidIndex(f"gold positions must be integers, got dtype {gold.dtype}")
     if gold.shape != (batch,):
         raise InvalidShape(f"{gold.shape} gold positions for {batch} score rows")
     outside = (gold < 0) | (gold >= k)
@@ -277,15 +278,14 @@ class NegativePools:
 
     Pools are index rows: ``rows[i]`` holds the P best rows of
     ``index.matrix`` for query i, best first, and ``scores[i]`` their
-    retriever scores.  ``known`` lists, sorted, every index row in a pool,
-    and ``known_table_rows`` the ``candidates.matrix`` row of each; the
-    golds' rows in both stores are kept apart.
+    retriever scores.  ``known`` lists, sorted, every index row in a pool
+    or a gold, and ``known_table_rows`` the ``candidates.matrix`` row of
+    each.
     """
 
     rows: np.ndarray              # (n, P) int32, or int64 for 2**31+ rows
     scores: np.ndarray            # (n, P) float32
     gold_rows: np.ndarray         # (n,) index rows
-    gold_table_rows: np.ndarray   # (n,) candidates rows
     known: np.ndarray
     known_table_rows: np.ndarray
 
@@ -298,7 +298,6 @@ class NegativePools:
         pool with fewer than ``k_train - 1`` non-gold entries
         (``PoolTooSmall``) raises."""
         gold_rows = index._rows(gold_ids)
-        gold_table_rows = candidates._rows(gold_ids)
         n = len(queries)
         pool_size = min(cfg.negative_pool_size, len(index))
         rows = np.empty((n, pool_size),
@@ -308,7 +307,8 @@ class NegativePools:
             pool = search_topk(index, queries[i], cfg.negative_pool_size)
             rows[i] = np.searchsorted(index.ids, pool.ids)
             scores[i] = pool.scores
-        known = np.unique(rows)
+        # np.unique first, or union1d would copy all the int32 rows as int64.
+        known = np.union1d(np.unique(rows), gold_rows)
         known_table_rows = candidates._rows(index.ids[known])
         short = pool_size - (rows == gold_rows[:, None]).any(axis=1) < cfg.k_train - 1
         if short.any():
@@ -317,7 +317,7 @@ class NegativePools:
                 f"training query row {i}: pool has "
                 f"{pool_size - int(gold_rows[i] in rows[i])} non-gold candidates, "
                 f"need {cfg.k_train - 1}")
-        return cls(rows, scores, gold_rows, gold_table_rows, known, known_table_rows)
+        return cls(rows, scores, gold_rows, known, known_table_rows)
 
 
 #: Examples assembled at a time; a chunk is the whole number of steps
@@ -363,9 +363,7 @@ def assemble_batch_example(queries: np.ndarray, members: np.ndarray,
     negatives = _negatives(pools.rows[members], pools.scores[members],
                            pools.gold_rows[members], cfg, uniforms)
     index_rows = _with_gold(negatives, pools.gold_rows[members], slots)
-    table_rows = _with_gold(
-        pools.known_table_rows[np.searchsorted(pools.known, negatives)],
-        pools.gold_table_rows[members], slots)
+    table_rows = pools.known_table_rows[np.searchsorted(pools.known, index_rows)]
     return TrainingBatch(
         query=queries,
         candidates=candidates.matrix[table_rows],
@@ -433,7 +431,7 @@ def train(cfg: TrainingConfig,
                 # A running sum adds the losses one at a time, in example
                 # order.
                 batch_loss = float(np.cumsum(losses)[-1])
-                grad = params.pack(tape.backward(d_scores)[0])
+                grad = tape.backward(d_scores)[0].flat
                 grad *= 1.0 / size
                 # One sum covers the loss and every gradient entry: a NaN or
                 # inf anywhere, or a float32 squared norm past range, makes

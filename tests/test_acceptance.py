@@ -53,7 +53,7 @@ def test_criterion_01_gradient_correctness(acceptance):
         instance = checked
         _, d_scores = compute_loss(scores, gold, retr, 0.5, 0.5)
         analytic, d_q, d_c = tape.backward(d_scores)
-        analytic = dict(analytic)
+        analytic = dict(analytic.arrays())
         analytic["input.query"] = d_q
         analytic["input.candidates"] = d_c
 

@@ -12,6 +12,9 @@ from cmcrank.nn import (LayerParams, attention_backward, attention_forward,
                         multi_head_self_attention)
 from cmcrank.nn import attention as attention_module
 
+#: The LayerParams fields that attention_backward writes.
+PROJECTIONS = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o")
+
 
 def naive_attention(x, params):
     """Independent per-head reference: explicit loops, no shared code paths."""
@@ -152,19 +155,25 @@ class TestStackedBackward:
         x = rng.standard_normal((batch, length, dim)).astype(dtype)
         dy = rng.standard_normal((batch, length, dim)).astype(dtype)
 
+        def new_grads():
+            return dataclasses.replace(params, **{
+                name: np.empty_like(a) for name, a in params.arrays().items()})
+
         tape: list = ["below"]
         for xb in x:
             multi_head_self_attention(xb, params, tape)
-        dx, grads = attention_backward(dy, tape)
+        stacked = new_grads()
+        dx = attention_backward(dy, tape, stacked)
+        grads = {name: getattr(stacked, name) for name in PROJECTIONS}
         assert tape == ["below"]
 
         loop_dx, loop_grads = [], []
         for b in range(batch):
             one: list = []
             multi_head_self_attention(x[b], params, one)
-            g_dx, g = attention_backward(dy[b], one)
-            loop_dx.append(g_dx)
-            loop_grads.append(g)
+            g = new_grads()
+            loop_dx.append(attention_backward(dy[b], one, g))
+            loop_grads.append({name: getattr(g, name) for name in PROJECTIONS})
         assert dx.dtype == dtype
         assert dx.tobytes() == np.stack(loop_dx).tobytes()
         assert grads.keys() == loop_grads[0].keys()

@@ -94,6 +94,14 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match="regenerate"):
             CmcParams.load(path)
 
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_header_cut_before_the_version(self, tmp_path, size):
+        path = tmp_path / "short.cmcp"
+        path.write_bytes(b"CMCP\x02"[:size])
+        with pytest.raises(FormatError,
+                           match=f"truncated CMCP header: {size} of {HEADER.size} bytes"):
+            CmcParams.load(path)
+
     def test_truncated_payload(self, tmp_path):
         path = saved(tmp_path)
         path.write_bytes(path.read_bytes()[:-5])

@@ -74,6 +74,14 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError):
             load_embedding_file(path)
 
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_header_cut_before_the_version(self, tmp_path, size):
+        path = tmp_path / "short.cmce"
+        path.write_bytes(b"CMCE\x02"[:size])
+        with pytest.raises(FormatError,
+                           match=f"truncated CMCE header: {size} of {HEADER_BYTES} bytes"):
+            load_embedding_file(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "trunc.cmce"
         save_embedding_file(path, [1, 2], np.ones((2, 4), dtype=np.float32))

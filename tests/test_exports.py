@@ -1,9 +1,18 @@
-"""The package's public names all resolve, so a deletion cannot leave a
-stale export behind."""
+"""The public names of the package and of ``cmcrank.nn`` all resolve, so a
+deletion cannot leave a stale export behind."""
 import cmcrank
+import cmcrank.nn
+
+
+def assert_exports_resolve(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{module.__name__}.__all__ names undefined attributes: {missing}"
+    assert len(set(module.__all__)) == len(module.__all__)
 
 
 def test_every_exported_name_resolves():
-    missing = [name for name in cmcrank.__all__ if not hasattr(cmcrank, name)]
-    assert not missing, f"cmcrank.__all__ names undefined attributes: {missing}"
-    assert len(set(cmcrank.__all__)) == len(cmcrank.__all__)
+    assert_exports_resolve(cmcrank)
+
+
+def test_every_nn_exported_name_resolves():
+    assert_exports_resolve(cmcrank.nn)

@@ -77,7 +77,7 @@ class TestBackward:
         loss, d_scores = compute_loss(scores, gold, retr, 0.0, 0.0)
         assert loss == 0.0
         grads, dq, dc = tape.backward(d_scores)
-        assert all(np.all(g == 0) for g in grads.values())
+        assert all(np.all(g == 0) for g in grads.arrays().values())
         assert np.all(dq == 0) and np.all(dc == 0)
 
     def test_linear_sublayer_analytic_case(self):
@@ -88,7 +88,8 @@ class TestBackward:
         w = rng.standard_normal((3, 4))
         b = rng.standard_normal(4)
         y, cache = linear_forward(x, w, b)
-        dx, dw, db = linear_backward(np.ones_like(y), cache)
+        dw, db = np.empty_like(w), np.empty_like(b)
+        dx = linear_backward(np.ones_like(y), cache, dw, db)
         np.testing.assert_allclose(dw, np.tile(x.sum(axis=0)[:, None], (1, 4)),
                                    rtol=1e-9)
         np.testing.assert_allclose(db, np.full(4, 5.0))
@@ -127,7 +128,7 @@ class TestBackward:
 
         arrays = params.arrays()
         numeric = finite_difference_gradient(loss64, arrays, h=1e-3)
-        assert gradients_close(analytic, numeric)
+        assert gradients_close(analytic.arrays(), numeric)
 
         numeric_inputs = finite_difference_gradient(
             loss64, {"hq": hq, "hc": hc}, h=1e-3)

@@ -210,6 +210,48 @@ class TestBackwardState:
             tape.backward(np.zeros(2, dtype=np.float32))
 
 
+class TestGradientBuffer:
+    """``CmcTape.backward`` writes every parameter gradient into one new
+    ``CmcParams`` laid out like the weights."""
+
+    @staticmethod
+    def backward(batch=()):
+        rng = np.random.default_rng(10)
+        params = CmcParams.init(model_dim=8, head_count=2, ffn_dim=12, seed=11)
+        hq = rng.standard_normal(batch + (8,)).astype(np.float32)
+        hc = rng.standard_normal(batch + (5, 8)).astype(np.float32)
+        d_scores = rng.standard_normal(batch + (5,)).astype(np.float32)
+        return params, cmc_forward_recorded(params, hq, hc).backward(d_scores)
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["one", "stacked"])
+    def test_every_entry_is_written(self, monkeypatch, batch):
+        """A NaN-filled buffer gives the bytes of a fresh one: no kernel
+        leaves an entry of its gradient unwritten."""
+        _, clean = self.backward(batch)
+        empty_like = CmcParams.empty_like
+
+        def poisoned(params):
+            out = empty_like(params)
+            out.flat.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(CmcParams, "empty_like", poisoned)
+        _, (grad, d_q, d_c) = self.backward(batch)
+        assert np.isfinite(grad.flat).all()
+        assert grad.flat.tobytes() == clean[0].flat.tobytes()
+        assert d_q.tobytes() == clean[1].tobytes()
+        assert d_c.tobytes() == clean[2].tobytes()
+
+    def test_layout_matches_the_weights(self):
+        params, (grad, _, _) = self.backward()
+        assert list(grad.arrays()) == list(params.arrays())
+        for (name, g), p in zip(grad.arrays().items(), params.arrays().values()):
+            assert g.shape == p.shape and g.dtype == p.dtype, name
+            assert np.shares_memory(g, grad.flat), name
+        assert grad.flat.shape == params.flat.shape
+        assert not np.shares_memory(grad.flat, params.flat)
+
+
 class TestStackedExamples:
     """A (B, d) query stack with (B, K, d) candidates runs B examples in one
     forward and one backward."""
@@ -242,9 +284,9 @@ class TestStackedExamples:
                 == np.stack([c.h_candidates for c in ctxs]).tobytes())
         assert d_q.tobytes() == np.stack([r[1] for r in results]).tobytes()
         assert d_c.tobytes() == np.stack([r[2] for r in results]).tobytes()
-        assert grads.keys() == results[0][0].keys()
-        for name, grad in grads.items():
-            expected = functools.reduce(np.add, [r[0][name] for r in results])
+        assert grads.arrays().keys() == results[0][0].arrays().keys()
+        for name, grad in grads.arrays().items():
+            expected = functools.reduce(np.add, [r[0].arrays()[name] for r in results])
             assert grad.tobytes() == expected.tobytes(), name
 
     def test_float32_backward_has_no_subnormal_gradients(self, monkeypatch):
@@ -257,9 +299,9 @@ class TestStackedExamples:
 
         seen = []
 
-        def checked(dy, cache):
+        def checked(dy, *args):
             seen.append(subnormal(dy))
-            return linear_backward(dy, cache)
+            return linear_backward(dy, *args)
 
         monkeypatch.setattr(ops_module, "linear_backward", checked)
         monkeypatch.setattr(attention_module, "linear_backward", checked)
@@ -273,7 +315,8 @@ class TestStackedExamples:
         # Per layer: two feed-forward projections and attention's four, each
         # once over the stack of three examples.
         assert len(seen) == 2 * (2 + 4) and not any(seen)
-        for name, grad in {**grads, "d_query": d_q, "d_candidates": d_c}.items():
+        for name, grad in {**grads.arrays(), "d_query": d_q,
+                           "d_candidates": d_c}.items():
             assert grad.dtype == np.float32
             assert not subnormal(grad), name
 
@@ -292,7 +335,8 @@ class TestStackedExamples:
         grads, d_q, d_c = cmc_forward_recorded(params, hq, hc).backward(d_scores)
         assert len(subnormal_dy.calls["linear_backward"]) == 2 * (2 + 4)
         assert subnormal_dy.counts() == dict.fromkeys(subnormal_dy.calls, 0)
-        for name, grad in {**grads, "d_query": d_q, "d_candidates": d_c}.items():
+        for name, grad in {**grads.arrays(), "d_query": d_q,
+                           "d_candidates": d_c}.items():
             assert grad.dtype == np.float32
             assert not subnormal_dy.found_in(grad), name
 

@@ -169,6 +169,18 @@ class TestComputeLoss:
         with pytest.raises(InvalidIndex):
             compute_loss(np.zeros(3), 3, np.zeros(3), 1.0, 1.0)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=["one", "stacked"])
+    @pytest.mark.parametrize("kind", ["float", "float_array", "bool"])
+    def test_non_integer_gold_rejected(self, shape, kind):
+        """A gold position is an integer: not a float, even an integral
+        one, and not a bool, which numpy would read as a mask."""
+        count = shape[0] if len(shape) == 2 else 1
+        gold = {"float": 1.5 if count == 1 else [1.5] * count,
+                "float_array": np.ones(count),
+                "bool": True if count == 1 else [True] * count}[kind]
+        with pytest.raises(InvalidIndex, match="integers"):
+            compute_loss(np.zeros(shape), gold, np.zeros(shape), 1.0, 1.0)
+
     def test_gold_position_does_not_change_loss(self):
         """Permutation equivariance: moving the gold (with its embedding and
         retriever score) to any slot leaves the loss unchanged."""
@@ -496,7 +508,6 @@ def reference_train(cfg, queries, gold_ids, index, table, params):
     ``train``."""
     rng = np.random.default_rng(cfg.seed)
     n = len(queries)
-    arrays = params.arrays()
     state = OptimizerState(learning_rate=cfg.base_lr,
                            total_steps=cfg.epochs * math.ceil(n / cfg.batch_size))
     losses = []
@@ -504,7 +515,7 @@ def reference_train(cfg, queries, gold_ids, index, table, params):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             chunk = order[start:start + cfg.batch_size]
-            total = {name: np.zeros_like(a) for name, a in arrays.items()}
+            total = np.zeros_like(params.flat)
             batch_loss = 0.0
             for qi in chunk:
                 gold = int(gold_ids[qi])
@@ -518,11 +529,9 @@ def reference_train(cfg, queries, gold_ids, index, table, params):
                     index.scores_for(queries[qi], ids), cfg.lambda1, cfg.lambda2)
                 grads, _, _ = tape.backward(d_scores)
                 batch_loss += loss
-                for name, grad in grads.items():
-                    total[name] += grad
-            for grad in total.values():
-                grad *= 1.0 / len(chunk)
-            adamw_step(params.flat, params.pack(total), state)
+                total += grads.flat
+            total *= 1.0 / len(chunk)
+            adamw_step(params.flat, total, state)
             losses.append(batch_loss / len(chunk))
     return losses
 
@@ -587,6 +596,19 @@ class TestPoolCache:
         params = CmcParams.init(model_dim=16, head_count=2, seed=1)
         with pytest.raises(PoolTooSmall):
             train(cfg, queries[:1], golds[:1], small, table, params)
+
+
+def test_pool_rows_map_golds_and_pooled_rows():
+    """``known`` lists every pooled and gold index row once, sorted, and
+    ``known_table_rows`` their table rows; the pools stay int32."""
+    data, index, table = small_task()
+    queries, golds = data.query_embeddings[:20], data.gold_ids[:20]
+    cfg = TrainingConfig(k_train=4, negative_pool_size=16)
+    pools = NegativePools.search(cfg, queries, golds, index, table)
+    assert pools.rows.dtype == np.int32
+    expected = np.unique(np.concatenate([pools.rows.ravel(), pools.gold_rows]))
+    assert pools.known.tolist() == expected.tolist()
+    assert (table.ids[pools.known_table_rows] == index.ids[pools.known]).all()
 
 
 class TestPoolTooSmall:
