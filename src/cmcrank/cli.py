@@ -217,6 +217,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be 1 or more, got {args.threads}")
     if args.scorer != "none" and not args.gold:
         raise UsageError(f"--scorer {args.scorer} requires --gold")
     if args.mode == MODE_INTERMEDIATE and args.scorer == "none":

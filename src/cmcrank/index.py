@@ -44,13 +44,15 @@ class RankedList:
 def rank_by_score(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedList:
     """Exact top-k of (ids, scores) under the (score desc, id asc) order.
 
-    Returns exactly ``min(k, n)`` entries; raises ``NumericError`` when NaN
-    scores leave fewer than that many comparable ones."""
+    Returns exactly ``min(k, n)`` entries; raises ``InvalidShape`` for k < 0
+    and ``NumericError`` when NaN scores leave fewer comparable ones."""
+    if k < 0:
+        raise InvalidShape(f"k must be nonnegative, got {k}")
     ids = np.asarray(ids, dtype=np.uint64)
     scores = np.asarray(scores)
     n = len(ids)
     k = min(k, n)
-    if k <= 0:
+    if k == 0:
         return RankedList(ids=np.empty(0, dtype=np.uint64),
                           scores=np.empty(0, dtype=np.float32))
     # argpartition may split ties at the boundary arbitrarily, so widen to
@@ -94,7 +96,5 @@ def search_topk(index: CandidateIndex, query: np.ndarray, k: int) -> RankedList:
     if query.shape != (index.dim,):
         raise InvalidShape(
             f"query has shape {query.shape}, index dim is {index.dim}")
-    if k < 0:
-        raise InvalidShape(f"k must be nonnegative, got {k}")
     scores = index.matrix @ query
     return rank_by_score(index.ids, scores, k)

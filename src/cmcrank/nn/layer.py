@@ -13,6 +13,9 @@ included, runs once over the stack.  It writes the sum of the
 per-sequence parameter gradients, bit for bit as a loop over the
 sequences adding them in order would.  The residual adds write into
 arrays the layer made itself, never into its input or a taped array.
+
+A model (``reranker.CmcParams``) is one flat vector plus four header fields;
+each layer is a frozen ``LayerParams`` of views of it, laid out by ``shapes``.
 """
 from __future__ import annotations
 
@@ -20,17 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidConfig, InvalidShape
+from ..errors import InvalidShape
 from . import ops
 from .attention import attention_backward, multi_head_self_attention
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerParams:
-    """All weights of one encoder layer.
+    """All weights of one encoder layer, in the shapes of ``shapes``.
 
     Projection matrices are stored (in_features, out_features) so the
-    forward pass is plain ``x @ w + b``.
+    forward pass is plain ``x @ w + b``.  Frozen: in a ``CmcParams`` each
+    field is a view of ``flat``, written in place, never rebound.
     """
 
     w_q: np.ndarray
@@ -54,7 +58,7 @@ class LayerParams:
     @staticmethod
     def shapes(d: int, f: int) -> dict[str, tuple[int, ...]]:
         """Shape of every array field for model dim ``d`` and FFN dim ``f``,
-        in serialization order."""
+        in serialization order: the one statement of a layer's layout."""
         return {
             "w_q": (d, d), "b_q": (d,), "w_k": (d, d), "b_k": (d,),
             "w_v": (d, d), "b_v": (d,), "w_o": (d, d), "b_o": (d,),
@@ -62,51 +66,9 @@ class LayerParams:
             "ln1_gain": (d,), "ln1_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,),
         }
 
-    @classmethod
-    def init(cls, model_dim: int, head_count: int, ffn_dim: int | None = None,
-             rng: np.random.Generator | None = None) -> "LayerParams":
-        """Random-normal init (std 0.02) of the matrices, zero biases and
-        identity layer norms."""
-        if model_dim < 1 or head_count < 1:
-            raise InvalidConfig("model_dim and head_count must be positive")
-        if model_dim % head_count != 0:
-            raise InvalidConfig(
-                f"model_dim {model_dim} not divisible by head_count {head_count}")
-        if ffn_dim is None:
-            ffn_dim = 4 * model_dim
-        rng = rng if rng is not None else np.random.default_rng(0)
-        arrays = {name: (0.02 * rng.standard_normal(shape)).astype(np.float32)
-                  if len(shape) == 2 else np.zeros(shape, dtype=np.float32)
-                  for name, shape in cls.shapes(model_dim, ffn_dim).items()}
-        arrays["ln1_gain"][:] = 1.0
-        arrays["ln2_gain"][:] = 1.0
-        return cls(head_count=head_count, **arrays)
-
-    @property
-    def model_dim(self) -> int:
-        return self.w_q.shape[0]
-
-    @property
-    def ffn_dim(self) -> int:
-        return self.w_1.shape[1]
-
     def arrays(self) -> dict[str, np.ndarray]:
         """Name -> array view of every parameter buffer (live, not copies)."""
-        return {name: getattr(self, name) for name in LAYER_ARRAY_FIELDS}
-
-    def validate(self) -> None:
-        d, f = self.model_dim, self.ffn_dim
-        for name, shape in self.shapes(d, f).items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise InvalidShape(f"LayerParams.{name} has shape {got}, expected {shape}")
-        if d % self.head_count != 0:
-            raise InvalidConfig(
-                f"model_dim {d} not divisible by head_count {self.head_count}")
-
-
-#: Names of the array-valued fields of LayerParams, in serialization order.
-LAYER_ARRAY_FIELDS = tuple(LayerParams.shapes(0, 0))
+        return {name: getattr(self, name) for name in self.shapes(0, 0)}
 
 
 def encoder_layer_forward(x: np.ndarray, params: LayerParams,

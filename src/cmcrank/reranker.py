@@ -19,7 +19,8 @@ parameter gradients of the B examples, in a ``CmcParams``, from one
 backward over the stack, which flushes tiny entries of the scoring head's
 gradient to zero.
 
-Checkpoint layout (little-endian), in the checked container of ``fileio``:
+The model, ``CmcParams``, is one flat vector plus the four header fields of
+its checkpoint, whose layout (little-endian, checked container of ``fileio``) is:
 
     magic      4 bytes  b"CMCP"
     version    u16      currently 2; version-1 files are rejected
@@ -28,8 +29,8 @@ Checkpoint layout (little-endian), in the checked container of ``fileio``:
     ffn_dim    u32
     head_count u32      divides model_dim
     crc32      u32      over the payload
-    payload    both layers' arrays as f32, in ``CmcParams.arrays()`` order,
-               with the shapes of ``LayerParams.shapes``
+    payload    ``CmcParams.flat`` as f32: both layers' arrays, in
+               ``LayerParams.shapes`` order
 
 A header that describes no valid model raises ``FormatError`` and a
 non-finite weight ``NumericError``, at save and at load alike; loaded
@@ -37,7 +38,6 @@ weights are writable copies.
 """
 from __future__ import annotations
 
-import copy
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -64,31 +64,38 @@ CHECKPOINT_VERSION = 2
 _CHECKPOINT_HEADER = struct.Struct("<4sHHIIII")
 
 
+def _flat_size(model_dim: int, ffn_dim: int, head_count: int) -> int:
+    """Length of ``CmcParams.flat``, or 0 if the dims describe no valid model."""
+    if min(model_dim, ffn_dim, head_count) < 1 or model_dim % head_count:
+        return 0
+    return 2 * sum(math.prod(s) for s in LayerParams.shapes(model_dim, ffn_dim).values())
+
+
 def _checkpoint_payload_bytes(extra_skip: int, model_dim: int, ffn_dim: int,
                               head_count: int) -> int:
     """Payload size of a checkpoint header, which must describe a valid model."""
-    if (extra_skip > 1 or head_count < 1 or model_dim < 1 or ffn_dim < 1
-            or model_dim % head_count):
+    size = _flat_size(model_dim, ffn_dim, head_count)
+    if extra_skip > 1 or not size:
         raise FormatError(
             f"inconsistent checkpoint header: extra_skip {extra_skip}, model_dim "
             f"{model_dim}, ffn_dim {ffn_dim}, head_count {head_count}")
-    shapes = LayerParams.shapes(model_dim, ffn_dim).values()
-    return 2 * 4 * sum(math.prod(shape) for shape in shapes)
+    return 4 * size
 
 
 @dataclass
 class CmcParams:
-    """Weights of the two-layer reranker plus the extra-skip switch.
+    """The two-layer reranker: ``flat`` plus the checkpoint header's fields.
 
-    ``flat`` owns every weight, in ``arrays()`` (checkpoint payload) order
-    and the layers' dtype: construction copies the given layers into it and
-    keeps new ``LayerParams`` whose fields are views of it, so the caller's
-    layers stay as they were.  Rebinding a field afterwards
-    (``layer.w_q = ...``) detaches it from ``flat``."""
+    ``flat`` holds every weight in ``arrays()`` (payload) order; ``layers``
+    are frozen ``LayerParams`` of views of it.  ``replace(params, flat=...)``
+    is the same model over another vector, of any float dtype."""
 
-    layers: tuple[LayerParams, ...]
+    flat: np.ndarray = field(repr=False)
+    model_dim: int
+    ffn_dim: int
+    head_count: int
     extra_skip: bool = True
-    flat: np.ndarray = field(init=False, repr=False)
+    layers: tuple[LayerParams, LayerParams] = field(init=False, repr=False)
 
     @classmethod
     def init(cls, model_dim: int = DEFAULT_MODEL_DIM,
@@ -96,52 +103,48 @@ class CmcParams:
              ffn_dim: int | None = None,
              extra_skip: bool = True,
              seed: int = 0) -> "CmcParams":
+        """Random-normal init (std 0.02) of the matrices, in ``arrays()``
+        order, with zero biases and identity layer norms."""
+        ffn_dim = 4 * model_dim if ffn_dim is None else ffn_dim
+        flat = np.zeros(_flat_size(model_dim, ffn_dim, head_count), dtype=np.float32)
+        params = cls(flat, model_dim, ffn_dim, head_count, extra_skip)
         rng = np.random.default_rng(seed)
-        layers = tuple(LayerParams.init(model_dim, head_count, ffn_dim, rng)
-                       for _ in range(2))
-        return cls(layers=layers, extra_skip=extra_skip)
+        for name, arr in params.arrays().items():
+            if arr.ndim == 2:
+                arr[:] = 0.02 * rng.standard_normal(arr.shape)
+            elif name.endswith("_gain"):
+                arr[:] = 1.0
+        return params
 
     def __post_init__(self):
-        if len(self.layers) != 2:
-            raise InvalidConfig(f"expected 2 encoder layers, got {len(self.layers)}")
-        dims = {(l.model_dim, l.ffn_dim, l.head_count) for l in self.layers}
-        if len(dims) != 1:
-            raise InvalidConfig("layers disagree on (model_dim, ffn_dim, head_count): "
-                                f"{sorted(dims)}")
-        for layer in self.layers:
-            layer.validate()
-        self._lay_out(np.concatenate([a for layer in self.layers
-                                      for a in layer.arrays().values()], axis=None))
-
-    def _lay_out(self, flat: np.ndarray) -> None:
-        """Make ``flat`` the buffer, and the layers' fields views of it."""
-        self.flat = flat
+        size = _flat_size(self.model_dim, self.ffn_dim, self.head_count)
+        if not size:
+            raise InvalidConfig(f"no valid model has model_dim {self.model_dim}, "
+                                f"ffn_dim {self.ffn_dim}, head_count {self.head_count}")
+        if self.flat.shape != (size,) or not self.flat.flags.c_contiguous:
+            raise InvalidShape(f"flat must be a contiguous ({size},) vector, "
+                               f"got shape {self.flat.shape}")
         layers, at = [], 0
-        for layer in self.layers:
+        for _ in range(2):
             views = {}
-            for name, arr in layer.arrays().items():
-                views[name] = flat[at:at + arr.size].reshape(arr.shape)
-                at += arr.size
-            layers.append(replace(layer, **views))
+            for name, shape in LayerParams.shapes(self.model_dim, self.ffn_dim).items():
+                n = math.prod(shape)
+                views[name] = self.flat[at:at + n].reshape(shape)
+                at += n
+            layers.append(LayerParams(head_count=self.head_count, **views))
         self.layers = tuple(layers)
 
     def empty_like(self) -> "CmcParams":
         """This layout over a new, uninitialized ``flat``: a gradient buffer."""
-        out = copy.copy(self)
-        out._lay_out(np.empty_like(self.flat))
-        return out
+        return replace(self, flat=np.empty_like(self.flat))
 
-    @property
-    def model_dim(self) -> int:
-        return self.layers[0].model_dim
+    def copy(self) -> "CmcParams":
+        return replace(self, flat=self.flat.copy())
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Live name -> buffer views, namespaced per layer."""
         return {f"layers.{i}.{name}": arr for i, layer in enumerate(self.layers)
                 for name, arr in layer.arrays().items()}
-
-    def copy(self) -> "CmcParams":
-        return CmcParams(layers=self.layers, extra_skip=self.extra_skip)
 
     def _check_finite(self, message: str) -> None:
         """Raise ``NumericError`` naming the first weight with a NaN or inf."""
@@ -154,10 +157,8 @@ class CmcParams:
         little-endian float32.  A non-finite weight raises ``NumericError``
         before anything is written."""
         self._check_finite("weight {} is not finite; checkpoint not written")
-        layer = self.layers[0]
         write_checked(path, _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                      (int(self.extra_skip), layer.model_dim, layer.ffn_dim,
-                       layer.head_count),
+                      (int(self.extra_skip), self.model_dim, self.ffn_dim, self.head_count),
                       [np.ascontiguousarray(self.flat, dtype="<f4")])
 
     @classmethod
@@ -166,11 +167,8 @@ class CmcParams:
         (extra_skip, d, f, head_count), buf = read_checked(
             path, _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
             _checkpoint_payload_bytes)
-        layer = LayerParams(head_count=head_count, **{
-            name: np.zeros(shape, dtype=np.float32)
-            for name, shape in LayerParams.shapes(d, f).items()})
-        params = cls(layers=(layer, layer), extra_skip=bool(extra_skip))
-        params.flat[:] = np.frombuffer(buf, dtype="<f4", offset=_CHECKPOINT_HEADER.size)
+        flat = np.frombuffer(buf, dtype="<f4", offset=_CHECKPOINT_HEADER.size)
+        params = cls(flat.astype(np.float32), d, f, head_count, bool(extra_skip))
         params._check_finite("checkpoint weight {} is not finite")
         return params
 
@@ -307,13 +305,13 @@ def rerank(params: CmcParams, h_query: np.ndarray, ranked: RankedList,
     """Re-score every candidate in ``ranked`` and return the top ``k_out``.
 
     All candidates go through a single forward pass; the output order is by
-    reranker score (descending, id-ascending ties).
+    reranker score (descending, id-ascending ties).  A ``k_out`` below 0 or
+    above ``len(ranked)`` raises ``InvalidShape``.
     """
     if k_out > len(ranked):
         raise InvalidShape(f"k_out = {k_out} exceeds the {len(ranked)} ranked candidates")
-    if len(ranked) == 0 or k_out <= 0:
-        return RankedList(ids=np.empty(0, dtype=np.uint64),
-                          scores=np.empty(0, dtype=np.float32))
+    if k_out <= 0:
+        return rank_by_score(ranked.ids, ranked.scores, k_out)
     rows = candidate_embeddings.batch(ranked.ids)
     ctx = cmc_forward(params, np.asarray(h_query, dtype=np.float32), rows)
     scores = cmc_score(ctx).scores

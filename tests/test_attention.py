@@ -8,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmcrank.errors import InvalidConfig, InvalidShape
-from cmcrank.nn import (LayerParams, attention_backward, attention_forward,
-                        multi_head_self_attention)
+from cmcrank.nn import attention_backward, attention_forward, multi_head_self_attention
 from cmcrank.nn import attention as attention_module
+from cmcrank.reranker import CmcParams
 
 #: The LayerParams fields that attention_backward writes.
 PROJECTIONS = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o")
+
+
+def layer(dim, heads, rng=None):
+    """The first layer of a newly initialized model, seeded from ``rng``."""
+    seed = 0 if rng is None else int(rng.integers(1 << 31))
+    return CmcParams.init(model_dim=dim, head_count=heads, seed=seed).layers[0]
 
 
 def naive_attention(x, params):
@@ -42,7 +48,7 @@ class TestAttention:
         """With L = 1 the attention weight is [1], so the output row is the
         output-projection of the value-projection of the input row."""
         rng = np.random.default_rng(0)
-        params = LayerParams.init(8, 2, rng=rng)
+        params = layer(8, 2, rng)
         x = rng.standard_normal((1, 8)).astype(np.float32)
         expected = (x @ params.w_v + params.b_v) @ params.w_o + params.b_o
         out = multi_head_self_attention(x, params)
@@ -51,7 +57,7 @@ class TestAttention:
     def test_permutation_equivariance(self):
         """No positional encoding: permuting rows permutes outputs identically."""
         rng = np.random.default_rng(1)
-        params = LayerParams.init(12, 3, rng=rng)
+        params = layer(12, 3, rng)
         for _ in range(100):
             x = rng.standard_normal((6, 12)).astype(np.float32)
             perm = rng.permutation(6)
@@ -61,19 +67,18 @@ class TestAttention:
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(2)
-        params = LayerParams.init(4, 2, rng=rng)
+        params = layer(4, 2, rng)
         x = rng.standard_normal((3, 4)).astype(np.float32)
         np.testing.assert_allclose(multi_head_self_attention(x, params),
                                    naive_attention(x, params), atol=1e-5)
 
     def test_head_count_must_divide_dim(self):
-        params = LayerParams.init(8, 2)
-        params.head_count = 3
+        params = dataclasses.replace(layer(8, 2), head_count=3)
         with pytest.raises(InvalidConfig):
             multi_head_self_attention(np.ones((2, 8), dtype=np.float32), params)
 
     def test_empty_sequence_rejected(self):
-        params = LayerParams.init(8, 2)
+        params = layer(8, 2)
         with pytest.raises(InvalidShape):
             multi_head_self_attention(np.empty((0, 8), dtype=np.float32), params)
 
@@ -82,7 +87,7 @@ class TestAttention:
         10 rows the last block is ragged (4, 4, 2)."""
         monkeypatch.setattr(attention_module, "_BLOCK_ROWS", 4)
         rng = np.random.default_rng(3)
-        params = LayerParams.init(16, 4, rng=rng)
+        params = layer(16, 4, rng)
         x = rng.standard_normal((10, 16)).astype(np.float32)
         np.testing.assert_allclose(multi_head_self_attention(x, params),
                                    naive_attention(x, params), atol=1e-5)
@@ -92,7 +97,7 @@ class TestAttention:
         the sequence spans several row blocks (L = 513: a query plus 512
         candidates)."""
         rng = np.random.default_rng(4)
-        params = LayerParams.init(16, 4, rng=rng)
+        params = layer(16, 4, rng)
         x = rng.standard_normal((513, 16)).astype(np.float32)
         assert x.shape[0] > 2 * attention_module._BLOCK_ROWS
         taped, _ = attention_forward(x, params)
@@ -112,10 +117,10 @@ class TestAttention:
         -80 exp floor are drawn too."""
         rng = np.random.default_rng(seed)
         dim = heads * head_dim
-        params = LayerParams.init(dim, heads, rng=rng)
+        params = layer(dim, heads, rng)
         for name in ("w_q", "w_k"):
             w = rng.standard_normal((dim, dim)) * (logit_scale / math.sqrt(dim))
-            setattr(params, name, w.astype(np.float32))
+            getattr(params, name)[:] = w
         x = rng.standard_normal((length, dim)).astype(np.float32)
         params64 = dataclasses.replace(
             params, **{name: a.astype(np.float64)
@@ -148,7 +153,7 @@ class TestStackedBackward:
         sum of their parameter gradients in example order."""
         rng = np.random.default_rng(seed)
         dim = heads * head_dim
-        params = LayerParams.init(dim, heads, rng=rng)
+        params = layer(dim, heads, rng)
         params = dataclasses.replace(
             params, **{name: (a + 0.3 * rng.standard_normal(a.shape)).astype(dtype)
                        for name, a in params.arrays().items()})

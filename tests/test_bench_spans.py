@@ -3,7 +3,8 @@
 ``bench/spans.py`` wraps each ``SPANS`` entry by identity.  A name that no
 longer resolves breaks traced benchmark runs, and two names bound to one
 object would be wrapped twice and count its calls twice.  Its hooks read
-call arguments by position, so a traced ``train`` is run here as well.
+call arguments by position, so a traced ``train`` and a traced load and
+serving run are run here as well.
 """
 import importlib
 import importlib.util
@@ -14,6 +15,8 @@ import cmcrank.training as training_module
 from cmcrank.encoders import EmbeddingTable
 from cmcrank.evaluation import SyntheticTaskSpec, generate_synthetic
 from cmcrank.index import CandidateIndex
+from cmcrank.pipeline import (MODE_FINAL, MODE_INTERMEDIATE, Pipeline, PipelineConfig,
+                              gold_oracle_scorer)
 from cmcrank.reranker import CmcParams
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -99,4 +102,44 @@ def test_traced_train_runs_attention_once_per_example_on_2d_input():
     assert names.count("nn.multi_head_self_attention") == calls
     length, dim = cfg.k_train + 1, 16
     assert tracer.counts["nn.attention_flops"] == calls * (
+        8 * length * dim * dim + 4 * length * length * dim)
+
+
+def test_traced_load_and_serving(tmp_path):
+    """Load a checkpoint and serve 3 queries in each mode under the
+    benchmark's tracer: one load span, one attention span per query and
+    layer, and the attention counter at L = K + 1."""
+    data = generate_synthetic(SyntheticTaskSpec(
+        corpus_size=200, confusables=4, surface_dim=12, latent_dim=4, seed=2))
+    index = CandidateIndex(data.candidate_ids, data.retriever_embeddings)
+    table = EmbeddingTable(data.candidate_ids, data.reranker_embeddings)
+    saved = CmcParams.init(model_dim=table.dim, head_count=2, seed=1)
+    path = tmp_path / "model.cmcp"
+    saved.save(path)
+    gold = dict(zip(data.query_ids.tolist(), data.gold_ids.tolist()))
+    k, queries = 8, list(zip(data.query_ids[:3].tolist(), data.query_embeddings[:3]))
+    configs = [PipelineConfig(k_retrieve=k, k_prime=4, mode=MODE_FINAL),
+               PipelineConfig(k_retrieve=k, k_prime=4, mode=MODE_INTERMEDIATE,
+                              final_scorer=gold_oracle_scorer(gold))]
+
+    tracer = load_spans_module().Tracer()
+    tracer.install()
+    try:
+        params = CmcParams.load(path)
+        pipe = Pipeline(index, params, table)
+        results = [pipe.run_query(cfg, qid, q) for cfg in configs for qid, q in queries]
+    finally:
+        tracer.uninstall()
+
+    assert params.flat.tobytes() == saved.flat.tobytes()
+    # Only intermediate mode runs the final stage.
+    assert [r.timings_us["final"] > 0 for r in results] == [False] * 3 + [True] * 3
+    by_id = {sid: name for name, sid in tracer.name_id.items()}
+    names = [by_id[sid] for sid in tracer.names]
+    served = len(configs) * len(queries)
+    assert names.count("reranker.CmcParams.load") == 1
+    assert names.count("pipeline.Pipeline.run_query") == served
+    assert names.count("nn.multi_head_self_attention") == 2 * served
+    length, dim = k + 1, table.dim
+    assert tracer.counts["nn.attention_flops"] == 2 * served * (
         8 * length * dim * dim + 4 * length * length * dim)

@@ -1,10 +1,12 @@
 """Checkpoint file format (CMCP v2): round-trips and corruption handling."""
+import dataclasses
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from cmcrank.errors import FormatError, NumericError
+from cmcrank.errors import FormatError, InvalidConfig, InvalidShape, NumericError
 from cmcrank.fileio import write_checked
 from cmcrank.nn import OptimizerState, adamw_step
 from cmcrank.reranker import CmcParams
@@ -127,9 +129,8 @@ class TestCheckpointFormat:
         params = CmcParams.init(model_dim=8, head_count=2, seed=5)
         params.layers[1].w_1[2, 3] = np.nan
         path = tmp_path / "nan.cmcp"
-        layer = params.layers[0]
         write_checked(path, HEADER, b"CMCP", 2,
-                      (1, layer.model_dim, layer.ffn_dim, layer.head_count),
+                      (1, params.model_dim, params.ffn_dim, params.head_count),
                       [np.ascontiguousarray(a, dtype="<f4")
                        for a in params.arrays().values()])
         with pytest.raises(NumericError, match="layers.1.w_1"):
@@ -202,19 +203,55 @@ class TestRerankerCheckpoint:
         assert not np.shares_memory(wide.flat, params.flat)
         assert copied.flat.tobytes() == params.flat.tobytes()
 
-    def test_construction_leaves_the_given_layers_alone(self):
-        """A model built from another model's layers gets its own copy, so
-        a step on the first model's ``flat`` still reaches its forward; one
-        layer passed twice gives two layers with separate storage."""
-        a = CmcParams.init(model_dim=8, head_count=2, seed=7)
-        before = a.flat.copy()
-        b = CmcParams(layers=a.layers)
-        twice = CmcParams(layers=(a.layers[0], a.layers[0]))
-        for p in (a, b, twice):
-            assert_packed(p)
-        assert b.flat.tobytes() == before.tobytes()
-        first, second = np.split(twice.flat, 2)
-        assert first.tobytes() == second.tobytes() == np.split(before, 2)[0].tobytes()
-        adamw_step(a.flat, np.ones_like(a.flat), OptimizerState(learning_rate=1e-3))
-        assert not np.array_equal(a.layers[0].w_q, before[:64].reshape(8, 8))
-        assert b.flat.tobytes() == before.tobytes()
+    def test_construction_checks_the_dims_and_flat(self):
+        """Dims that describe no model raise ``InvalidConfig``; a ``flat``
+        of the wrong length, or one that views could not alias, raises
+        ``InvalidShape``."""
+        params = CmcParams.init(model_dim=8, head_count=2, seed=7)
+        for dims in ({"head_count": 3}, {"ffn_dim": 0}, {"model_dim": 0}):
+            with pytest.raises(InvalidConfig):
+                dataclasses.replace(params, **dims)
+        with pytest.raises(InvalidConfig):
+            CmcParams.init(model_dim=-4, head_count=2)
+        strided = np.zeros(2 * params.flat.size, dtype=np.float32)[::2]
+        for flat in (params.flat[:-1], np.append(params.flat, 0.0), strided):
+            with pytest.raises(InvalidShape):
+                dataclasses.replace(params, flat=flat)
+
+    def test_layer_fields_cannot_be_rebound(self):
+        """A layer's fields stay views of ``flat``: rebinding one raises,
+        while writing into it reaches ``flat``."""
+        params = CmcParams.init(model_dim=8, head_count=2, seed=7)
+        layer = params.layers[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.w_q = np.zeros((8, 8), dtype=np.float32)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.head_count = 4
+        layer.w_q[0, 0] = 5.0
+        assert params.flat[0] == 5.0
+        assert_packed(params)
+
+
+class TestPinnedBytes:
+    """SHA-256 of the initial weights and of a saved checkpoint, recorded
+    once, so that a change to init or to the file format shows across
+    versions, not only run to run."""
+
+    @pytest.mark.parametrize("init, digest", [
+        ({"model_dim": 64, "head_count": 4, "seed": 1},
+         "a04450562c8634443cb3436ab4a0135408b9cc814151289f1c742c18a37c40d6"),
+        ({"model_dim": 8, "head_count": 2, "ffn_dim": 12, "seed": 3},
+         "4761290e0239c1c3483e09becc33a43ddea6b5b2c1efc49a7352cb436b4f4e06"),
+        ({"model_dim": 12, "head_count": 3, "ffn_dim": 20, "seed": 0},
+         "3484b906c67d419bb189ebf4480f3e58c4f98ae02ef5e5e9ebadeecb05173001"),
+    ])
+    def test_init_weights(self, init, digest):
+        flat = CmcParams.init(**init).flat
+        assert flat.dtype == np.float32
+        assert hashlib.sha256(flat.tobytes()).hexdigest() == digest
+
+    def test_checkpoint_file(self, tmp_path):
+        path = tmp_path / "pinned.cmcp"
+        CmcParams.init(model_dim=64, head_count=4, seed=1).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f6a9827a23bfe303c4203c98ad77335b4d3c1211060e0874c4449b22a984eaf2")

@@ -88,6 +88,15 @@ class TestExitCodes:
         assert "--holdout-every" in capsys.readouterr().err
         assert not (tmp_path / "m.cmcp").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        out = tmp_path / "r.txt"
+        assert run("rerank", "--index", "x", "--checkpoint", "y",
+                   "--embeddings", "z", "--queries", "q", "--out", str(out),
+                   "--threads", threads) == 1
+        assert "--threads must be 1 or more" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_gold_line_named_by_query_id(self, task_dir, tmp_path, capsys):
         """File row 1 is a training query; without its gold line, train,
         rerank --gold and evaluate each stop with a data error naming it,

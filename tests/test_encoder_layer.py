@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cmcrank.errors import InvalidShape
-from cmcrank.nn import LayerParams, encoder_layer_forward
-from test_attention import naive_attention
+from cmcrank.nn import encoder_layer_forward
+from cmcrank.reranker import CmcParams
+from test_attention import layer, naive_attention
 
 
 def naive_layer_norm(x, gain, bias, eps=1e-5):
@@ -34,14 +35,14 @@ def naive_encoder_layer(x, p):
 class TestEncoderLayer:
     def test_matches_sublayer_composition_oracle(self):
         rng = np.random.default_rng(4)
-        params = LayerParams.init(8, 2, rng=rng)
+        params = layer(8, 2, rng)
         x = rng.standard_normal((4, 8)).astype(np.float32)
         np.testing.assert_allclose(encoder_layer_forward(x, params),
                                    naive_encoder_layer(x, params), atol=1e-4)
 
     def test_permutation_equivariance_end_to_end(self):
         rng = np.random.default_rng(5)
-        params = LayerParams.init(8, 4, rng=rng)
+        params = layer(8, 4, rng)
         for _ in range(100):
             x = rng.standard_normal((5, 8)).astype(np.float32)
             perm = rng.permutation(5)
@@ -50,13 +51,13 @@ class TestEncoderLayer:
             assert np.abs(out_perm - out[perm]).max() <= 1e-5
 
     def test_zero_length_rejected(self):
-        params = LayerParams.init(8, 2)
+        params = layer(8, 2)
         with pytest.raises(InvalidShape):
             encoder_layer_forward(np.empty((0, 8), dtype=np.float32), params)
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(6)
-        params = LayerParams.init(16, 4, rng=rng)
+        params = layer(16, 4, rng)
         x = rng.standard_normal((7, 16)).astype(np.float32)
         first = encoder_layer_forward(x, params)
         second = encoder_layer_forward(x, params)
@@ -64,20 +65,18 @@ class TestEncoderLayer:
 
     def test_outputs_finite_for_large_inputs(self):
         rng = np.random.default_rng(7)
-        params = LayerParams.init(8, 2, rng=rng)
+        params = layer(8, 2, rng)
         for scale in (1.0, 100.0, 1e3):
             x = (scale * rng.uniform(-1, 1, size=(6, 8))).astype(np.float32)
             out = encoder_layer_forward(x, params)
             assert np.all(np.isfinite(out))
 
     def test_serialization_round_trip_bit_exact(self, tmp_path):
-        from cmcrank.reranker import CmcParams
-        rng = np.random.default_rng(8)
-        layers = (LayerParams.init(8, 2, rng=rng), LayerParams.init(8, 2, rng=rng))
+        params = CmcParams.init(model_dim=8, head_count=2, seed=8)
         path = tmp_path / "layer_roundtrip.cmcp"
-        CmcParams(layers=layers).save(path)
+        params.save(path)
         loaded = CmcParams.load(path)
-        for layer, back in zip(layers, loaded.layers):
-            assert back.head_count == layer.head_count
-            for name, arr in layer.arrays().items():
+        for saved, back in zip(params.layers, loaded.layers):
+            assert back.head_count == saved.head_count
+            for name, arr in saved.arrays().items():
                 assert back.arrays()[name].tobytes() == arr.tobytes()

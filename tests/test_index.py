@@ -172,6 +172,18 @@ class TestSearch:
         index = CandidateIndex([1], np.ones((1, 2), dtype=np.float32))
         assert len(search_topk(index, np.ones(2, dtype=np.float32), 0)) == 0
 
+    def test_negative_k_rejected(self):
+        """Exactly ``min(k, n)`` entries or an error: k = -1 raises in
+        both, and k = 0 gives no entries."""
+        index = CandidateIndex([1, 2], np.eye(2, dtype=np.float32))
+        query = np.ones(2, dtype=np.float32)
+        with pytest.raises(InvalidShape, match="nonnegative"):
+            search_topk(index, query, -1)
+        with pytest.raises(InvalidShape, match="nonnegative"):
+            rank_by_score(index.ids, [0.5, 0.25], -1)
+        assert len(rank_by_score(index.ids, [0.5, 0.25], 0)) == 0
+        assert len(search_topk(index, query, 0)) == 0
+
     def test_k_exceeding_count_returns_all(self):
         rng = np.random.default_rng(5)
         index = CandidateIndex(np.arange(7),

@@ -162,6 +162,19 @@ class TestRerank:
         with pytest.raises(InvalidShape):
             rerank(self.params, self.hq, self.ranked, self.table, 11)
 
+    @pytest.mark.parametrize("n", [10, 0])
+    def test_negative_k_out_rejected(self, n):
+        ranked = make_ranked(self.ids[:n], np.linspace(1, 0, n))
+        with pytest.raises(InvalidShape, match="nonnegative"):
+            rerank(self.params, self.hq, ranked, self.table, -1)
+
+    @pytest.mark.parametrize("n", [10, 0])
+    def test_k_out_zero_is_empty(self, n):
+        ranked = make_ranked(self.ids[:n], np.linspace(1, 0, n))
+        out = rerank(self.params, self.hq, ranked, self.table, 0)
+        assert len(out) == 0
+        assert (out.ids.dtype, out.scores.dtype) == (np.uint64, np.float32)
+
     def test_single_forward_pass_per_query(self, monkeypatch):
         calls = {"n": 0}
         real_forward = reranker_module.cmc_forward
@@ -369,8 +382,8 @@ class TestInvariantProperties:
                                 extra_skip=extra_skip, seed=int(rng.integers(1 << 31)))
         gain = np.float32(rng.uniform(0.2, 0.5))
         for layer in params.layers:
-            layer.ln1_gain *= gain
-            layer.ln2_gain *= gain
+            layer.ln1_gain[:] *= gain
+            layer.ln2_gain[:] *= gain
         hq = (0.5 * rng.standard_normal(d)).astype(np.float32)
         hc = (0.5 * rng.standard_normal((k, d))).astype(np.float32)
         perm = rng.permutation(k)
