@@ -186,13 +186,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, candidate_id: int) -> bool:
-        try:
-            self._rows([candidate_id])
-        except MissingCandidate:
-            return False
-        return True
-
     def _rows(self, candidate_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Matrix row of each id, in order; an absent id raises
         ``MissingCandidate``."""

@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoders import (HEADER_BYTES, EmbeddingTable,  # noqa: F401 (re-exported)
-                       load_embedding_file, save_embedding_file)
+from .encoders import EmbeddingTable, load_embedding_file, save_embedding_file
 from .errors import InvalidShape, NumericError
 
 

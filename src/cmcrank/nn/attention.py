@@ -135,7 +135,7 @@ def multi_head_self_attention(x: np.ndarray, params: "LayerParams",
 
 
 def attention_forward(x: np.ndarray, params: "LayerParams"):
-    """Taped forward: returns the output and the tape for backward."""
+    """Taped forward; only ``SPANS`` names it, and ROADMAP item 3 deletes it."""
     tape: list = []
     return multi_head_self_attention(x, params, tape), tape
 

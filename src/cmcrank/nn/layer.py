@@ -28,7 +28,7 @@ from . import ops
 from .attention import attention_backward, multi_head_self_attention
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerParams:
     """All weights of one encoder layer, in the shapes of ``shapes``.
 
@@ -98,7 +98,7 @@ def encoder_layer_forward(x: np.ndarray, params: LayerParams,
 
 
 def encoder_layer_forward_recorded(x: np.ndarray, params: LayerParams):
-    """Taped forward: returns the output and the tape for backward."""
+    """Taped forward; only ``SPANS`` names it, and ROADMAP item 3 deletes it."""
     tape: list = []
     return encoder_layer_forward(x, params, tape), tape
 

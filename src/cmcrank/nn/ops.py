@@ -53,21 +53,20 @@ def exp_shifted_inplace(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax over the last axis (no validation)."""
+    """Row softmax; only ``SPANS`` names it, and ROADMAP item 3 deletes it."""
     e = exp_shifted_inplace(np.array(x))
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-               eps: float = LAYER_NORM_EPS) -> np.ndarray:
-    """Normalize the last axis to zero mean / unit variance, then scale-shift."""
-    y, _ = layer_norm_forward(x, gain, bias, eps)
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Layer norm; only ``SPANS`` names it, and ROADMAP item 3 deletes it."""
+    y, _ = layer_norm_forward(x, gain, bias)
     return y
 
 
-def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                       eps: float = LAYER_NORM_EPS):
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Normalize the last axis, then scale-shift; returns y and the cache."""
     x = np.asarray(x)
     gain = np.asarray(gain)
     bias = np.asarray(bias)
@@ -81,7 +80,7 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     x_hat = x - mean
     y = np.multiply(x_hat, x_hat)
     inv_std = y.mean(axis=-1, keepdims=True)
-    inv_std += eps
+    inv_std += LAYER_NORM_EPS
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     x_hat *= inv_std

@@ -151,8 +151,8 @@ class Pipeline:
     def run_batch(self, cfg: PipelineConfig,
                   queries: Sequence[tuple[int, np.ndarray]],
                   gold_by_query: Mapping[int, int] | None = None,
-                  threads: int | None = None):
-        """Map run_query over the batch; optionally in a worker pool.
+                  threads: int = 1):
+        """Map run_query over the batch on ``threads`` workers, at least 1.
 
         Returns (results, aggregate metrics, per-query errors).  Metrics are
         empty unless golds are supplied; ``recall@k`` of the reranked list
@@ -164,6 +164,8 @@ class Pipeline:
         repeated query id raises ``DuplicateId`` and, when golds are
         supplied, a query id without one raises ``InvalidInput``.
         """
+        if threads < 1:
+            raise InvalidConfig(f"threads must be 1 or more, got {threads}")
         repeated = [q for q, n in Counter(q for q, _ in queries).items() if n > 1]
         if repeated:
             raise DuplicateId(f"query id {repeated[0]} appears more than once in the batch")
@@ -182,7 +184,7 @@ class Pipeline:
             except CmcRankError as exc:
                 errors[query_id] = exc
 
-        if threads and threads > 1 and len(queries) > 1:
+        if threads > 1 and len(queries) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(one, range(len(queries))))
         else:

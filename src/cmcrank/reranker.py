@@ -82,7 +82,7 @@ def _checkpoint_payload_bytes(extra_skip: int, model_dim: int, ffn_dim: int,
     return 4 * size
 
 
-@dataclass
+@dataclass(eq=False)
 class CmcParams:
     """The two-layer reranker: ``flat`` plus the checkpoint header's fields.
 

@@ -27,17 +27,19 @@ AdamW runs without weight decay, on ``nn.optim``'s fixed warmup.
 Examples are assembled a chunk of steps at a time (about ``CHUNK_EXAMPLES``
 examples, so assembly's memory is set by the chunk, not the training set):
 every example draws its uniforms and then its gold slot from the one
-generator, in example order, and the sampler then runs its draws over all
-of the chunk's pools at once.  A step runs one taped ``cmc_forward`` over
-its stacked (B, d) queries and (B, K, d) candidates, one ``cmc_score`` and
-one ``compute_loss`` over the (B, K) scores, and one ``CmcTape.backward``,
+generator, in example order, the sampler then runs its draws over all of
+the chunk's pools at once, and one lookup of the drawn ids in the table
+gives their rows.  A step runs one taped ``cmc_forward`` over its stacked
+(B, d) queries and (B, K, d) candidates, one ``cmc_score`` and one
+``compute_loss`` over the (B, K) scores, and one ``CmcTape.backward``,
 whose gradient vector, laid out like ``CmcParams.flat``, goes to
-``adamw_step`` as it is.  Draws, losses and summed gradients equal, bit for bit, those of a loop
-that samples, runs a forward and a backward per example and adds them in
-order.  ``compute_loss`` flushes tiny entries of its score gradient to
-zero, as the backward does for the scoring head's and the attention
-scores' gradients (``nn.ops.flush_tiny``): entries below the square root
-of the smallest normal float, whose products would be subnormal and slow.
+``adamw_step`` as it is.  Draws, losses and summed gradients equal, bit for
+bit, those of a loop that samples, runs a forward and a backward per
+example and adds them in order.  ``compute_loss`` flushes tiny entries of
+its score gradient to zero, as the backward does for the scoring head's
+and the attention scores' gradients (``nn.ops.flush_tiny``): entries below
+the square root of the smallest normal float, whose products would be
+subnormal and slow.
 """
 from __future__ import annotations
 
@@ -274,20 +276,13 @@ def sample_negatives(ranked_pool: RankedList, gold_id: int,
 @dataclass(frozen=True)
 class NegativePools:
     """Every training query's frozen-retriever pool, searched once per
-    ``train`` call, with the rows its examples gather from.
-
-    Pools are index rows: ``rows[i]`` holds the P best rows of
-    ``index.matrix`` for query i, best first, and ``scores[i]`` their
-    retriever scores.  ``known`` lists, sorted, every index row in a pool
-    or a gold, and ``known_table_rows`` the ``candidates.matrix`` row of
-    each.
-    """
+    ``train`` call, as index rows: ``rows[i]`` holds the P best rows of
+    ``index.matrix`` for query i, best first, ``scores[i]`` their retriever
+    scores and ``gold_rows[i]`` its gold's row.  Nothing else is kept."""
 
     rows: np.ndarray              # (n, P) int32, or int64 for 2**31+ rows
     scores: np.ndarray            # (n, P) float32
     gold_rows: np.ndarray         # (n,) index rows
-    known: np.ndarray
-    known_table_rows: np.ndarray
 
     @classmethod
     def search(cls, cfg: TrainingConfig, queries: np.ndarray,
@@ -307,9 +302,9 @@ class NegativePools:
             pool = search_topk(index, queries[i], cfg.negative_pool_size)
             rows[i] = np.searchsorted(index.ids, pool.ids)
             scores[i] = pool.scores
-        # np.unique first, or union1d would copy all the int32 rows as int64.
-        known = np.union1d(np.unique(rows), gold_rows)
-        known_table_rows = candidates._rows(index.ids[known])
+        # Only for its MissingCandidate.  np.unique first, or union1d would
+        # copy all the int32 rows as int64.
+        candidates._rows(index.ids[np.union1d(np.unique(rows), gold_rows)])
         short = pool_size - (rows == gold_rows[:, None]).any(axis=1) < cfg.k_train - 1
         if short.any():
             i = int(np.argmax(short))
@@ -317,7 +312,7 @@ class NegativePools:
                 f"training query row {i}: pool has "
                 f"{pool_size - int(gold_rows[i] in rows[i])} non-gold candidates, "
                 f"need {cfg.k_train - 1}")
-        return cls(rows, scores, gold_rows, known, known_table_rows)
+        return cls(rows, scores, gold_rows)
 
 
 #: Examples assembled at a time; a chunk is the whole number of steps
@@ -348,8 +343,8 @@ def assemble_batch_example(queries: np.ndarray, members: np.ndarray,
 
     Each example draws its uniforms, then its gold slot, from ``rng``, in
     example order; then the sampler runs its draws over all C pools at
-    once, and one gather and one (C, K, d) @ (C, d, 1) product give the
-    candidate rows and the retriever scores.
+    once; one id lookup in ``candidates`` and one (C, K, d) @ (C, d, 1)
+    product give the candidate rows and the retriever scores.
     """
     k = cfg.k_train
     n_sampled = k - 1 - _fixed_count(cfg)
@@ -363,10 +358,9 @@ def assemble_batch_example(queries: np.ndarray, members: np.ndarray,
     negatives = _negatives(pools.rows[members], pools.scores[members],
                            pools.gold_rows[members], cfg, uniforms)
     index_rows = _with_gold(negatives, pools.gold_rows[members], slots)
-    table_rows = pools.known_table_rows[np.searchsorted(pools.known, index_rows)]
     return TrainingBatch(
         query=queries,
-        candidates=candidates.matrix[table_rows],
+        candidates=candidates.batch(index.ids[index_rows]),
         gold_position=slots,
         retriever_scores=(index.matrix[index_rows] @ queries[:, :, None])[..., 0],
     )

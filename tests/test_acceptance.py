@@ -217,7 +217,7 @@ def test_criterion_06_search_exactness(acceptance, tmp_path):
         matrix = rng.standard_normal((count, dim)).astype(np.float32)
         path = tmp_path / f"acc6_{count}.cmci"
         built = build_index(ids, matrix, path)
-        from cmcrank.index import HEADER_BYTES
+        from cmcrank.encoders import HEADER_BYTES
         assert path.stat().st_size == HEADER_BYTES + count * 8 + count * dim * 4
         reopened = open_index(path)
         assert np.asarray(reopened.matrix).tobytes() == built.matrix.tobytes()

@@ -231,6 +231,18 @@ class TestRerankerCheckpoint:
         assert params.flat[0] == 5.0
         assert_packed(params)
 
+    def test_equality_and_hashing_are_by_identity(self):
+        """Comparing models or layers never compares their arrays, which
+        would raise; equal weights compare through ``flat``."""
+        params = CmcParams.init(model_dim=8, head_count=2, seed=7)
+        twin = params.copy()
+        assert params == params and params != twin
+        assert params.flat.tobytes() == twin.flat.tobytes()
+        layer = params.layers[0]
+        assert layer == layer and layer != twin.layers[0]
+        assert {layer, params.layers[1], layer} == {layer, params.layers[1]}
+        assert len({params, twin}) == 2
+
 
 class TestPinnedBytes:
     """SHA-256 of the initial weights and of a saved checkpoint, recorded

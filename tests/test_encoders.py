@@ -166,7 +166,9 @@ class TestEmbeddingTable:
         table = EmbeddingTable(ids, matrix)
         np.testing.assert_array_equal(table.batch([20]), matrix[[1]])
         np.testing.assert_array_equal(table.batch([30, 10]), matrix[[2, 0]])
-        assert 20 in table and 99 not in table
+        assert table._rows([20]).tolist() == [1]
+        with pytest.raises(MissingCandidate):
+            table._rows([99])
         with pytest.raises(MissingCandidate):
             table.batch([10, 99])
 
@@ -205,7 +207,8 @@ class TestEmbeddingTable:
         ids = np.array([2 ** 53, 2 ** 53 + 1], dtype=np.uint64)
         table = EmbeddingTable(ids, np.array([[0.0], [1.0]], dtype=np.float32))
         assert table.batch(np.array([2 ** 53 + 1], dtype=np.int64)).tolist() == [[1.0]]
-        assert 2 ** 53 + 2 not in table
+        with pytest.raises(MissingCandidate):
+            table._rows([2 ** 53 + 2])
 
     def test_list_mixing_ids_above_2_pow_63_with_small_ones(self):
         """numpy types such a list as float64; it must still resolve exactly."""
@@ -238,8 +241,12 @@ class TestIdLookupProperties:
         for table in (EmbeddingTable(np.array(ids, dtype=np.uint64), matrix), index):
             np.testing.assert_array_equal(table.batch(needles), expected)
             for probe in probes:
-                assert (probe in table) == (probe in oracle)
-                if probe not in oracle:
+                if probe in oracle:
+                    np.testing.assert_array_equal(
+                        table.matrix[table._rows([probe])], [oracle[probe]])
+                else:
+                    with pytest.raises(MissingCandidate):
+                        table._rows([probe])
                     with pytest.raises(MissingCandidate):
                         table.batch(np.append(needles, np.uint64(probe)))
         np.testing.assert_array_equal(index.scores_for(query, needles), expected @ query)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmcrank.encoders import load_embedding_file, save_embedding_file
+from cmcrank.encoders import (HEADER_BYTES, load_embedding_file,
+                              save_embedding_file)
 from cmcrank.errors import DuplicateId, FormatError, InvalidShape, NumericError
-from cmcrank.index import (HEADER_BYTES, CandidateIndex, build_index,
-                           open_index, rank_by_score, search_topk)
+from cmcrank.index import (CandidateIndex, build_index, open_index,
+                           rank_by_score, search_topk)
 
 
 def naive_topk(ids, matrix, query, k):

@@ -7,9 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmcrank.errors import InvalidShape
-from cmcrank.nn import (gelu, gelu_backward, layer_norm, layer_norm_backward,
-                        layer_norm_forward, linear_forward, softmax_rows)
-from cmcrank.nn.ops import LAYER_NORM_EPS
+from cmcrank.nn import (gelu, gelu_backward, layer_norm_backward,
+                        layer_norm_forward, linear_forward)
+from cmcrank.nn.ops import LAYER_NORM_EPS, exp_shifted_inplace
+
+
+def softmax(x):
+    """Row softmax over the last axis from the kernel's numerator:
+    ``exp_shifted_inplace`` on a copy, normalized here."""
+    e = exp_shifted_inplace(np.array(x))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax64(row):
@@ -19,11 +27,11 @@ def softmax64(row):
 
 
 class TestSoftmax:
-    """One vector through ``softmax_rows``, its 1-D case."""
+    """One vector through the softmax, its 1-D case."""
 
     def test_uniform_logits(self):
         """Equal inputs map to the uniform distribution."""
-        np.testing.assert_allclose(softmax_rows(np.zeros(3)), [1 / 3] * 3, atol=1e-7)
+        np.testing.assert_allclose(softmax(np.zeros(3)), [1 / 3] * 3, atol=1e-7)
 
     def test_shift_invariance(self):
         """Adding a constant to every logit leaves the output unchanged."""
@@ -31,24 +39,24 @@ class TestSoftmax:
         for _ in range(50):
             v = rng.standard_normal(6).astype(np.float32)
             c = rng.uniform(-50, 50)
-            np.testing.assert_allclose(softmax_rows(v + np.float32(c)),
-                                       softmax_rows(v), atol=1e-6)
+            np.testing.assert_allclose(softmax(v + np.float32(c)),
+                                       softmax(v), atol=1e-6)
 
     def test_log_integer_logits(self):
         # exp-normalization of [ln 1, ln 2, ln 3]: weights 1:2:3
-        out = softmax_rows(np.log(np.array([1.0, 2.0, 3.0])))
+        out = softmax(np.log(np.array([1.0, 2.0, 3.0])))
         np.testing.assert_allclose(out, [1 / 6, 2 / 6, 3 / 6], atol=1e-9)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             v = rng.uniform(-30, 30, size=rng.integers(1, 20)).astype(np.float32)
-            out = softmax_rows(v)
+            out = softmax(v)
             assert np.all(out >= 0)
             assert abs(out.sum() - 1.0) <= 1e-6
 
     def test_extreme_inputs_stay_finite(self):
-        out = softmax_rows(np.array([1e3, -1e3, 0.0], dtype=np.float32))
+        out = softmax(np.array([1e3, -1e3, 0.0], dtype=np.float32))
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) <= 1e-6
 
@@ -59,7 +67,7 @@ class TestSoftmaxRows:
         float64 softmax of that row."""
         rng = np.random.default_rng(8)
         x = rng.uniform(-30, 30, size=(3, 5, 7)).astype(np.float32)
-        out = softmax_rows(x)
+        out = softmax(x)
         assert out.dtype == np.float32 and out.shape == x.shape
         assert np.all(out >= 0)
         assert np.abs(out.sum(axis=-1) - 1.0).max() <= 1e-6
@@ -71,12 +79,17 @@ class TestSoftmaxRows:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((6, 9)).astype(np.float32)
         shift = rng.uniform(-50, 50, size=(6, 1)).astype(np.float32)
-        np.testing.assert_allclose(softmax_rows(x + shift), softmax_rows(x),
+        np.testing.assert_allclose(softmax(x + shift), softmax(x),
                                    atol=1e-6)
 
     def test_input_left_untouched(self):
+        """The kernel overwrites its argument with the numerator and returns
+        it, so a softmax that must keep its input passes a copy."""
         x = np.array([[1.0, 2.0, 3.0]], dtype=np.float32)
-        softmax_rows(x)
+        e = x.copy()
+        assert exp_shifted_inplace(e) is e
+        np.testing.assert_allclose(e, np.exp(x - 3.0), rtol=1e-6)
+        softmax(x)
         np.testing.assert_array_equal(x, [[1.0, 2.0, 3.0]])
 
     def test_wide_spread_stays_finite(self):
@@ -86,7 +99,7 @@ class TestSoftmaxRows:
         range, so these are not exact zeros)."""
         x = np.array([[1000.0, 0.0, -1.0, 999.0],
                       [-500.0, 500.0, 419.0, -400.0]], dtype=np.float32)
-        out = softmax_rows(x)
+        out = softmax(x)
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out[0, [0, 3]], [1 / (1 + math.exp(-1)),
                                                     1 / (1 + math.e)], rtol=1e-6)
@@ -99,14 +112,14 @@ class TestSoftmaxRows:
 class TestLayerNorm:
     def test_already_normalized(self):
         """[1, -1] is zero-mean unit-variance, so identity up to eps."""
-        out = layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2))
+        out = layer_norm_forward(np.array([1.0, -1.0]), np.ones(2), np.zeros(2))[0]
         np.testing.assert_allclose(out, [1.0, -1.0], atol=1e-4)
 
     def test_zero_gain_yields_bias(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(5)
         bias = rng.standard_normal(5)
-        np.testing.assert_allclose(layer_norm(x, np.zeros(5), bias), bias)
+        np.testing.assert_allclose(layer_norm_forward(x, np.zeros(5), bias)[0], bias)
 
     def test_scalar_oracle(self):
         # independent mean/variance computation for x = [1, 2, 3]
@@ -114,21 +127,21 @@ class TestLayerNorm:
         mean = (1 + 2 + 3) / 3
         var = ((1 - mean) ** 2 + (2 - mean) ** 2 + (3 - mean) ** 2) / 3
         expected = (x - mean) / math.sqrt(var + 1e-5)
-        out = layer_norm(x, np.ones(3), np.zeros(3))
+        out = layer_norm_forward(x, np.ones(3), np.zeros(3))[0]
         np.testing.assert_allclose(out, expected, rtol=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidShape):
-            layer_norm(np.ones(4), np.ones(3), np.zeros(4))
+            layer_norm_forward(np.ones(4), np.ones(3), np.zeros(4))
 
     def test_rowwise_on_matrix(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((4, 6)).astype(np.float32)
         gain = rng.standard_normal(6).astype(np.float32)
         bias = rng.standard_normal(6).astype(np.float32)
-        out = layer_norm(x, gain, bias)
+        out = layer_norm_forward(x, gain, bias)[0]
         for i in range(4):
-            np.testing.assert_allclose(out[i], layer_norm(x[i], gain, bias),
+            np.testing.assert_allclose(out[i], layer_norm_forward(x[i], gain, bias)[0],
                                        rtol=1e-6)
 
 

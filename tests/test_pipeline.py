@@ -222,7 +222,7 @@ class TestRunBatch:
 
         cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="intermediate",
                              final_scorer=broken_scorer)
-        for threads in (None, 2):
+        for threads in (1, 2):
             with pytest.raises(TypeError, match="scorer bug"):
                 pipe.run_batch(cfg, queries[:3], threads=threads)
 
@@ -256,7 +256,7 @@ class TestRunBatch:
         data, pipe, golds, queries = world
         cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="intermediate",
                              final_scorer=lambda qid, q, ids, rows: make(len(ids)))
-        for threads in (None, 2):
+        for threads in (1, 2):
             with pytest.raises(ValueError, match="final scorer returned shape"):
                 pipe.run_batch(cfg, queries[:3], threads=threads)
 
@@ -268,9 +268,20 @@ class TestRunBatch:
             final_scorer=lambda qid, q, ids, rows: calls.append(qid) or [0.0] * len(ids))
         missing = queries[2][0]
         partial = {q: g for q, g in golds.items() if q != missing}
-        for threads in (None, 2):
+        for threads in (1, 2):
             with pytest.raises(InvalidInput, match=f"query id {missing} has no gold"):
                 pipe.run_batch(cfg, queries[:5], gold_by_query=partial, threads=threads)
+        assert calls == []
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected_before_any_query_runs(self, world, threads):
+        data, pipe, golds, queries = world
+        calls = []
+        cfg = PipelineConfig(
+            k_retrieve=16, k_prime=4, mode="intermediate",
+            final_scorer=lambda qid, q, ids, rows: calls.append(qid) or [0.0] * len(ids))
+        with pytest.raises(InvalidConfig, match=f"threads must be 1 or more, got {threads}"):
+            pipe.run_batch(cfg, queries[:5], threads=threads)
         assert calls == []
 
 
