@@ -86,8 +86,10 @@ def _as_ids(ids) -> np.ndarray:
 
 def _sorted_ids(ids) -> tuple[np.ndarray, np.ndarray | None]:
     """Ids sorted ascending, and the permutation that sorted them (None if
-    they already were).  A repeated id raises ``DuplicateId`` naming it."""
+    they already were).  Ids not 1-D raise ``InvalidShape``, a repeat ``DuplicateId``."""
     ids = _as_ids(ids)
+    if ids.ndim != 1:
+        raise InvalidShape(f"candidate ids must be 1-D, got shape {ids.shape}")
     if np.all(ids[1:] > ids[:-1]):
         return ids, None
     order = np.argsort(ids, kind="stable")

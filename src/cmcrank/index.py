@@ -41,14 +41,15 @@ class RankedList:
 
 
 def rank_by_score(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedList:
-    """Exact top-k of (ids, scores) under the (score desc, id asc) order.
+    """Exact top-k of 1-D ids and same-shape scores, by (score desc, id asc).
 
     Returns exactly ``min(k, n)`` entries; raises ``InvalidShape`` for k < 0
-    and ``NumericError`` when NaN scores leave fewer comparable ones."""
+    or other shapes and ``NumericError`` when NaN scores leave fewer comparable ones."""
     if k < 0:
         raise InvalidShape(f"k must be nonnegative, got {k}")
-    ids = np.asarray(ids, dtype=np.uint64)
-    scores = np.asarray(scores)
+    ids, scores = np.asarray(ids, dtype=np.uint64), np.asarray(scores)
+    if ids.ndim != 1 or scores.shape != ids.shape:
+        raise InvalidShape(f"ids {ids.shape} and scores {scores.shape} differ or are not 1-D")
     n = len(ids)
     k = min(k, n)
     if k == 0:

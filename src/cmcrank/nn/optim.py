@@ -3,8 +3,9 @@
 The effective learning rate at step ``s`` (0-based) is
 ``learning_rate * warmup_schedule(s, total_steps)``: it rises linearly from
 0 over the first ``WARMUP_FRACTION`` (a tenth) of the run and then decays
-linearly back to 0.  ``total_steps == 0`` selects a constant schedule,
-useful for single-step tests.  The Adam moments use the fixed
+linearly back to 0, so step 0 moves no weight.  Every optimizer has a schedule:
+``OptimizerState.total_steps`` is required, and stepping past it raises
+``StateError``.  The Adam moments use the fixed
 ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.  No caller decays
 weights, so the update has no decay term.  ``adamw_step`` works on whole
 vectors: one flat parameter vector (``CmcParams.flat``), a gradient and
@@ -25,15 +26,12 @@ WARMUP_FRACTION = 0.1
 
 
 def warmup_schedule(step: int, total_steps: int) -> float:
-    """Linear warmup then linear decay; 1.0 everywhere if total_steps == 0."""
-    if total_steps <= 0:
-        return 1.0
+    """Linear warmup over the first tenth of ``total_steps`` (at least one
+    step), then linear decay to 0 at ``total_steps``."""
     warmup_steps = max(1, int(round(WARMUP_FRACTION * total_steps)))
     if step < warmup_steps:
         return step / warmup_steps
-    if total_steps <= warmup_steps:
-        return 1.0
-    return max(0.0, (total_steps - step) / (total_steps - warmup_steps))
+    return max(0.0, (total_steps - step) / max(1, total_steps - warmup_steps))
 
 
 @dataclass
@@ -42,7 +40,7 @@ class OptimizerState:
     bookkeeping; the first ``adamw_step`` zero-fills ``m`` and ``v``."""
 
     learning_rate: float
-    total_steps: int = 0
+    total_steps: int
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -54,7 +52,7 @@ class OptimizerState:
 def adamw_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState) -> None:
     """One in-place update of the vector ``theta`` from the same-shaped
     ``grad``; allocates two scratch vectors and writes everything else in place."""
-    if state.total_steps > 0 and state.step >= state.total_steps:
+    if state.step >= state.total_steps:
         raise StateError(f"optimizer already ran its {state.total_steps} steps")
     if grad.shape != theta.shape:
         raise InvalidShape(f"gradient has shape {grad.shape}, parameters {theta.shape}")

@@ -80,6 +80,8 @@ class PipelineConfig:
     final_scorer: ScorerHandle | None = None
 
     def __post_init__(self):
+        if not all(isinstance(k, int | np.integer) for k in (self.k_retrieve, self.k_prime)):
+            raise InvalidConfig("k_retrieve and k_prime must be integers")
         if self.k_retrieve < 1:
             raise InvalidConfig("k_retrieve must be positive")
         if not 1 <= self.k_prime <= self.k_retrieve:

@@ -4,8 +4,7 @@ The reranker concatenates one query embedding with K candidate embeddings,
 runs the (K+1)-row sequence through two positional-encoding-free encoder
 layers, and scores each candidate by the dot product of the contextualized
 query and candidate rows.  Each layer is wrapped in an extra residual, so
-with the skip enabled a layer computes ``x + F(x)`` where F is the whole
-post-norm encoder layer.
+a layer computes ``x + F(x)`` where F is the whole post-norm encoder layer.
 
 Because nothing in the stack depends on sequence position, permuting the
 candidates permutes the scores identically and the top-1 candidate id is
@@ -19,12 +18,12 @@ parameter gradients of the B examples, in a ``CmcParams``, from one
 backward over the stack, which flushes tiny entries of the scoring head's
 gradient to zero.
 
-The model, ``CmcParams``, is one flat vector plus the four header fields of
-its checkpoint, whose layout (little-endian, checked container of ``fileio``) is:
+The model, ``CmcParams``, is one flat vector plus three header fields of its
+checkpoint, whose layout (little-endian, checked container of ``fileio``) is:
 
     magic      4 bytes  b"CMCP"
     version    u16      currently 2; version-1 files are rejected
-    extra_skip u16      0 or 1
+    extra_skip u16      always 1: the extra residual is always on
     model_dim  u32
     ffn_dim    u32
     head_count u32      divides model_dim
@@ -75,7 +74,7 @@ def _checkpoint_payload_bytes(extra_skip: int, model_dim: int, ffn_dim: int,
                               head_count: int) -> int:
     """Payload size of a checkpoint header, which must describe a valid model."""
     size = _flat_size(model_dim, ffn_dim, head_count)
-    if extra_skip > 1 or not size:
+    if extra_skip != 1 or not size:
         raise FormatError(
             f"inconsistent checkpoint header: extra_skip {extra_skip}, model_dim "
             f"{model_dim}, ffn_dim {ffn_dim}, head_count {head_count}")
@@ -84,7 +83,7 @@ def _checkpoint_payload_bytes(extra_skip: int, model_dim: int, ffn_dim: int,
 
 @dataclass(eq=False)
 class CmcParams:
-    """The two-layer reranker: ``flat`` plus the checkpoint header's fields.
+    """The two-layer reranker: ``flat`` plus the checkpoint header's dims.
 
     ``flat`` holds every weight in ``arrays()`` (payload) order; ``layers``
     are frozen ``LayerParams`` of views of it.  ``replace(params, flat=...)``
@@ -94,20 +93,18 @@ class CmcParams:
     model_dim: int
     ffn_dim: int
     head_count: int
-    extra_skip: bool = True
     layers: tuple[LayerParams, LayerParams] = field(init=False, repr=False)
 
     @classmethod
     def init(cls, model_dim: int = DEFAULT_MODEL_DIM,
              head_count: int = DEFAULT_HEAD_COUNT,
              ffn_dim: int | None = None,
-             extra_skip: bool = True,
              seed: int = 0) -> "CmcParams":
         """Random-normal init (std 0.02) of the matrices, in ``arrays()``
         order, with zero biases and identity layer norms."""
         ffn_dim = 4 * model_dim if ffn_dim is None else ffn_dim
         flat = np.zeros(_flat_size(model_dim, ffn_dim, head_count), dtype=np.float32)
-        params = cls(flat, model_dim, ffn_dim, head_count, extra_skip)
+        params = cls(flat, model_dim, ffn_dim, head_count)
         rng = np.random.default_rng(seed)
         for name, arr in params.arrays().items():
             if arr.ndim == 2:
@@ -158,17 +155,17 @@ class CmcParams:
         before anything is written."""
         self._check_finite("weight {} is not finite; checkpoint not written")
         write_checked(path, _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                      (int(self.extra_skip), self.model_dim, self.ffn_dim, self.head_count),
+                      (1, self.model_dim, self.ffn_dim, self.head_count),
                       [np.ascontiguousarray(self.flat, dtype="<f4")])
 
     @classmethod
     def load(cls, path: str | Path) -> "CmcParams":
         """Read and verify a checkpoint; the weights are a writable copy."""
-        (extra_skip, d, f, head_count), buf = read_checked(
+        (_, d, f, head_count), buf = read_checked(
             path, _CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
             _checkpoint_payload_bytes)
         flat = np.frombuffer(buf, dtype="<f4", offset=_CHECKPOINT_HEADER.size)
-        params = cls(flat.astype(np.float32), d, f, head_count, bool(extra_skip))
+        params = cls(flat.astype(np.float32), d, f, head_count)
         params._check_finite("checkpoint weight {} is not finite")
         return params
 
@@ -234,8 +231,7 @@ class CmcTape:
         d_out = d_seq
         for layer_grad in reversed(grad.layers):
             dx = encoder_layer_backward(d_out, self._tape, layer_grad)
-            if self._params.extra_skip:
-                dx += d_out
+            dx += d_out
             d_out = dx
         return grad, d_out[..., 0, :], d_out[..., 1:, :]
 
@@ -244,8 +240,6 @@ def _sequence_from(params: CmcParams, h_query: np.ndarray,
                    h_candidates: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     h_query = np.asarray(h_query)
     h_candidates = np.asarray(h_candidates)
-    if h_candidates.ndim == 1:
-        h_candidates = h_candidates[None, :]
     d = params.model_dim
     if h_query.ndim not in (1, 2) or h_query.shape[-1] != d:
         raise InvalidShape(
@@ -276,9 +270,7 @@ def cmc_forward(params: CmcParams, h_query: np.ndarray,
     x = _sequence_from(params, h_query, h_candidates)
     for layer in params.layers:
         y = encoder_layer_forward(x, layer, tape)
-        if params.extra_skip:
-            # x is on the tape; y is a new array.
-            y += x
+        y += x  # x is on the tape; y is a new array.
         x = y
     return ContextualizedSet(h_query=x[..., 0, :], h_candidates=x[..., 1:, :])
 

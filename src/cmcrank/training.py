@@ -81,6 +81,9 @@ class TrainingConfig:
             raise InvalidConfig("at least one of lambda1, lambda2 must be positive")
         if not 0.0 <= self.fixed_fraction <= 1.0:
             raise InvalidConfig("fixed_fraction must lie in [0, 1]")
+        for name in ("k_train", "negative_pool_size", "batch_size", "epochs"):
+            if not isinstance(getattr(self, name), int | np.integer):
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.k_train < 2:
             raise InvalidConfig("k_train must include the gold and at least one negative")
         if self.k_train > self.negative_pool_size + 1:

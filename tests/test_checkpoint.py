@@ -44,7 +44,6 @@ def patch_header(path, **changes):
 
 
 def assert_same_weights(a, b):
-    assert a.extra_skip == b.extra_skip
     assert [l.head_count for l in a.layers] == [l.head_count for l in b.layers]
     assert list(a.arrays()) == list(b.arrays())
     for name, arr in a.arrays().items():
@@ -57,6 +56,7 @@ class TestCheckpointFormat:
         params = CmcParams.init(model_dim=12, head_count=3, ffn_dim=20, seed=0)
         path = tmp_path / "test.cmcp"
         params.save(path)
+        assert HEADER.unpack_from(path.read_bytes())[1:6] == (2, 1, 12, 20, 3)
         assert_same_weights(params, CmcParams.load(path))
 
     def test_reserialization_is_byte_identical(self, tmp_path):
@@ -148,7 +148,7 @@ class TestCheckpointFormat:
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
     @pytest.mark.parametrize("changes", [
-        {"head_count": 0}, {"extra_skip": 2}, {"head_count": 3},
+        {"head_count": 0}, {"extra_skip": 2}, {"extra_skip": 0}, {"head_count": 3},
         {"model_dim": 0, "head_count": 1}, {"ffn_dim": 0},
     ])
     def test_inconsistent_header_rejected(self, tmp_path, changes):
@@ -160,12 +160,10 @@ class TestCheckpointFormat:
 
 class TestRerankerCheckpoint:
     def test_params_round_trip(self, tmp_path):
-        params = CmcParams.init(model_dim=16, head_count=4, seed=3,
-                                extra_skip=False)
+        params = CmcParams.init(model_dim=16, head_count=4, seed=3)
         path = tmp_path / "params.cmcp"
         params.save(path)
         loaded = CmcParams.load(path)
-        assert loaded.extra_skip is False
         assert loaded.layers[0].head_count == 4
         assert_same_weights(params, loaded)
 
@@ -182,8 +180,10 @@ class TestRerankerCheckpoint:
         arrays = loaded.arrays()
         assert all(a.flags.writeable for a in arrays.values())
         before = loaded.copy().arrays()
-        adamw_step(loaded.flat, np.ones_like(loaded.flat),
-                   OptimizerState(learning_rate=1e-3))
+        # Two steps of a 2-step schedule: the first is warmup step 0.
+        state = OptimizerState(learning_rate=1e-3, total_steps=2)
+        for _ in range(2):
+            adamw_step(loaded.flat, np.ones_like(loaded.flat), state)
         assert all(not np.array_equal(before[n], a) for n, a in arrays.items())
 
 

@@ -182,6 +182,20 @@ class TestEmbeddingTable:
         with pytest.raises(NumericError, match="id 30 "):
             table_type(ids, matrix)
 
+    @pytest.mark.parametrize("table_type", [EmbeddingTable, CandidateIndex])
+    def test_ids_must_be_one_dimensional(self, tmp_path, table_type):
+        """A (5, 2) id array for 5 rows is rejected where a table is built
+        or a file written, while (C, K) lookups keep working."""
+        ids = np.arange(10).reshape(5, 2)
+        matrix = np.zeros((5, 3), dtype=np.float32)
+        with pytest.raises(InvalidShape, match="1-D"):
+            table_type(ids, matrix)
+        with pytest.raises(InvalidShape, match="1-D"):
+            save_embedding_file(tmp_path / "bad.cmce", ids, matrix)
+        assert not (tmp_path / "bad.cmce").exists()
+        table = table_type(ids.reshape(-1), np.zeros((10, 3), dtype=np.float32))
+        assert table.batch(ids).shape == (5, 2, 3)
+
     def test_sorted_input_is_aliased_not_copied(self):
         matrix = np.arange(6, dtype=np.float32).reshape(3, 2)
         assert EmbeddingTable([1, 2, 3], matrix).matrix is matrix

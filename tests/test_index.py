@@ -185,6 +185,17 @@ class TestSearch:
         assert len(rank_by_score(index.ids, [0.5, 0.25], 0)) == 0
         assert len(search_topk(index, query, 0)) == 0
 
+    @pytest.mark.parametrize("id_shape, score_shape", [
+        ((10,), (5,)), ((5,), (10,)), ((8,), (4, 2)), ((4,), (4, 1)),
+        ((0,), (1,)), ((4, 2), (4, 2))])
+    def test_ids_and_scores_of_different_shapes_rejected(self, id_shape, score_shape):
+        """Scores must pair one for one with 1-D ids: extra ids are not
+        silently dropped, and no numpy error escapes in place of ``InvalidShape``."""
+        ids = np.arange(np.prod(id_shape)).reshape(id_shape)
+        scores = np.arange(np.prod(score_shape), dtype=np.float32).reshape(score_shape)
+        with pytest.raises(InvalidShape, match="scores"):
+            rank_by_score(ids, scores, 3)
+
     def test_k_exceeding_count_returns_all(self):
         rng = np.random.default_rng(5)
         index = CandidateIndex(np.arange(7),

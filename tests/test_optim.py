@@ -20,9 +20,9 @@ class TestSchedule:
         assert warmup_schedule(10, 100) == pytest.approx(1.0)
         assert warmup_schedule(55, 100) == pytest.approx(0.5)
         assert warmup_schedule(100, 100) == pytest.approx(0.0)
-
-    def test_constant_when_untotaled(self):
-        assert warmup_schedule(123, 0) == 1.0
+        # A one-step run: step 0 is all warmup and the schedule ends at 0.
+        assert warmup_schedule(0, 1) == 0.0
+        assert warmup_schedule(1, 1) == 0.0
 
 
 def per_array_adamw_step(arrays, grads, state):
@@ -48,7 +48,9 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         theta = rng.standard_normal(9).astype(np.float32)
         before = theta.copy()
-        adamw_step(theta, np.zeros_like(before), OptimizerState(learning_rate=1e-2))
+        state = OptimizerState(learning_rate=1e-2, total_steps=10)
+        for _ in range(3):
+            adamw_step(theta, np.zeros_like(before), state)
         assert theta.tobytes() == before.tobytes()
 
     def test_warmup_step_zero_is_a_no_op(self):
@@ -61,19 +63,21 @@ class TestAdamW:
         assert state.step == 1
 
     def test_single_scalar_step_matches_hand_formula(self):
-        """One step with g = 1, lr = 1e-2, no decay, constant schedule."""
+        """Two steps with g = 1, lr = 1e-2, no decay, on a 10-step schedule:
+        step 0 is warmup's no-op and step 1 runs at the full rate."""
         theta = np.array([0.25], dtype=np.float32)
-        state = OptimizerState(learning_rate=1e-2)
-        adamw_step(theta, np.array([1.0], dtype=np.float32), state)
-        # hand evaluation: m-hat = v-hat = 1 after bias correction
-        m_hat = (0.1 * 1.0) / (1 - 0.9)
-        v_hat = (0.001 * 1.0) / (1 - 0.999)
+        state = OptimizerState(learning_rate=1e-2, total_steps=10)
+        for _ in range(2):
+            adamw_step(theta, np.array([1.0], dtype=np.float32), state)
+        # hand evaluation at t = 2: m-hat = v-hat = 1 after bias correction
+        m_hat = (0.1 * 0.9 + 0.1) / (1 - 0.9 ** 2)
+        v_hat = (0.001 * 0.999 + 0.001) / (1 - 0.999 ** 2)
         expected = 0.25 - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
         np.testing.assert_allclose(theta, [expected], rtol=1e-6)
 
     def test_shape_mismatch_rejected(self):
         theta = np.zeros(3, dtype=np.float32)
-        state = OptimizerState(learning_rate=1e-2)
+        state = OptimizerState(learning_rate=1e-2, total_steps=10)
         with pytest.raises(InvalidShape):
             adamw_step(theta, np.zeros(4, dtype=np.float32), state)
         assert state.step == 0
@@ -88,7 +92,7 @@ class TestAdamW:
     def test_moments_track_two_steps(self):
         """m and v follow the exponential-average recurrences exactly."""
         theta = np.array([0.0], dtype=np.float32)
-        state = OptimizerState(learning_rate=0.0)
+        state = OptimizerState(learning_rate=0.0, total_steps=10)
         adamw_step(theta, np.array([2.0], dtype=np.float32), state)
         adamw_step(theta, np.array([-1.0], dtype=np.float32), state)
         np.testing.assert_allclose(state.m, [0.9 * (0.1 * 2.0) + 0.1 * (-1.0)],
@@ -99,14 +103,13 @@ class TestAdamW:
     @settings(max_examples=60, deadline=None)
     @given(shapes=st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3),
                            min_size=1, max_size=6),
-           steps=st.integers(3, 6), total_steps=st.sampled_from([0, 6, 20]),
+           steps=st.integers(3, 6), total_steps=st.sampled_from([6, 20]),
            lr=st.sampled_from([0.0, 1e-5, 1e-3, 0.5]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_flat_step_matches_per_array_loop_bit_for_bit(
             self, shapes, steps, total_steps, lr, seed):
         """Views of one vector stepped as a whole land on the same bits as
-        the arrays stepped one at a time; with a total the first step is
-        warmup step 0."""
+        the arrays stepped one at a time; the first step is warmup step 0."""
         rng = np.random.default_rng(seed)
         sizes = [math.prod(shape) for shape in shapes]
         theta = rng.standard_normal(sum(sizes)).astype(np.float32)

@@ -39,6 +39,16 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             PipelineConfig(mode="telepathy")
 
+    @pytest.mark.parametrize("counts", [
+        {"k_retrieve": 10.5}, {"k_prime": 4.0}, {"k_retrieve": "16"}])
+    def test_non_integer_counts_rejected(self, counts):
+        """A float count would reach ``np.argpartition`` as a ``TypeError``,
+        which per-query isolation does not catch; numpy integers are counts."""
+        with pytest.raises(InvalidConfig, match="integers"):
+            PipelineConfig(**{"k_retrieve": 16, "k_prime": 4, **counts})
+        cfg = PipelineConfig(k_retrieve=np.int64(16), k_prime=np.uint32(4))
+        assert (cfg.k_retrieve, cfg.k_prime) == (16, 4)
+
 
 class TestRunQuery:
     def test_no_truncation_equals_global_argmax(self, world):

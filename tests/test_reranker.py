@@ -1,4 +1,4 @@
-"""Reranker semantics: skip identity, permutation behavior, rerank contract."""
+"""Reranker semantics: extra residual, permutation behavior, rerank contract."""
 import functools
 
 import numpy as np
@@ -24,27 +24,15 @@ def make_ranked(ids, scores):
 
 class TestForward:
     def test_extra_skip_is_stagewise_input_plus_layer(self):
-        """With the skip on, each stage output equals x + F(x) where F is the
-        bare encoder layer; verified by composing the public layer forward."""
+        """Each stage output equals x + F(x) where F is the bare encoder
+        layer; verified by composing the public layer forward."""
         rng = np.random.default_rng(0)
-        params = CmcParams.init(model_dim=8, head_count=2, seed=1, extra_skip=True)
+        params = CmcParams.init(model_dim=8, head_count=2, seed=1)
         hq = rng.standard_normal(8).astype(np.float32)
         hc = rng.standard_normal((3, 8)).astype(np.float32)
         x = np.concatenate([hq[None, :], hc], axis=0)
         for layer in params.layers:
             x = x + encoder_layer_forward(x, layer)
-        ctx = cmc_forward(params, hq, hc)
-        np.testing.assert_allclose(ctx.h_query, x[0], atol=1e-6)
-        np.testing.assert_allclose(ctx.h_candidates, x[1:], atol=1e-6)
-
-    def test_skip_off_is_bare_composition(self):
-        rng = np.random.default_rng(1)
-        params = CmcParams.init(model_dim=8, head_count=2, seed=2, extra_skip=False)
-        hq = rng.standard_normal(8).astype(np.float32)
-        hc = rng.standard_normal((3, 8)).astype(np.float32)
-        x = np.concatenate([hq[None, :], hc], axis=0)
-        for layer in params.layers:
-            x = encoder_layer_forward(x, layer)
         ctx = cmc_forward(params, hq, hc)
         np.testing.assert_allclose(ctx.h_query, x[0], atol=1e-6)
         np.testing.assert_allclose(ctx.h_candidates, x[1:], atol=1e-6)
@@ -272,15 +260,14 @@ class TestStackedExamples:
     @settings(max_examples=60, deadline=None)
     @given(batch=st.integers(1, 5), k=st.integers(1, 12),
            head_count=st.integers(1, 4), head_dim=st.integers(1, 6),
-           extra_skip=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+           seed=st.integers(0, 2 ** 32 - 1))
     def test_equals_per_example_results_bit_for_bit(self, batch, k, head_count,
-                                                    head_dim, extra_skip, seed):
+                                                    head_dim, seed):
         """Contextualized rows and input gradients stack the per-example
         ones; parameter gradients are their sum in example order."""
         rng = np.random.default_rng(seed)
         d = head_count * head_dim
-        params = CmcParams.init(model_dim=d, head_count=head_count,
-                                extra_skip=extra_skip, seed=seed)
+        params = CmcParams.init(model_dim=d, head_count=head_count, seed=seed)
         hq = rng.standard_normal((batch, d)).astype(np.float32)
         hc = rng.standard_normal((batch, k, d)).astype(np.float32)
         d_scores = rng.standard_normal((batch, k)).astype(np.float32)
@@ -369,17 +356,15 @@ class TestInvariantProperties:
 
     @settings(max_examples=150, deadline=None)
     @given(k=st.integers(1, 32), head_count=st.integers(1, 4),
-           head_dim=st.integers(1, 8), extra_skip=st.booleans(),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_permutation_equivariance(self, k, head_count, head_dim,
-                                      extra_skip, seed):
-        """Criterion 2 over K, model dim, heads and the skip: permuted
+           head_dim=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_permutation_equivariance(self, k, head_count, head_dim, seed):
+        """Criterion 2 over K, model dim and heads: permuted
         candidates give permuted scores within 1e-5 and the same top-1,
         with norm gains in U(0.2, 0.5) as in criterion 2's instances."""
         rng = np.random.default_rng(seed)
         d = head_count * head_dim
         params = CmcParams.init(model_dim=d, head_count=head_count, ffn_dim=2 * d,
-                                extra_skip=extra_skip, seed=int(rng.integers(1 << 31)))
+                                seed=int(rng.integers(1 << 31)))
         gain = np.float32(rng.uniform(0.2, 0.5))
         for layer in params.layers:
             layer.ln1_gain[:] *= gain

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import cmcrank.training as training_module
@@ -341,6 +341,15 @@ class TestSampleNegatives:
             TrainingConfig(fixed_fraction=1.5)
 
     @pytest.mark.parametrize("field, value", [
+        ("k_train", 4.5), ("negative_pool_size", 64.0), ("batch_size", 2.5),
+        ("epochs", "3"), ("epochs", None)])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
+            TrainingConfig(**{field: value})
+        default = getattr(TrainingConfig(), field)
+        assert getattr(TrainingConfig(**{field: np.int64(default)}), field) == default
+
+    @pytest.mark.parametrize("field, value", [
         ("base_lr", math.nan), ("base_lr", -1e-3), ("base_lr", math.inf),
         ("lambda1", math.nan), ("lambda1", math.inf),
         ("lambda2", math.nan), ("lambda2", math.inf)])
@@ -352,7 +361,10 @@ class TestSampleNegatives:
 
 
 class TestChunkAssembly:
-    @settings(max_examples=80, deadline=None)
+    # No shrink phase: a failing example here takes hypothesis over a minute
+    # to shrink, which stalls the suite before it reports.
+    @settings(max_examples=80, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(n=st.integers(1, 24), data=st.data(),
            k_train=st.integers(2, 20), extra_pool=st.integers(0, 30),
            fixed_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]),

@@ -92,6 +92,20 @@ MUTANTS = (
         ("tests/test_training.py::TestPoolCache",
          "tests/test_training.py::TestPinnedTraining"),
     ),
+    Mutant(
+        "extra residual missing from the backward only",
+        "src/cmcrank/reranker.py",
+        "            dx += d_out\n",
+        "",
+        ("tests/test_gradcheck.py", "tests/test_training.py::TestPinnedTraining"),
+    ),
+    Mutant(
+        "rank_by_score takes ids and scores of different lengths",
+        "src/cmcrank/index.py",
+        "if ids.ndim != 1 or scores.shape != ids.shape:",
+        "if ids.ndim != 1:",
+        ("tests/test_index.py::TestSearch::test_ids_and_scores_of_different_shapes_rejected",),
+    ),
 )
 
 
