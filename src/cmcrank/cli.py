@@ -186,7 +186,7 @@ def _cmd_train(args) -> int:
         batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
 
     # Queries listed in the gold file but reserved for evaluation (every
-    # fifth) are excluded from training, matching the library split.
+    # fifth by default) are excluded from training.
     keep = np.ones(len(qids), dtype=bool)
     if args.holdout_every > 0:
         keep[::args.holdout_every] = False

@@ -136,13 +136,6 @@ class SyntheticDataset:
     query_embeddings: np.ndarray
     gold_ids: np.ndarray
 
-    def heldout_split(self, every: int = 5):
-        """Deterministic split: every ``every``-th query held out for eval."""
-        idx = np.arange(len(self.query_ids))
-        eval_idx = idx[::every]
-        train_idx = np.setdiff1d(idx, eval_idx)
-        return train_idx, eval_idx
-
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=-1, keepdims=True)
@@ -270,8 +263,8 @@ def bench_latency(params: CmcParams, k_values: Sequence[int],
     with pin:
         for k in k_values:
             try:
-                h_query = rng.standard_normal(params.model_dim).astype(np.float32)
-                h_cands = rng.standard_normal((k, params.model_dim)).astype(np.float32)
+                h_query = rng.standard_normal((1, params.model_dim)).astype(np.float32)
+                h_cands = rng.standard_normal((1, k, params.model_dim)).astype(np.float32)
                 cmc_score(cmc_forward(params, h_query, h_cands))  # warm-up
                 times = np.empty(repeats, dtype=np.float64)
                 for i in range(repeats):

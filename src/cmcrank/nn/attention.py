@@ -29,9 +29,9 @@ and divided by its denominators after the value product, so the context
 arithmetic is the same with and without a tape.  The backward leaves the
 four projections to ``ops.linear_backward`` and flushes tiny score
 gradients to zero (``ops.flush_tiny``).  The forward takes one (L, d)
-example per call, and ``nn.layer`` loops over a batch; the backward takes
-one example or a (B, L, d) stack, pops the B entries and runs each product
-and projection once over the stack.
+sequence per call, and ``nn.layer`` loops over a batch; the backward takes
+the (B, L, d) stack, one sequence being a stack of one, pops the B entries
+and runs each product and projection once over the stack.
 """
 from __future__ import annotations
 
@@ -143,21 +143,17 @@ def attention_forward(x: np.ndarray, params: "LayerParams"):
 def attention_backward(dy: np.ndarray, tape: list, grads: "LayerParams") -> np.ndarray:
     """Gradients w.r.t. the input (returned) and the four projections.
 
-    ``dy`` is one (L, d) example's output gradient, or a stack of B of them,
-    (B, L, d), for the last B sequences that
+    ``dy`` is the (B, L, d) output gradient of the last B sequences that
     :func:`multi_head_self_attention` recorded on ``tape``; their entries
     are popped and stacked, and every product runs once over the stack.
     The input gradient sums the q, k and v paths in that order.  Parameter
-    gradients of a stack are the per-example ones summed in example order,
-    bit for bit.
+    gradients are the per-example ones summed in example order, bit for
+    bit.
     """
-    if dy.ndim == 2:
-        x, qh, kh, vh, attn, out, params, scale = tape.pop()
-    else:
-        entries = tape[-len(dy):]
-        del tape[-len(dy):]
-        x, qh, kh, vh, attn, out = (np.stack(f) for f in list(zip(*entries))[:6])
-        params, scale = entries[0][6:]
+    entries = tape[-len(dy):]
+    del tape[-len(dy):]
+    x, qh, kh, vh, attn, out = (np.stack(f) for f in list(zip(*entries))[:6])
+    params, scale = entries[0][6:]
     d_out = linear_backward(dy, (out, params.w_o), grads.w_o, grads.b_o)
     d_outh = _split_heads(d_out, params.head_count)
 

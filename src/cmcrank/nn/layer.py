@@ -5,9 +5,9 @@ Sublayer order is attention -> add&norm -> GELU feed-forward -> add&norm.
 Given a ``tape`` list it appends what ``encoder_layer_backward`` needs,
 attention first, and the backward pops those entries in reverse order.
 
-The input is one (L, d) sequence or a stack of B of them, (B, L, d).  On
-a stack, layer norm, the feed-forward and the residuals run once over the
-whole batch, while the attention forward runs once per sequence on its
+The input is a stack of B sequences, (B, L, d); one sequence is a stack
+of one.  Layer norm, the feed-forward and the residuals run once over the
+whole stack, while the attention forward runs once per sequence on its
 (L, d) slice, appending one tape entry each; the backward, attention
 included, runs once over the stack.  It writes the sum of the
 per-sequence parameter gradients, bit for bit as a loop over the
@@ -73,18 +73,14 @@ class LayerParams:
 
 def encoder_layer_forward(x: np.ndarray, params: LayerParams,
                           tape: list | None = None) -> np.ndarray:
-    """Deterministic forward through one post-norm encoder layer.
+    """Deterministic forward of one post-norm encoder layer over (B, L, d).
 
     With a ``tape`` list, appends the entries ``encoder_layer_backward``
-    pops.
+    pops: one per sequence for the attention, then one for the rest.
     """
-    if np.ndim(x) not in (2, 3) or np.shape(x)[-2] < 1:
-        raise InvalidShape(
-            f"encoder layer expects a non-empty (L, d) or (B, L, d) array, got {np.shape(x)}")
-    if np.ndim(x) == 2:
-        a = multi_head_self_attention(x, params, tape)
-    else:
-        a = np.stack([multi_head_self_attention(xb, params, tape) for xb in x])
+    if np.ndim(x) != 3 or 0 in np.shape(x)[:2]:
+        raise InvalidShape(f"encoder layer expects a non-empty (B, L, d) stack, got {np.shape(x)}")
+    a = np.stack([multi_head_self_attention(xb, params, tape) for xb in x])
     a += x
     u, ln1_cache = ops.layer_norm_forward(a, params.ln1_gain, params.ln1_bias)
     h1, lin1_cache = ops.linear_forward(u, params.w_1, params.b_1)
@@ -104,7 +100,7 @@ def encoder_layer_forward_recorded(x: np.ndarray, params: LayerParams):
 
 
 def encoder_layer_backward(dy: np.ndarray, tape: list, grads: LayerParams) -> np.ndarray:
-    """Gradients of one encoder layer; returns the input's.
+    """Gradients of one encoder layer; returns the (B, L, d) input's.
 
     Pops the entries :func:`encoder_layer_forward` appended to ``tape``.
     """

@@ -9,12 +9,12 @@ A backward with parameters writes their gradients into the views it is
 given, overwriting them, and returns only the input gradient; training
 gives it views of one vector laid out like ``CmcParams.flat``.
 
-Layer norm, linear and GELU take one (L, d) example or a stack of them
-with a leading batch axis, (B, L, d).  A batched backward reduces its
-parameter gradients over the L rows of each example first and then over
-the examples in order, so it writes bit for bit the sum that a loop over
-the examples would build.  ``flush_tiny`` zeroes gradient entries below
-the square root of the dtype's smallest normal number, so that neither
+Layer norm, linear and GELU take a stack of B examples with a leading
+batch axis, (B, L, d); one example is a stack of one.  A backward reduces
+its parameter gradients over the L rows of each example first and then
+over the examples in order, so it writes bit for bit the sum that a loop
+over the examples would build.  ``flush_tiny`` zeroes gradient entries
+below the square root of the dtype's smallest normal number, so that neither
 they nor their products are subnormal: float32 arithmetic on subnormal
 operands is many times slower than on normal ones.
 
@@ -109,9 +109,9 @@ def flush_tiny(x: np.ndarray) -> np.ndarray:
 
 
 def _sum_rows(g: np.ndarray, out: np.ndarray) -> None:
-    """Sum over the rows of each example, then over a leading batch axis
-    in example order, into ``out``."""
-    np.sum(g.sum(axis=1) if g.ndim == 3 else g, axis=0, out=out)
+    """Sum a (B, L, n) gradient over the rows of each example, then over
+    the examples in order, into ``out``."""
+    np.sum(g.sum(axis=1), axis=0, out=out)
 
 
 def layer_norm_backward(dy: np.ndarray, cache, d_gain, d_bias) -> np.ndarray:
@@ -184,9 +184,6 @@ def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 def linear_backward(dy: np.ndarray, cache, dw, db) -> np.ndarray:
     x, w = cache
-    if dy.ndim == 3:
-        np.sum(np.matmul(x.swapaxes(-1, -2), dy), axis=0, out=dw)
-    else:
-        np.matmul(x.T, dy, out=dw)
+    np.sum(np.matmul(x.swapaxes(-1, -2), dy), axis=0, out=dw)
     _sum_rows(dy, db)
     return dy @ w.T

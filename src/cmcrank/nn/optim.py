@@ -3,13 +3,14 @@
 The effective learning rate at step ``s`` (0-based) is
 ``learning_rate * warmup_schedule(s, total_steps)``: it rises linearly from
 0 over the first ``WARMUP_FRACTION`` (a tenth) of the run and then decays
-linearly back to 0, so step 0 moves no weight.  Every optimizer has a schedule:
-``OptimizerState.total_steps`` is required, and stepping past it raises
-``StateError``.  The Adam moments use the fixed
-``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.  No caller decays
-weights, so the update has no decay term.  ``adamw_step`` works on whole
-vectors: one flat parameter vector (``CmcParams.flat``), a gradient and
-two moments of the same layout.
+linearly back to 0, so step 0 moves no weight.  Every optimizer has a
+schedule: ``OptimizerState.total_steps`` is required, an integer of at
+least 1 (else ``InvalidConfig``), and stepping past it raises
+``StateError``.  The Adam moments use the fixed ``ADAM_BETA1``,
+``ADAM_BETA2`` and ``ADAM_EPS``.  No caller decays weights, so the update
+has no decay term.  ``adamw_step`` works on whole vectors: one flat
+parameter vector (``CmcParams.flat``), a gradient and two moments of the
+same layout.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidShape, StateError
+from ..errors import InvalidConfig, InvalidShape, StateError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -37,13 +38,19 @@ def warmup_schedule(step: int, total_steps: int) -> float:
 @dataclass
 class OptimizerState:
     """AdamW moments over one flat parameter vector plus the schedule
-    bookkeeping; the first ``adamw_step`` zero-fills ``m`` and ``v``."""
+    bookkeeping, ``total_steps`` of at least 1; the first ``adamw_step``
+    zero-fills ``m`` and ``v``."""
 
     learning_rate: float
     total_steps: int
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.total_steps, int | np.integer) or self.total_steps < 1:
+            raise InvalidConfig(f"total_steps must be an integer of at least 1, "
+                                f"got {self.total_steps!r}")
 
     def effective_lr(self) -> float:
         return self.learning_rate * warmup_schedule(self.step, self.total_steps)

@@ -11,12 +11,12 @@ candidates permutes the scores identically and the top-1 candidate id is
 invariant.  One forward pass covers all K candidates of a query.
 ``cmc_forward`` serves inference and training alike: given a ``tape`` list
 it appends each layer's entries, and ``CmcTape.backward`` pops them in
-reverse order.  Serving passes one query, (d,) with (K, d) candidates;
-training passes a step's B queries at once, (B, d) with (B, K, d), gets
-(B, K) scores from one ``cmc_score`` call, and gets back the summed
-parameter gradients of the B examples, in a ``CmcParams``, from one
-backward over the stack, which flushes tiny entries of the scoring head's
-gradient to zero.
+reverse order.  Every call takes a stack of B queries, (B, d) with
+(B, K, d) candidates, and ``cmc_score`` gives (B, K) scores: serving
+passes a stack of one, and training a step's B queries, for which it
+gets back the summed parameter gradients of the B examples, in a
+``CmcParams``, from one backward over the stack, which flushes tiny
+entries of the scoring head's gradient to zero.
 
 The model, ``CmcParams``, is one flat vector plus three header fields of its
 checkpoint, whose layout (little-endian, checked container of ``fileio``) is:
@@ -173,18 +173,18 @@ class CmcParams:
 @dataclass
 class ContextualizedSet:
     """Query and candidate embeddings after joint contextualization, with
-    a leading batch axis when the forward had one."""
+    the forward's leading batch axis."""
 
-    h_query: np.ndarray        # (d,) or (B, d)
-    h_candidates: np.ndarray   # (K, d) or (B, K, d)
+    h_query: np.ndarray        # (B, d)
+    h_candidates: np.ndarray   # (B, K, d)
 
 
 @dataclass
 class ScoreVector:
     """Per-candidate scores; argmax ties break to the lowest index."""
 
-    scores: np.ndarray               # (K,) or (B, K)
-    argmax_index: int | np.ndarray   # one per row of a batch
+    scores: np.ndarray         # (B, K)
+    argmax_index: np.ndarray   # (B,), one per row
 
 
 class CmcTape:
@@ -202,9 +202,9 @@ class CmcTape:
 
     def backward(self, d_scores: np.ndarray):
         """Gradients of a scalar loss given dLoss/dScores, shaped like the
-        scores: (K,), or (B, K) for a batched forward.  A batched backward
-        runs every kernel once over the stack, each layer's attention
-        backward included, which pops the B sequences' entries together.
+        (B, K) scores.  The backward runs every kernel once over the stack,
+        each layer's attention backward included, which pops the B
+        sequences' entries together.
 
         Returns (grad, d_query, d_candidates): ``grad`` holds the weights'
         gradients, summed over the batch, in a new ``CmcParams`` (see
@@ -221,10 +221,10 @@ class CmcTape:
                 f"d_scores has shape {d_scores.shape}, expected {hc.shape[:-1]}")
 
         # Scoring head: scores_j = <h_query, h_candidates[j]>.
-        d_seq = np.empty(hc.shape[:-2] + (hc.shape[-2] + 1, hq.shape[-1]),
-                         dtype=hq.dtype)
-        d_seq[..., 0, :] = (d_scores[..., None, :] @ hc)[..., 0, :]
-        d_seq[..., 1:, :] = d_scores[..., :, None] * hq[..., None, :]
+        batch, k, dim = hc.shape
+        d_seq = np.empty((batch, k + 1, dim), dtype=hq.dtype)
+        d_seq[:, 0, :] = (d_scores[:, None, :] @ hc)[:, 0, :]
+        d_seq[:, 1:, :] = d_scores[:, :, None] * hq[:, None, :]
         flush_tiny(d_seq)
 
         grad = self._params.empty_like()
@@ -233,7 +233,7 @@ class CmcTape:
             dx = encoder_layer_backward(d_out, self._tape, layer_grad)
             dx += d_out
             d_out = dx
-        return grad, d_out[..., 0, :], d_out[..., 1:, :]
+        return grad, d_out[:, 0, :], d_out[:, 1:, :]
 
 
 def _sequence_from(params: CmcParams, h_query: np.ndarray,
@@ -241,29 +241,27 @@ def _sequence_from(params: CmcParams, h_query: np.ndarray,
     h_query = np.asarray(h_query)
     h_candidates = np.asarray(h_candidates)
     d = params.model_dim
-    if h_query.ndim not in (1, 2) or h_query.shape[-1] != d:
+    if h_query.ndim != 2 or h_query.shape[1] != d or len(h_query) < 1:
         raise InvalidShape(
-            f"query embedding has shape {h_query.shape}, expected ({d},) or (B, {d})")
-    batch = h_query.shape[:-1]
-    if (h_candidates.ndim != h_query.ndim + 1 or h_candidates.shape[:-2] != batch
-            or h_candidates.shape[-1] != d):
-        expected = f"({batch[0]}, K, {d})" if batch else f"(K, {d})"
-        raise InvalidShape(
-            f"candidate embeddings have shape {h_candidates.shape}, expected {expected}")
-    k = h_candidates.shape[-2]
+            f"query embeddings have shape {h_query.shape}, expected (B, {d}) with B >= 1")
+    batch = len(h_query)
+    if h_candidates.ndim != 3 or h_candidates.shape[0] != batch or h_candidates.shape[2] != d:
+        raise InvalidShape(f"candidate embeddings have shape {h_candidates.shape}, "
+                           f"expected ({batch}, K, {d})")
+    k = h_candidates.shape[1]
     if k < 1:
         raise InvalidShape("at least one candidate is required")
     if k > MAX_CANDIDATES:
         raise InvalidShape(f"K = {k} exceeds the supported maximum {MAX_CANDIDATES}")
     # Query occupies row 0 by convention; position carries no meaning.
-    return np.concatenate([h_query[..., None, :], h_candidates], axis=-2)
+    return np.concatenate([h_query[:, None, :], h_candidates], axis=1)
 
 
 def cmc_forward(params: CmcParams, h_query: np.ndarray,
                 h_candidates: np.ndarray | Sequence[np.ndarray],
                 tape: list | None = None) -> ContextualizedSet:
-    """Contextualize the query with its K candidates in one pass; a (B, d)
-    query stack with (B, K, d) candidates contextualizes B examples.
+    """Contextualize each of a (B, d) query stack with its K candidates,
+    (B, K, d), in one pass; one query is a stack of one.
 
     With a ``tape`` list, appends each layer's entries for the backward.
     """
@@ -272,7 +270,7 @@ def cmc_forward(params: CmcParams, h_query: np.ndarray,
         y = encoder_layer_forward(x, layer, tape)
         y += x  # x is on the tape; y is a new array.
         x = y
-    return ContextualizedSet(h_query=x[..., 0, :], h_candidates=x[..., 1:, :])
+    return ContextualizedSet(h_query=x[:, 0, :], h_candidates=x[:, 1:, :])
 
 
 def cmc_forward_recorded(params: CmcParams, h_query: np.ndarray,
@@ -284,11 +282,10 @@ def cmc_forward_recorded(params: CmcParams, h_query: np.ndarray,
 
 
 def cmc_score(ctx: ContextualizedSet) -> ScoreVector:
-    """Dot-product scores of the contextualized query against each candidate:
-    (K,), or (B, K) from one (B, K, d) @ (B, d, 1) product for a batch."""
-    scores = (ctx.h_candidates @ ctx.h_query[..., None])[..., 0]
-    best = np.argmax(scores, axis=-1)
-    return ScoreVector(scores=scores, argmax_index=int(best) if best.ndim == 0 else best)
+    """Dot-product scores of each contextualized query against its
+    candidates: (B, K), from one (B, K, d) @ (B, d, 1) product."""
+    scores = (ctx.h_candidates @ ctx.h_query[:, :, None])[:, :, 0]
+    return ScoreVector(scores=scores, argmax_index=np.argmax(scores, axis=1))
 
 
 def rerank(params: CmcParams, h_query: np.ndarray, ranked: RankedList,
@@ -296,15 +293,14 @@ def rerank(params: CmcParams, h_query: np.ndarray, ranked: RankedList,
            k_out: int) -> RankedList:
     """Re-score every candidate in ``ranked`` and return the top ``k_out``.
 
-    All candidates go through a single forward pass; the output order is by
-    reranker score (descending, id-ascending ties).  A ``k_out`` below 0 or
-    above ``len(ranked)`` raises ``InvalidShape``.
+    All candidates go through a single forward pass, as a batch of one;
+    the output order is by reranker score (descending, id-ascending ties).
+    A ``k_out`` below 0 or above ``len(ranked)`` raises ``InvalidShape``.
     """
     if k_out > len(ranked):
         raise InvalidShape(f"k_out = {k_out} exceeds the {len(ranked)} ranked candidates")
     if k_out <= 0:
         return rank_by_score(ranked.ids, ranked.scores, k_out)
     rows = candidate_embeddings.batch(ranked.ids)
-    ctx = cmc_forward(params, np.asarray(h_query, dtype=np.float32), rows)
-    scores = cmc_score(ctx).scores
-    return rank_by_score(ranked.ids, scores, k_out)
+    ctx = cmc_forward(params, np.asarray(h_query, dtype=np.float32)[None], rows[None])
+    return rank_by_score(ranked.ids, cmc_score(ctx).scores[0], k_out)

@@ -139,11 +139,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def compute_loss(scores: np.ndarray, gold_position,
                  retriever_scores: np.ndarray,
                  lambda1: float, lambda2: float):
-    """Loss value and its gradient w.r.t. the raw reranker scores.
+    """Loss values and their gradient w.r.t. the raw reranker scores.
 
-    Takes one example, (K,) scores with an int gold position, and returns
-    (float loss, (K,) gradient); or a batch, (B, K) scores with B gold
-    positions, and returns ((B,) losses, (B, K) gradients), each row the
+    Takes (B, K) scores with B gold positions, one example being a batch
+    of one, and returns ((B,) losses, (B, K) gradients), each row the
     bits its example gives alone.  The gradient has the scores' dtype,
     with entries below the square root of its smallest normal number
     flushed to zero (``nn.ops.flush_tiny``): a candidate scored far below
@@ -152,13 +151,13 @@ def compute_loss(scores: np.ndarray, gold_position,
     """
     scores = np.asarray(scores)
     retriever_scores = np.asarray(retriever_scores)
-    if scores.shape != retriever_scores.shape or scores.ndim not in (1, 2):
+    if scores.shape != retriever_scores.shape or scores.ndim != 2:
         raise InvalidShape(
             f"scores {scores.shape} and retriever scores {retriever_scores.shape} "
-            "must be equal-shaped (K,) vectors or (B, K) arrays")
-    s = np.atleast_2d(scores).astype(np.float64)
+            "must be equal-shaped (B, K) arrays")
+    s = scores.astype(np.float64)
     batch, k = s.shape
-    gold = np.atleast_1d(np.asarray(gold_position))
+    gold = np.asarray(gold_position)
     if gold.dtype.kind not in "iu":
         raise InvalidIndex(f"gold positions must be integers, got dtype {gold.dtype}")
     if gold.shape != (batch,):
@@ -170,7 +169,7 @@ def compute_loss(scores: np.ndarray, gold_position,
 
     p = np.exp(s - s.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
-    r = np.atleast_2d(retriever_scores).astype(np.float64)
+    r = retriever_scores.astype(np.float64)
     r = np.exp(r - r.max(axis=1, keepdims=True))
     r /= r.sum(axis=1, keepdims=True)
 
@@ -189,10 +188,7 @@ def compute_loss(scores: np.ndarray, gold_position,
     if lambda2:
         g = log_ratio + unclamped
         d_scores += lambda2 * p * (g - _row_dots(p, g))
-    d_scores = flush_tiny(d_scores.astype(scores.dtype))
-    if scores.ndim == 1:
-        return float(loss[0]), d_scores[0]
-    return loss, d_scores
+    return loss, flush_tiny(d_scores.astype(scores.dtype))
 
 
 def _draw_slots(scores: np.ndarray, in_play: np.ndarray,

@@ -21,6 +21,7 @@ from cmcrank.pipeline import Pipeline, PipelineConfig, gold_oracle_scorer
 from cmcrank.reranker import (CmcParams, cmc_forward, cmc_forward_recorded,
                               cmc_score, rerank)
 from cmcrank.training import TrainingConfig, compute_loss, sample_negatives, train
+from test_evaluation import heldout_split
 from test_gradcheck import full_loss, make_instance, params_as_float64
 
 REL_TOL = 1e-2
@@ -90,11 +91,11 @@ def test_criterion_02_permutation_suite(acceptance):
     for _ in range(1000):
         params, hq, _, _, _ = make_instance(rng, model_dim=8, k=k)
         hc = (0.5 * rng.standard_normal((k, 8))).astype(np.float32)
-        base = cmc_score(cmc_forward(params, hq, hc))
+        base = cmc_score(cmc_forward(params, hq, hc[None]))
         perm = rng.permutation(k)
-        permuted = cmc_score(cmc_forward(params, hq, hc[perm]))
-        assert np.abs(permuted.scores - base.scores[perm]).max() <= 1e-5
-        assert perm[permuted.argmax_index] == base.argmax_index
+        permuted = cmc_score(cmc_forward(params, hq, hc[perm][None]))
+        assert np.abs(permuted.scores[0] - base.scores[0][perm]).max() <= 1e-5
+        assert perm[permuted.argmax_index[0]] == base.argmax_index[0]
     assert time.monotonic() - started <= 60.0
     rec.passed()
 
@@ -113,19 +114,19 @@ def test_criterion_03_loss_identities(acceptance):
         l1, l2 = float(rng.uniform(0.1, 2)), float(rng.uniform(0.1, 2))
 
         # lambda2 = 0 reduces to lambda1 * cross-entropy
-        ce_loss, _ = compute_loss(scores, gold, retr, l1, 0.0)
+        (ce_loss,), _ = compute_loss(scores[None], [gold], retr[None], l1, 0.0)
         s64 = scores.astype(np.float64)
         p = np.exp(s64 - s64.max())
         p /= p.sum()
         assert abs(ce_loss - l1 * (-math.log(p[gold]))) <= 1e-6
 
         # matching distributions kill the KL term
-        kl_same, _ = compute_loss(scores, gold, scores, 0.0, l2)
+        (kl_same,), _ = compute_loss(scores[None], [gold], scores[None], 0.0, l2)
         assert abs(kl_same) <= 1e-6
 
         # decomposition additivity
-        kl_loss, _ = compute_loss(scores, gold, retr, 0.0, l2)
-        both, _ = compute_loss(scores, gold, retr, l1, l2)
+        (kl_loss,), _ = compute_loss(scores[None], [gold], retr[None], 0.0, l2)
+        (both,), _ = compute_loss(scores[None], [gold], retr[None], l1, l2)
         assert abs(both - (ce_loss + kl_loss)) <= 1e-6
 
         # KL nonnegativity
@@ -235,7 +236,7 @@ def trained_world():
     data = generate_synthetic(SyntheticTaskSpec())  # the default task
     index = CandidateIndex(data.candidate_ids, data.retriever_embeddings)
     table = EmbeddingTable(data.candidate_ids, data.reranker_embeddings)
-    train_idx, eval_idx = data.heldout_split()
+    train_idx, eval_idx = heldout_split(len(data.query_ids))
 
     # frozen-retriever baselines on the held-out queries
     retriever_r1 = retriever_r16 = 0
@@ -347,7 +348,7 @@ def test_criterion_10_determinism(acceptance, tmp_path):
         params = CmcParams.init(model_dim=spec.model_dim, head_count=4, seed=41)
         cfg = TrainingConfig(k_train=8, negative_pool_size=64, base_lr=3e-4,
                              batch_size=8, epochs=2, seed=41)
-        train_idx, eval_idx = data.heldout_split()
+        train_idx, eval_idx = heldout_split(len(data.query_ids))
         train(cfg, data.query_embeddings[train_idx], data.gold_ids[train_idx],
               index, table, params)
         ckpt_path = tmp_path / f"{run_name}.cmcp"

@@ -178,7 +178,7 @@ class TestStackedBackward:
             one: list = []
             multi_head_self_attention(x[b], params, one)
             g = new_grads()
-            loop_dx.append(attention_backward(dy[b], one, g))
+            loop_dx.append(attention_backward(dy[b:b + 1], one, g))
             loop_grads.append({name: getattr(g, name) for name in PROJECTIONS})
         assert dx.dtype == dtype
         assert dx.tobytes() == np.stack(loop_dx).tobytes()

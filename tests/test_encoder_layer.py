@@ -37,7 +37,7 @@ class TestEncoderLayer:
         rng = np.random.default_rng(4)
         params = layer(8, 2, rng)
         x = rng.standard_normal((4, 8)).astype(np.float32)
-        np.testing.assert_allclose(encoder_layer_forward(x, params),
+        np.testing.assert_allclose(encoder_layer_forward(x[None], params)[0],
                                    naive_encoder_layer(x, params), atol=1e-4)
 
     def test_permutation_equivariance_end_to_end(self):
@@ -46,21 +46,23 @@ class TestEncoderLayer:
         for _ in range(100):
             x = rng.standard_normal((5, 8)).astype(np.float32)
             perm = rng.permutation(5)
-            out = encoder_layer_forward(x, params)
-            out_perm = encoder_layer_forward(x[perm], params)
+            out = encoder_layer_forward(x[None], params)[0]
+            out_perm = encoder_layer_forward(x[perm][None], params)[0]
             assert np.abs(out_perm - out[perm]).max() <= 1e-5
 
     def test_zero_length_rejected(self):
         params = layer(8, 2)
         with pytest.raises(InvalidShape):
-            encoder_layer_forward(np.empty((0, 8), dtype=np.float32), params)
+            encoder_layer_forward(np.empty((1, 0, 8), dtype=np.float32), params)
+        with pytest.raises(InvalidShape):
+            encoder_layer_forward(np.empty((0, 4, 8), dtype=np.float32), params)
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(6)
         params = layer(16, 4, rng)
         x = rng.standard_normal((7, 16)).astype(np.float32)
-        first = encoder_layer_forward(x, params)
-        second = encoder_layer_forward(x, params)
+        first = encoder_layer_forward(x[None], params)
+        second = encoder_layer_forward(x[None], params)
         assert first.tobytes() == second.tobytes()
 
     def test_outputs_finite_for_large_inputs(self):
@@ -68,7 +70,7 @@ class TestEncoderLayer:
         params = layer(8, 2, rng)
         for scale in (1.0, 100.0, 1e3):
             x = (scale * rng.uniform(-1, 1, size=(6, 8))).astype(np.float32)
-            out = encoder_layer_forward(x, params)
+            out = encoder_layer_forward(x[None], params)
             assert np.all(np.isfinite(out))
 
     def test_serialization_round_trip_bit_exact(self, tmp_path):

@@ -17,7 +17,9 @@ def params_as_float64(params: CmcParams) -> CmcParams:
 
 
 def make_instance(rng, model_dim=8, k=4, input_scale=0.5):
-    """A random training instance with O(10) score magnitudes.
+    """A random training instance with O(10) score magnitudes, as a batch
+    of one: (1, d) query, (1, K, d) candidates, (1, K) retriever scores
+    and a (1,) gold position.
 
     Identity layer-norm gains plus the extra skip push contextualized
     norms to ~3 sqrt(d) and scores to ~9 d, where float32 rounding alone
@@ -33,10 +35,10 @@ def make_instance(rng, model_dim=8, k=4, input_scale=0.5):
     for layer in params.layers:
         layer.ln1_gain[:] *= np.float32(gain)
         layer.ln2_gain[:] *= np.float32(gain)
-    h_query = (input_scale * rng.standard_normal(model_dim)).astype(np.float32)
-    h_cands = (input_scale * rng.standard_normal((k, model_dim))).astype(np.float32)
-    retriever = rng.standard_normal(k).astype(np.float32)
-    gold = int(rng.integers(k))
+    h_query = (input_scale * rng.standard_normal((1, model_dim))).astype(np.float32)
+    h_cands = (input_scale * rng.standard_normal((1, k, model_dim))).astype(np.float32)
+    retriever = rng.standard_normal((1, k)).astype(np.float32)
+    gold = np.array([rng.integers(k)])
     return params, h_query, h_cands, retriever, gold
 
 
@@ -44,7 +46,7 @@ def full_loss(params, h_query, h_cands, retriever, gold,
               lambda1=0.5, lambda2=0.5) -> float:
     tape = cmc_forward_recorded(params, h_query, h_cands)
     scores = cmc_score(tape.ctx).scores
-    return compute_loss(scores, gold, retriever, lambda1, lambda2)[0]
+    return compute_loss(scores, gold, retriever, lambda1, lambda2)[0][0]
 
 
 class TestFiniteDifferenceOracle:
@@ -68,7 +70,7 @@ class TestBackward:
         tape = cmc_forward_recorded(params, hq, hc)
         scores = cmc_score(tape.ctx).scores
         loss, d_scores = compute_loss(scores, gold, retr, 0.0, 0.0)
-        assert loss == 0.0
+        assert loss[0] == 0.0
         grads, dq, dc = tape.backward(d_scores)
         assert all(np.all(g == 0) for g in grads.arrays().values())
         assert np.all(dq == 0) and np.all(dc == 0)
@@ -80,9 +82,9 @@ class TestBackward:
         x = rng.standard_normal((5, 3))
         w = rng.standard_normal((3, 4))
         b = rng.standard_normal(4)
-        y, cache = linear_forward(x, w, b)
+        y, cache = linear_forward(x[None], w, b)
         dw, db = np.empty_like(w), np.empty_like(b)
-        dx = linear_backward(np.ones_like(y), cache, dw, db)
+        dx = linear_backward(np.ones_like(y), cache, dw, db)[0]
         np.testing.assert_allclose(dw, np.tile(x.sum(axis=0)[:, None], (1, 4)),
                                    rtol=1e-9)
         np.testing.assert_allclose(db, np.full(4, 5.0))
@@ -92,7 +94,7 @@ class TestBackward:
         rng = np.random.default_rng(3)
         params, hq, hc, retr, gold = make_instance(rng)
         tape = cmc_forward_recorded(params, hq, hc)
-        d_scores = np.ones(4, dtype=np.float32)
+        d_scores = np.ones((1, 4), dtype=np.float32)
         tape.backward(d_scores)
         with pytest.raises(StateError):
             tape.backward(d_scores)

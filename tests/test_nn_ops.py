@@ -190,6 +190,8 @@ class TestInPlaceKernels:
         rng = np.random.default_rng(seed)
         x = (10.0 ** log_scale * rng.standard_normal(shape)).astype(dtype)
         dy = (10.0 ** log_scale * rng.standard_normal(shape)).astype(dtype)
+        # The kernels take a (B, L, d) stack; a 2-D draw is a stack of one.
+        x, dy = (a.reshape(-1, *shape[-2:]) for a in (x, dy))
         gain, bias, b = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(3))
         w = rng.standard_normal((shape[-1], shape[-1])).astype(dtype)
         inputs = [a.copy() for a in (x, dy, gain, bias, w, b)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmcrank.errors import InvalidShape, StateError
+from cmcrank.errors import InvalidConfig, InvalidShape, StateError
 from cmcrank.nn import OptimizerState, adamw_step, warmup_schedule
 from cmcrank.nn.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
@@ -44,6 +44,13 @@ def per_array_adamw_step(arrays, grads, state):
 
 
 class TestAdamW:
+    @pytest.mark.parametrize("total_steps", [0, -2, 2.5, "3"])
+    def test_total_steps_not_a_positive_integer_rejected(self, total_steps):
+        """A schedule has at least one step.  Unchecked, a total of 0 fails
+        only at the first step, saying the optimizer already ran its 0."""
+        with pytest.raises(InvalidConfig, match="total_steps"):
+            OptimizerState(learning_rate=1e-3, total_steps=total_steps)
+
     def test_zero_gradients_leave_parameters_unchanged(self):
         rng = np.random.default_rng(0)
         theta = rng.standard_normal(9).astype(np.float32)

@@ -1,4 +1,6 @@
 """Pipeline orchestration: subset chain, oracle equivalences, parallelism."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from cmcrank.index import CandidateIndex
 from cmcrank.pipeline import (Pipeline, PipelineConfig, gold_oracle_scorer,
                               noisy_oracle_scorer)
 from cmcrank.reranker import CmcParams, cmc_forward, cmc_score
+from test_training import _blas, _cpu_model
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +62,8 @@ class TestRunQuery:
         cfg = PipelineConfig(k_retrieve=n, k_prime=n, mode="final")
         for qid, q in queries[:5]:
             result = pipe.run_query(cfg, qid, q)
-            ctx = cmc_forward(pipe.params, q, pipe.candidates.matrix)
-            scores = cmc_score(ctx).scores
+            ctx = cmc_forward(pipe.params, q[None], pipe.candidates.matrix[None])
+            scores = cmc_score(ctx).scores[0]
             order = sorted(range(n), key=lambda j: (-scores[j], j))
             assert result.top1_id == order[0]
 
@@ -98,6 +101,41 @@ class TestRunQuery:
         assert set(r.timings_us) == {"retrieve", "rerank", "final"}
         assert r.timings_us["retrieve"] >= 0
         assert r.timings_us["final"] == 0.0  # final mode has no stage 3
+
+
+class TestPinnedServing:
+    """SHA-256 of what ``run_query`` serves for a small task, recorded once,
+    so that a change which moves the served bits shows across versions.
+
+    At K = 512 the reranker runs one 513-row sequence per query, which the
+    attention walks in 9 row blocks.  As for ``TestPinnedTraining``, the
+    bits depend on numpy, the BLAS and the CPU model; on any other than
+    those below the test skips, naming it.
+    """
+
+    NUMPY = "2.4.6"
+    BLAS = "scipy-openblas 0.3.31"
+    CPU = "Intel(R) Xeon(R) Processor"
+    SERVED = "03ee39d0cbc7432c2778c4b43c0c6080d773c268c6a07750e84baf4981a0341e"
+
+    def test_reranked_ids_and_scores(self):
+        for what, want, have in (("numpy", self.NUMPY, np.__version__),
+                                 ("BLAS", self.BLAS, _blas()),
+                                 ("CPU model", self.CPU, _cpu_model())):
+            if not have.startswith(want):
+                pytest.skip(f"constants recorded on {what} {want!r}, this is {have!r}")
+        data = generate_synthetic(SyntheticTaskSpec(corpus_size=600, seed=3))
+        pipe = Pipeline(CandidateIndex(data.candidate_ids, data.retriever_embeddings),
+                        CmcParams.init(model_dim=64, head_count=4, seed=1),
+                        EmbeddingTable(data.candidate_ids, data.reranker_embeddings))
+        cfg = PipelineConfig(k_retrieve=512, k_prime=64)
+        served = hashlib.sha256()
+        for qid, q in zip(data.query_ids[:8], data.query_embeddings[:8]):
+            reranked = pipe.run_query(cfg, int(qid), q).reranked
+            assert len(reranked) == 64
+            served.update(reranked.ids.tobytes())
+            served.update(reranked.scores.tobytes())
+        assert served.hexdigest() == self.SERVED
 
 
 class TestRunBatch:

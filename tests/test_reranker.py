@@ -30,12 +30,12 @@ class TestForward:
         params = CmcParams.init(model_dim=8, head_count=2, seed=1)
         hq = rng.standard_normal(8).astype(np.float32)
         hc = rng.standard_normal((3, 8)).astype(np.float32)
-        x = np.concatenate([hq[None, :], hc], axis=0)
+        x = np.concatenate([hq[None, :], hc], axis=0)[None]
         for layer in params.layers:
             x = x + encoder_layer_forward(x, layer)
-        ctx = cmc_forward(params, hq, hc)
-        np.testing.assert_allclose(ctx.h_query, x[0], atol=1e-6)
-        np.testing.assert_allclose(ctx.h_candidates, x[1:], atol=1e-6)
+        ctx = cmc_forward(params, hq[None], hc[None])
+        np.testing.assert_allclose(ctx.h_query[0], x[0, 0], atol=1e-6)
+        np.testing.assert_allclose(ctx.h_candidates[0], x[0, 1:], atol=1e-6)
 
     def test_candidate_permutation(self):
         """Permuting candidates permutes their outputs and fixes the query."""
@@ -43,68 +43,76 @@ class TestForward:
         params = CmcParams.init(model_dim=16, head_count=4, seed=3)
         hq = rng.standard_normal(16).astype(np.float32)
         hc = rng.standard_normal((6, 16)).astype(np.float32)
-        base = cmc_forward(params, hq, hc)
+        base = cmc_forward(params, hq[None], hc[None])
         for _ in range(25):
             perm = rng.permutation(6)
-            out = cmc_forward(params, hq, hc[perm])
-            assert np.abs(out.h_query - base.h_query).max() <= 1e-5
-            assert np.abs(out.h_candidates - base.h_candidates[perm]).max() <= 1e-5
+            out = cmc_forward(params, hq[None], hc[perm][None])
+            assert np.abs(out.h_query[0] - base.h_query[0]).max() <= 1e-5
+            assert np.abs(out.h_candidates[0] - base.h_candidates[0][perm]).max() <= 1e-5
 
     def test_k_one_matches_two_row_layer_composition(self):
         rng = np.random.default_rng(3)
         params = CmcParams.init(model_dim=8, head_count=2, seed=4)
         hq = rng.standard_normal(8).astype(np.float32)
         hc = rng.standard_normal((1, 8)).astype(np.float32)
-        x = np.vstack([hq, hc[0]])
+        x = np.vstack([hq, hc[0]])[None]
         for layer in params.layers:
             x = x + encoder_layer_forward(x, layer)
-        ctx = cmc_forward(params, hq, hc)
-        np.testing.assert_allclose(ctx.h_query, x[0], atol=1e-6)
-        np.testing.assert_allclose(ctx.h_candidates[0], x[1], atol=1e-6)
+        ctx = cmc_forward(params, hq[None], hc[None])
+        np.testing.assert_allclose(ctx.h_query[0], x[0, 0], atol=1e-6)
+        np.testing.assert_allclose(ctx.h_candidates[0, 0], x[0, 1], atol=1e-6)
 
     def test_zero_candidates_rejected(self):
         params = CmcParams.init(model_dim=8, head_count=2)
         with pytest.raises(InvalidShape):
-            cmc_forward(params, np.zeros(8, dtype=np.float32),
-                        np.empty((0, 8), dtype=np.float32))
+            cmc_forward(params, np.zeros((1, 8), dtype=np.float32),
+                        np.empty((1, 0, 8), dtype=np.float32))
+
+    def test_empty_batch_rejected(self):
+        """B = 0 is the package's InvalidShape, which per-query isolation
+        catches, not numpy's error from stacking no sequences."""
+        params = CmcParams.init(model_dim=8, head_count=2)
+        with pytest.raises(InvalidShape, match="B >= 1"):
+            cmc_forward(params, np.zeros((0, 8), dtype=np.float32),
+                        np.zeros((0, 5, 8), dtype=np.float32))
 
     def test_dim_mismatch_rejected(self):
         params = CmcParams.init(model_dim=8, head_count=2)
         with pytest.raises(InvalidShape):
-            cmc_forward(params, np.zeros(7, dtype=np.float32),
-                        np.zeros((2, 8), dtype=np.float32))
+            cmc_forward(params, np.zeros((1, 7), dtype=np.float32),
+                        np.zeros((1, 2, 8), dtype=np.float32))
 
     def test_over_limit_rejected(self):
         params = CmcParams.init(model_dim=8, head_count=2)
         with pytest.raises(InvalidShape):
-            cmc_forward(params, np.zeros(8, dtype=np.float32),
-                        np.zeros((16385, 8), dtype=np.float32))
+            cmc_forward(params, np.zeros((1, 8), dtype=np.float32),
+                        np.zeros((1, 16385, 8), dtype=np.float32))
 
 
 class TestScore:
     def test_zero_query_all_zero_tie_breaks_low(self):
-        ctx = ContextualizedSet(h_query=np.zeros(4, dtype=np.float32),
-                                h_candidates=np.ones((3, 4), dtype=np.float32))
+        ctx = ContextualizedSet(h_query=np.zeros((1, 4), dtype=np.float32),
+                                h_candidates=np.ones((1, 3, 4), dtype=np.float32))
         sv = cmc_score(ctx)
-        np.testing.assert_array_equal(sv.scores, np.zeros(3))
-        assert sv.argmax_index == 0
+        np.testing.assert_array_equal(sv.scores[0], np.zeros(3))
+        assert sv.argmax_index[0] == 0
 
     def test_matching_candidate_wins(self):
         hq = np.array([2.0, 0.0, 0.0], dtype=np.float32)
         hc = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
                       dtype=np.float32)
-        sv = cmc_score(ContextualizedSet(h_query=hq, h_candidates=hc))
-        assert sv.argmax_index == 1
-        assert sv.scores[1] == pytest.approx(np.dot(hq, hq))
+        sv = cmc_score(ContextualizedSet(h_query=hq[None], h_candidates=hc[None]))
+        assert sv.argmax_index[0] == 1
+        assert sv.scores[0, 1] == pytest.approx(np.dot(hq, hq))
 
     def test_matches_pairwise_loop(self):
         rng = np.random.default_rng(4)
         hq = rng.standard_normal(8).astype(np.float32)
         hc = rng.standard_normal((5, 8)).astype(np.float32)
-        sv = cmc_score(ContextualizedSet(h_query=hq, h_candidates=hc))
+        sv = cmc_score(ContextualizedSet(h_query=hq[None], h_candidates=hc[None]))
         expected = [float(sum(hq[d] * hc[j, d] for d in range(8)))
                     for j in range(5)]
-        np.testing.assert_allclose(sv.scores, expected, rtol=1e-5)
+        np.testing.assert_allclose(sv.scores[0], expected, rtol=1e-5)
 
 
 class TestRerank:
@@ -130,8 +138,9 @@ class TestRerank:
 
     def test_order_matches_independent_score_sort(self):
         out = rerank(self.params, self.hq, self.ranked, self.table, 10)
-        ctx = cmc_forward(self.params, self.hq, self.table.batch(self.ranked.ids))
-        scores = cmc_score(ctx).scores
+        ctx = cmc_forward(self.params, self.hq[None],
+                          self.table.batch(self.ranked.ids)[None])
+        scores = cmc_score(ctx).scores[0]
         order = sorted(range(10), key=lambda j: (-scores[j], self.ranked.ids[j]))
         assert out.ids.tolist() == [int(self.ranked.ids[j]) for j in order]
 
@@ -190,7 +199,7 @@ class TestConcurrency:
                 for _ in range(24)]
 
         def run(job):
-            ctx = cmc_forward(params, *job)
+            ctx = cmc_forward(params, job[0][None], job[1][None])
             return ctx.h_query.tobytes(), ctx.h_candidates.tobytes()
 
         serial = [run(j) for j in jobs]
@@ -204,11 +213,11 @@ class TestBackwardState:
         rng = np.random.default_rng(6)
         params = CmcParams.init(model_dim=8, head_count=2, seed=7)
         tape = cmc_forward_recorded(params,
-                                    rng.standard_normal(8).astype(np.float32),
-                                    rng.standard_normal((2, 8)).astype(np.float32))
-        tape.backward(np.zeros(2, dtype=np.float32))
+                                    rng.standard_normal((1, 8)).astype(np.float32),
+                                    rng.standard_normal((1, 2, 8)).astype(np.float32))
+        tape.backward(np.zeros((1, 2), dtype=np.float32))
         with pytest.raises(StateError):
-            tape.backward(np.zeros(2, dtype=np.float32))
+            tape.backward(np.zeros((1, 2), dtype=np.float32))
 
 
 class TestGradientBuffer:
@@ -216,7 +225,7 @@ class TestGradientBuffer:
     ``CmcParams`` laid out like the weights."""
 
     @staticmethod
-    def backward(batch=()):
+    def backward(batch=(1,)):
         rng = np.random.default_rng(10)
         params = CmcParams.init(model_dim=8, head_count=2, ffn_dim=12, seed=11)
         hq = rng.standard_normal(batch + (8,)).astype(np.float32)
@@ -224,7 +233,7 @@ class TestGradientBuffer:
         d_scores = rng.standard_normal(batch + (5,)).astype(np.float32)
         return params, cmc_forward_recorded(params, hq, hc).backward(d_scores)
 
-    @pytest.mark.parametrize("batch", [(), (3,)], ids=["one", "stacked"])
+    @pytest.mark.parametrize("batch", [(1,), (3,)], ids=["one", "stacked"])
     def test_every_entry_is_written(self, monkeypatch, batch):
         """A NaN-filled buffer gives the bytes of a fresh one: no kernel
         leaves an entry of its gradient unwritten."""
@@ -276,9 +285,10 @@ class TestStackedExamples:
         ctx = tape.ctx
         grads, d_q, d_c = tape.backward(d_scores)
 
-        singles = [cmc_forward_recorded(params, hq[b], hc[b]) for b in range(batch)]
+        singles = [cmc_forward_recorded(params, hq[b:b + 1], hc[b:b + 1])
+                   for b in range(batch)]
         ctxs = [t.ctx for t in singles]
-        results = [t.backward(d_scores[b]) for b, t in enumerate(singles)]
+        results = [t.backward(d_scores[b:b + 1]) for b, t in enumerate(singles)]
         assert ctx.h_query.tobytes() == np.stack([c.h_query for c in ctxs]).tobytes()
         assert (ctx.h_candidates.tobytes()
                 == np.stack([c.h_candidates for c in ctxs]).tobytes())
@@ -372,14 +382,14 @@ class TestInvariantProperties:
         hq = (0.5 * rng.standard_normal(d)).astype(np.float32)
         hc = (0.5 * rng.standard_normal((k, d))).astype(np.float32)
         perm = rng.permutation(k)
-        base = cmc_score(cmc_forward(params, hq, hc))
-        permuted = cmc_score(cmc_forward(params, hq, hc[perm]))
-        assert np.abs(permuted.scores - base.scores[perm]).max() <= 1e-5
-        top = np.sort(base.scores)[::-1]
+        base = cmc_score(cmc_forward(params, hq[None], hc[None]))
+        permuted = cmc_score(cmc_forward(params, hq[None], hc[perm][None]))
+        assert np.abs(permuted.scores[0] - base.scores[0][perm]).max() <= 1e-5
+        top = np.sort(base.scores[0])[::-1]
         # Scores within the tolerance of the best (d = 1 makes every
         # candidate tie after layer norm) may legitimately trade places.
         if k == 1 or top[0] - top[1] > 2e-5:
-            assert perm[permuted.argmax_index] == base.argmax_index
+            assert perm[permuted.argmax_index[0]] == base.argmax_index[0]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(1, 24), seed=st.integers(0, 2 ** 32 - 1))

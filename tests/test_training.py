@@ -57,17 +57,25 @@ def reference_compute_loss(scores, gold_position, retriever_scores, lambda1,
     return float(loss), d_scores
 
 
+def loss_of_one(scores, gold, retr, lambda1, lambda2):
+    """``compute_loss`` on one example, a batch of one: its loss and its
+    (K,) gradient."""
+    (loss,), (d_scores,) = compute_loss(np.asarray(scores)[None], [gold],
+                                        np.asarray(retr)[None], lambda1, lambda2)
+    return loss, d_scores
+
+
 class TestComputeLoss:
     def test_uniform_ce_reduces_to_log_k(self):
         for k in (2, 5, 17):
-            loss, _ = compute_loss(np.zeros(k), 0, np.zeros(k), 0.7, 0.0)
+            loss, _ = loss_of_one(np.zeros(k), 0, np.zeros(k), 0.7, 0.0)
             assert loss == pytest.approx(0.7 * math.log(k), rel=1e-9)
 
     def test_matching_distributions_kill_kl(self):
         rng = np.random.default_rng(0)
         scores = rng.standard_normal(6)
-        ce_only, _ = compute_loss(scores, 2, scores, 1.0, 0.0)
-        both, _ = compute_loss(scores, 2, scores, 1.0, 1.0)
+        ce_only, _ = loss_of_one(scores, 2, scores, 1.0, 0.0)
+        both, _ = loss_of_one(scores, 2, scores, 1.0, 1.0)
         assert both == pytest.approx(ce_only, abs=1e-6)
 
     def test_scalar_oracle(self):
@@ -77,7 +85,7 @@ class TestComputeLoss:
         p = [1 / 6, 2 / 6, 3 / 6]
         expected_ce = -math.log(p[2])
         expected_kl = sum(pi * math.log(pi / (1 / 3)) for pi in p)
-        loss, _ = compute_loss(scores, 2, np.zeros(3), 1.0, 1.0)
+        loss, _ = loss_of_one(scores, 2, np.zeros(3), 1.0, 1.0)
         assert loss == pytest.approx(expected_ce + expected_kl, rel=1e-9)
 
     def test_decomposition_additivity(self):
@@ -88,26 +96,26 @@ class TestComputeLoss:
             retr = 3 * rng.standard_normal(k)
             gold = int(rng.integers(k))
             l1, l2 = rng.uniform(0.1, 2, size=2)
-            ce, _ = compute_loss(scores, gold, retr, l1, 0.0)
-            kl, _ = compute_loss(scores, gold, retr, 0.0, l2)
-            both, _ = compute_loss(scores, gold, retr, l1, l2)
+            ce, _ = loss_of_one(scores, gold, retr, l1, 0.0)
+            kl, _ = loss_of_one(scores, gold, retr, 0.0, l2)
+            both, _ = loss_of_one(scores, gold, retr, l1, l2)
             assert both == pytest.approx(ce + kl, abs=1e-6)
 
     def test_kl_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             k = int(rng.integers(2, 32))
-            kl, _ = compute_loss(3 * rng.standard_normal(k), 0,
-                                 3 * rng.standard_normal(k), 0.0, 1.0)
+            kl, _ = loss_of_one(3 * rng.standard_normal(k), 0,
+                                3 * rng.standard_normal(k), 0.0, 1.0)
             assert kl >= -1e-9
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         scores = rng.standard_normal(5)
         retr = rng.standard_normal(5)
-        _, d_scores = compute_loss(scores, 1, retr, 0.6, 0.4)
+        _, d_scores = loss_of_one(scores, 1, retr, 0.6, 0.4)
         numeric = finite_difference_gradient(
-            lambda: compute_loss(scores, 1, retr, 0.6, 0.4)[0],
+            lambda: loss_of_one(scores, 1, retr, 0.6, 0.4)[0],
             {"s": scores}, h=1e-5)
         assert gradients_close({"s": d_scores}, numeric, rel_tol=1e-4,
                                abs_tol=1e-7)
@@ -116,8 +124,8 @@ class TestComputeLoss:
         """A candidate 100 below the best gets p ~ 4e-44, below float32's
         smallest normal number; its gradient entry is flushed to zero."""
         scores = np.array([0.0, -100.0, -1.0], dtype=np.float32)
-        _, d_scores = compute_loss(scores, 0, np.zeros(3, dtype=np.float32),
-                                   0.5, 0.5)
+        _, d_scores = loss_of_one(scores, 0, np.zeros(3, dtype=np.float32),
+                                  0.5, 0.5)
         assert d_scores.dtype == np.float32
         assert d_scores[1] == 0.0
         assert (np.abs(d_scores[[0, 2]]) >= np.finfo(np.float32).tiny).all()
@@ -130,8 +138,8 @@ class TestComputeLoss:
         p = np.exp(scores.astype(np.float64))
         p = (p / p.sum()).astype(np.float32)
         assert bound < p[1] < 1.02 * bound and 0.98 * bound < p[2] < bound
-        _, d_scores = compute_loss(scores, 0, np.zeros(3, dtype=np.float32),
-                                   1.0, 0.0)
+        _, d_scores = loss_of_one(scores, 0, np.zeros(3, dtype=np.float32),
+                                  1.0, 0.0)
         assert d_scores.dtype == np.float32
         assert d_scores[1] == p[1]
         assert d_scores[2] == 0.0
@@ -140,7 +148,7 @@ class TestComputeLoss:
         """The float64 bound is about 1.5e-154, so an entry of 1e-30 stays,
         and float64 gradient checks see the unflushed gradient."""
         scores = np.log([1.0, 1e-30])
-        _, d_scores = compute_loss(scores, 0, np.zeros(2), 1.0, 0.0)
+        _, d_scores = loss_of_one(scores, 0, np.zeros(2), 1.0, 0.0)
         assert d_scores.dtype == np.float64
         assert d_scores[1] == pytest.approx(1e-30, rel=1e-12)
 
@@ -153,7 +161,7 @@ class TestComputeLoss:
     def test_batch_rows_equal_reference_bit_for_bit(self, batch, k, lambdas,
                                                     spread, dtype, seed):
         """(B, K) scores give each row the loss and gradient bits of the
-        per-example formula, and so does one (K,) example; wide spreads
+        per-example formula, and so does each row run alone; wide spreads
         clamp probabilities and flush gradient entries."""
         rng = np.random.default_rng(seed)
         scores = (spread * rng.standard_normal((batch, k))).astype(dtype)
@@ -163,23 +171,23 @@ class TestComputeLoss:
         assert losses.shape == (batch,) and d_scores.dtype == dtype
         for b in range(batch):
             loss, grad = reference_compute_loss(scores[b], gold[b], retr[b], *lambdas)
-            one_loss, one_grad = compute_loss(scores[b], int(gold[b]), retr[b], *lambdas)
+            (one_loss,), (one_grad,) = compute_loss(
+                scores[b:b + 1], gold[b:b + 1], retr[b:b + 1], *lambdas)
             assert losses[b] == loss == one_loss
             assert d_scores[b].tobytes() == grad.tobytes() == one_grad.tobytes()
 
     def test_gold_out_of_range(self):
         with pytest.raises(InvalidIndex):
-            compute_loss(np.zeros(3), 3, np.zeros(3), 1.0, 1.0)
+            compute_loss(np.zeros((1, 3)), [3], np.zeros((1, 3)), 1.0, 1.0)
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=["one", "stacked"])
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3)], ids=["one", "stacked"])
     @pytest.mark.parametrize("kind", ["float", "float_array", "bool"])
     def test_non_integer_gold_rejected(self, shape, kind):
         """A gold position is an integer: not a float, even an integral
         one, and not a bool, which numpy would read as a mask."""
-        count = shape[0] if len(shape) == 2 else 1
-        gold = {"float": 1.5 if count == 1 else [1.5] * count,
-                "float_array": np.ones(count),
-                "bool": True if count == 1 else [True] * count}[kind]
+        count = shape[0]
+        gold = {"float": [1.5] * count, "float_array": np.ones(count),
+                "bool": [True] * count}[kind]
         with pytest.raises(InvalidIndex, match="integers"):
             compute_loss(np.zeros(shape), gold, np.zeros(shape), 1.0, 1.0)
 
@@ -195,9 +203,9 @@ class TestComputeLoss:
         def loss_with_gold_at(pos):
             perm = list(range(4))
             perm[0], perm[pos] = perm[pos], perm[0]
-            ctx = cmc_forward(params, hq, hc[perm])
+            ctx = cmc_forward(params, hq[None], hc[perm][None])
             scores = cmc_score(ctx).scores
-            return compute_loss(scores, pos, retr[perm], 0.5, 0.5)[0]
+            return compute_loss(scores, [pos], retr[perm][None], 0.5, 0.5)[0][0]
 
         base = loss_with_gold_at(0)
         for pos in range(1, 4):
@@ -537,10 +545,11 @@ def reference_train(cfg, queries, gold_ids, index, table, params):
                 negatives = sample_negatives(pool, gold, cfg, rng)
                 position = int(rng.integers(0, cfg.k_train))
                 ids = np.insert(negatives, position, np.uint64(gold))
-                tape = cmc_forward_recorded(params, queries[qi], table.batch(ids))
-                loss, d_scores = compute_loss(
-                    cmc_score(tape.ctx).scores, position,
-                    index.scores_for(queries[qi], ids), cfg.lambda1, cfg.lambda2)
+                tape = cmc_forward_recorded(params, queries[qi][None],
+                                            table.batch(ids)[None])
+                (loss,), d_scores = compute_loss(
+                    cmc_score(tape.ctx).scores, [position],
+                    index.scores_for(queries[qi], ids)[None], cfg.lambda1, cfg.lambda2)
                 grads, _, _ = tape.backward(d_scores)
                 batch_loss += loss
                 total += grads.flat

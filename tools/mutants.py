@@ -55,9 +55,18 @@ MUTANTS = (
     Mutant(
         "stacked bias gradient from the first example only",
         "src/cmcrank/nn/ops.py",
-        "np.sum(g.sum(axis=1) if g.ndim == 3 else g, axis=0, out=out)",
-        "np.sum(g[0] if g.ndim == 3 else g, axis=0, out=out)",
+        "np.sum(g.sum(axis=1), axis=0, out=out)",
+        "np.sum(g[0], axis=0, out=out)",
         ("tests/test_attention.py", "tests/test_encoder_layer.py"),
+    ),
+    Mutant(
+        "attention backward stacks its tape entries in reverse order",
+        "src/cmcrank/nn/attention.py",
+        "list(zip(*entries))[:6]",
+        "list(zip(*entries[::-1]))[:6]",
+        ("tests/test_attention.py::TestStackedBackward::"
+         "test_equals_per_example_loop_bit_for_bit",
+         "tests/test_training.py::TestPinnedTraining"),
     ),
     Mutant(
         "rank_by_score breaks ties by descending id",
