@@ -9,10 +9,9 @@ that reranker, and an evaluation / latency-benchmark harness.
 from . import errors
 from .encoders import (EmbeddingTable, encode, load_embedding_file,
                        load_embedding_text, save_embedding_file)
-from .evaluation import (BenchReport, BenchRow, EvalRecord, SyntheticDataset,
+from .evaluation import (BenchReport, BenchRow, SyntheticDataset,
                          SyntheticTaskSpec, bench_latency, compute_metrics,
-                         generate_synthetic, metrics_to_csv,
-                         records_from_rankings)
+                         generate_synthetic, gold_ranks, metrics_to_csv)
 from .index import (CandidateIndex, RankedList, build_index, open_index,
                     rank_by_score, search_topk)
 from .pipeline import (Pipeline, PipelineConfig, PipelineResult, ScorerHandle,
@@ -29,9 +28,9 @@ __all__ = [
     "errors",
     "EmbeddingTable", "encode",
     "load_embedding_file", "load_embedding_text", "save_embedding_file",
-    "BenchReport", "BenchRow", "EvalRecord", "SyntheticDataset",
+    "BenchReport", "BenchRow", "SyntheticDataset",
     "SyntheticTaskSpec", "bench_latency", "compute_metrics",
-    "generate_synthetic", "metrics_to_csv", "records_from_rankings",
+    "generate_synthetic", "gold_ranks", "metrics_to_csv",
     "CandidateIndex", "RankedList", "build_index", "open_index",
     "rank_by_score", "search_topk",
     "Pipeline", "PipelineConfig", "PipelineResult",

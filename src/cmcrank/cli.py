@@ -261,18 +261,20 @@ def _cmd_rerank(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     gold = _load_gold(args.gold)
-    query_ids, rankings = [], []
+    rankings: dict[int, list[int]] = {}
     for lineno, line in enumerate(Path(args.rankings).read_text().splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         qid_text, _, ranked_text = line.partition(",")
         where = f"{args.rankings}:{lineno}"
-        query_ids.append(_parse_id(qid_text, where))
-        rankings.append([_parse_id(c, where) for c in ranked_text.split()])
-    gold_ids = _golds_for(query_ids, gold, args.gold)
-    records = evaluation.records_from_rankings(query_ids, gold_ids, rankings)
-    metrics = evaluation.compute_metrics(records, _parse_int_list(args.k))
+        query_id = _parse_id(qid_text, where)
+        if query_id in rankings:
+            raise DuplicateId(f"{where}: query id {query_id} appears more than once")
+        rankings[query_id] = [_parse_id(c, where) for c in ranked_text.split()]
+    gold_ids = _golds_for(rankings, gold, args.gold)
+    metrics = evaluation.compute_metrics(
+        evaluation.gold_ranks(list(rankings.values()), gold_ids), _parse_int_list(args.k))
     if args.out:
         atomic_write_text(args.out, evaluation.metrics_to_csv(metrics))
     for name, value in metrics.items():

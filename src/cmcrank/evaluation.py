@@ -1,10 +1,11 @@
 """Ranking metrics, the synthetic confusable-candidates task, and the
 forward-latency benchmark.
 
-Metric conventions: recall@k and unnormalized accuracy divide by all
-queries; normalized accuracy divides only by queries whose gold survived
-retrieval (the ``gold_in_pool`` flag); MRR@10 counts 1/rank for golds
-ranked in the top 10, else 0.
+Every ranking metric reads one integer array: each query's 1-based gold
+rank, 0 where the gold is not ranked.  Recall@k and unnormalized
+accuracy divide by all queries; normalized accuracy divides only by
+queries whose gold survived retrieval (the ``in_pool`` flags); MRR@10
+counts 1/rank for golds ranked in the top 10, else 0.
 
 The synthetic task plants groups of ``m`` confusable candidates that share
 one surface vector but carry distinct latent vectors.  The retriever index
@@ -28,64 +29,56 @@ try:
 except ImportError:  # pragma: no cover - benchmark falls back to ambient threads
     threadpool_limits = None
 
+from .encoders import _as_ids
 from .errors import InvalidConfig, InvalidInput, UndefinedMetric
 from .reranker import CmcParams, cmc_forward, cmc_score
 
 MRR_CUTOFF = 10
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """One query's ranked output plus the retrieval-stage gold flag."""
-
-    query_id: int
-    gold_id: int
-    ranked_ids: tuple[int, ...]
-    gold_in_pool: bool
-
-    def __post_init__(self):
-        if len(set(self.ranked_ids)) != len(self.ranked_ids):
-            raise InvalidInput(f"query {self.query_id}: ranked ids contain duplicates")
-
-    def gold_rank(self) -> int | None:
-        """1-based rank of the gold in the list, or None if absent."""
-        try:
-            return self.ranked_ids.index(self.gold_id) + 1
-        except ValueError:
-            return None
+def gold_ranks(rankings: Sequence[Sequence[int]], gold_ids: Sequence[int]) -> np.ndarray:
+    """Each gold's 1-based rank in its ranking, or 0 where it is absent.
+    Ids are checked as candidate ids; a repeated id raises ``InvalidInput``."""
+    ranks = np.zeros(len(gold_ids), dtype=np.int64)
+    for i, (ranked, gold) in enumerate(zip(rankings, _as_ids(gold_ids), strict=True)):
+        ranked = _as_ids(ranked)
+        ids, counts = np.unique(ranked, return_counts=True)
+        if len(ids) != len(ranked):
+            raise InvalidInput(f"ranking {i} (counting from 0) repeats id {ids[counts > 1][0]}")
+        hit = ranked == gold
+        ranks[i] = hit.argmax() + 1 if hit.any() else 0
+    return ranks
 
 
-def compute_metrics(records: Sequence[EvalRecord], k_values: Iterable[int],
+def compute_metrics(ranks: np.ndarray, k_values: Iterable[int],
+                    in_pool: np.ndarray | None = None,
                     require_normalized: bool = True) -> dict[str, float]:
-    """Recall@k for each k, both accuracies, and MRR@10.
-
-    With ``require_normalized`` (the default), an evaluation set whose every
+    """Recall@k for each k >= 1, both accuracies, and MRR@10 from
+    :func:`gold_ranks`.  ``in_pool`` flags the queries whose gold survived
+    retrieval, by default those whose gold is ranked.  With
+    ``require_normalized`` (the default), an evaluation set whose every
     gold missed the pool raises UndefinedMetric; otherwise the key is
     simply omitted.
     """
-    records = list(records)
-    if not records:
-        raise InvalidInput("no evaluation records")
-    ranks = [r.gold_rank() for r in records]
-    n = len(records)
+    ranks = np.asarray(ranks)
+    if ranks.ndim != 1 or not ranks.size:
+        raise InvalidInput(f"expected a non-empty 1-D rank array, got shape {ranks.shape}")
+    ks = sorted(set(int(k) for k in k_values))
+    if ks and ks[0] < 1:
+        raise InvalidConfig(f"recall cutoff {ks[0]} is below 1")
+    found = ranks > 0
+    pooled = ranks[found if in_pool is None else np.asarray(in_pool, dtype=bool)]
 
-    metrics: dict[str, float] = {}
-    for k in sorted(set(int(k) for k in k_values)):
-        hits = sum(1 for rank in ranks if rank is not None and rank <= k)
-        metrics[f"recall@{k}"] = hits / n
-
-    top1 = sum(1 for rank in ranks if rank == 1)
-    metrics["accuracy_unnormalized"] = top1 / n
-
-    in_pool = [rank for r, rank in zip(records, ranks) if r.gold_in_pool]
-    if in_pool:
-        metrics["accuracy_normalized"] = in_pool.count(1) / len(in_pool)
+    metrics = {f"recall@{k}": float(np.mean(found & (ranks <= k))) for k in ks}
+    metrics["accuracy_unnormalized"] = float(np.mean(ranks == 1))
+    if pooled.size:
+        metrics["accuracy_normalized"] = float(np.mean(pooled == 1))
     elif require_normalized:
         raise UndefinedMetric("normalized accuracy undefined: no query has its "
                               "gold in the retrieval pool")
-
+    # A Python sum in query order: numpy's pairwise sum could round differently.
     metrics[f"mrr@{MRR_CUTOFF}"] = sum(
-        1.0 / rank for rank in ranks if rank is not None and rank <= MRR_CUTOFF) / n
+        1.0 / rank for rank in ranks[found & (ranks <= MRR_CUTOFF)].tolist()) / len(ranks)
     return metrics
 
 
@@ -112,14 +105,19 @@ class SyntheticTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
+        counts = (self.corpus_size, self.confusables, self.surface_dim, self.latent_dim, self.seed)
+        if not all(isinstance(c, int | np.integer) for c in counts):
+            raise InvalidConfig("corpus_size, confusables, surface_dim, latent_dim and seed "
+                                "must be integers")
         if self.confusables < 2:
             raise InvalidConfig("need at least 2 confusables per query")
         if self.surface_dim < 1 or self.latent_dim < 1:
             raise InvalidConfig("surface_dim and latent_dim must be positive")
         if self.corpus_size < self.confusables:
             raise InvalidConfig("corpus smaller than one confusable group")
-        if self.surface_noise < 0:
-            raise InvalidConfig("surface_noise must be nonnegative")
+        if not 0 <= self.surface_noise < np.inf:
+            raise InvalidConfig("surface_noise must be finite and nonnegative, "
+                                f"got {self.surface_noise}")
 
     @property
     def model_dim(self) -> int:
@@ -180,25 +178,6 @@ def generate_synthetic(spec: SyntheticTaskSpec) -> SyntheticDataset:
         query_embeddings=query_embeddings.astype(np.float32),
         gold_ids=gold_ids,
     )
-
-
-def records_from_rankings(query_ids: Sequence[int], gold_ids: Sequence[int],
-                          rankings: Sequence[Sequence[int]],
-                          pools: Sequence[Sequence[int]] | None = None
-                          ) -> list[EvalRecord]:
-    """Bundle parallel arrays into EvalRecords.
-
-    ``pools`` defaults to the rankings themselves: the gold is "in pool"
-    iff it appears in the evaluated list.
-    """
-    records = []
-    for i, qid in enumerate(query_ids):
-        ranked = tuple(int(c) for c in rankings[i])
-        pool = ranked if pools is None else tuple(int(c) for c in pools[i])
-        records.append(EvalRecord(
-            query_id=int(qid), gold_id=int(gold_ids[i]),
-            ranked_ids=ranked, gold_in_pool=int(gold_ids[i]) in pool))
-    return records
 
 
 # ---------------------------------------------------------------------------

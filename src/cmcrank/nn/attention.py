@@ -150,6 +150,9 @@ def attention_backward(dy: np.ndarray, tape: list, grads: "LayerParams") -> np.n
     gradients are the per-example ones summed in example order, bit for
     bit.
     """
+    if np.ndim(dy) != 3 or not len(dy):
+        raise InvalidShape("attention backward expects a (B, L, d) dy with B >= 1, "
+                           f"got {np.shape(dy)}")
     entries = tape[-len(dy):]
     del tape[-len(dy):]
     x, qh, kh, vh, attn, out = (np.stack(f) for f in list(zip(*entries))[:6])

@@ -104,6 +104,8 @@ def encoder_layer_backward(dy: np.ndarray, tape: list, grads: LayerParams) -> np
 
     Pops the entries :func:`encoder_layer_forward` appended to ``tape``.
     """
+    if np.ndim(dy) != 3 or not len(dy):
+        raise InvalidShape(f"layer backward expects a (B, L, d) dy with B >= 1, got {np.shape(dy)}")
     ln1_cache, h1, lin1_cache, lin2_cache, ln2_cache = tape.pop()
 
     d_s2 = ops.layer_norm_backward(dy, ln2_cache, grads.ln2_gain, grads.ln2_bias)

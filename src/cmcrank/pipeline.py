@@ -28,7 +28,7 @@ from numpy.typing import ArrayLike
 
 from .encoders import EmbeddingTable, encode
 from .errors import CmcRankError, DuplicateId, InvalidConfig, InvalidInput
-from .evaluation import compute_metrics, records_from_rankings
+from .evaluation import compute_metrics, gold_ranks
 from .index import CandidateIndex, RankedList, rank_by_score, search_topk
 from .reranker import CmcParams, rerank
 
@@ -159,7 +159,8 @@ class Pipeline:
         Returns (results, aggregate metrics, per-query errors).  Metrics are
         empty unless golds are supplied; ``recall@k`` of the reranked list
         comes with ``retriever_recall@k`` of the retrieved one, its first k
-        ids, at the same cutoffs (1 and K'); a query that fails on its data (a
+        ids, at the same cutoffs (1 and K'), and ``accuracy_normalized`` counts
+        the queries whose gold was retrieved; a query that fails on its data (a
         ``CmcRankError``) is collected in the error map rather than aborting
         the batch, while any other exception is a bug and propagates.
         Errors and golds are keyed by query id, so before any query runs a
@@ -196,19 +197,14 @@ class Pipeline:
         ok = [r for r in results if r is not None]
         metrics: dict[str, float] = {}
         if gold_by_query is not None and ok:
-            query_ids = [r.query_id for r in ok]
-            golds = [gold_by_query[q] for q in query_ids]
-            retrieved = [r.retrieved.ids for r in ok]
+            golds = [gold_by_query[r.query_id] for r in ok]
             ks = sorted({1, cfg.k_prime})
-            metrics = compute_metrics(
-                records_from_rankings(query_ids, golds, [r.reranked.ids for r in ok],
-                                      pools=retrieved),
-                ks, require_normalized=False)
-            # The retriever alone at the same cutoffs: its first k ids.
-            retriever = compute_metrics(
-                records_from_rankings(query_ids, golds, [ids[:max(ks)] for ids in retrieved]),
-                ks, require_normalized=False)
-            metrics.update({f"retriever_recall@{k}": retriever[f"recall@{k}"] for k in ks})
+            # The retrieved ranks flag the pool and give the retriever's recall.
+            retrieved = gold_ranks([r.retrieved.ids for r in ok], golds)
+            metrics = compute_metrics(gold_ranks([r.reranked.ids for r in ok], golds), ks,
+                                      in_pool=retrieved > 0, require_normalized=False)
+            metrics.update({f"retriever_recall@{k}": float(np.mean(
+                (retrieved > 0) & (retrieved <= k))) for k in ks})
             metrics["accuracy_end_to_end"] = float(np.mean(
-                [r.top1_id == gold_by_query[r.query_id] for r in ok]))
+                [r.top1_id == gold for r, gold in zip(ok, golds)]))
         return ok, metrics, errors

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from cmcrank.encoders import EmbeddingTable, save_embedding_file
-from cmcrank.evaluation import (EvalRecord, SyntheticTaskSpec, bench_latency,
-                                compute_metrics, generate_synthetic,
-                                metrics_to_csv)
+from cmcrank.evaluation import (SyntheticTaskSpec, bench_latency, compute_metrics,
+                                generate_synthetic, gold_ranks, metrics_to_csv)
 from cmcrank.index import CandidateIndex, build_index, open_index, search_topk
 from cmcrank.nn import finite_difference_gradient
 from cmcrank.pipeline import Pipeline, PipelineConfig, gold_oracle_scorer
@@ -139,25 +138,20 @@ def test_criterion_03_loss_identities(acceptance):
 
 def test_criterion_04_metric_oracle(acceptance):
     rec = acceptance(4, "metric oracle")
-    fixture = [
-        EvalRecord(0, 10, (10, 11, 12), True),
-        EvalRecord(1, 20, (21, 20, 22), True),
-        EvalRecord(2, 30, (31, 32, 30), True),
-        EvalRecord(3, 40, (41, 42, 43), False),
-        EvalRecord(4, 50, (51, 52, 53), False),
-    ]
-    metrics = compute_metrics(fixture, [1])
+    fixture = gold_ranks([(10, 11, 12), (21, 20, 22), (31, 32, 30), (41, 42, 43),
+                          (51, 52, 53)], [10, 20, 30, 40, 50])
+    metrics = compute_metrics(fixture, [1], in_pool=[True, True, True, False, False])
     assert metrics["accuracy_unnormalized"] == 0.20
     assert metrics["accuracy_normalized"] == pytest.approx(1 / 3, abs=1e-12)
 
     rng = np.random.default_rng(13)
     for _ in range(100):
-        records = []
+        golds, rankings = [], []
         for qid in range(25):
-            ranked = tuple(rng.permutation(50)[:12].tolist())
-            gold = int(rng.integers(50))
-            records.append(EvalRecord(qid, gold, ranked, gold in ranked))
-        table = compute_metrics(records, range(1, 13), require_normalized=False)
+            rankings.append(tuple(rng.permutation(50)[:12].tolist()))
+            golds.append(int(rng.integers(50)))
+        table = compute_metrics(gold_ranks(rankings, golds), range(1, 13),
+                                require_normalized=False)
         values = [table[f"recall@{k}"] for k in range(1, 13)]
         assert all(b >= a for a, b in zip(values, values[1:]))
     rec.passed()

@@ -304,6 +304,43 @@ class TestEvaluateFixture:
                    "--gold", str(gold), "--k", "1") == 2
         assert "query id 0 appears more than once" in capsys.readouterr().err
 
+    def test_repeated_rankings_query_id_is_data_error(self, tmp_path, capsys):
+        """A query listed on two lines is not counted twice: the second
+        line is a data error naming the file and line."""
+        gold = tmp_path / "gold.txt"
+        gold.write_text("0 10\n1 20\n")
+        rankings = tmp_path / "rankings.txt"
+        rankings.write_text("0,10 11\n0,10 11\n1,21 20\n")
+        out = tmp_path / "metrics.csv"
+        assert run("evaluate", "--rankings", str(rankings), "--gold", str(gold),
+                   "--k", "1", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"{rankings}:2: query id 0 appears more than once" in captured.err
+        assert "recall@1" not in captured.out
+        assert not out.exists()
+
+    def test_repeated_candidate_id_in_one_ranking_is_data_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.txt"
+        gold.write_text("0 10\n1 20\n")
+        rankings = tmp_path / "rankings.txt"
+        rankings.write_text("0,10 11\n1,21 20 21\n")
+        assert run("evaluate", "--rankings", str(rankings), "--gold", str(gold),
+                   "--k", "1") == 2
+        captured = capsys.readouterr()
+        assert "ranking 1 (counting from 0) repeats id 21" in captured.err
+        assert "recall@1" not in captured.out
+
+    def test_recall_cutoff_below_one_is_an_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.txt"
+        gold.write_text("0 10\n")
+        rankings = tmp_path / "rankings.txt"
+        rankings.write_text("0,10 11\n")
+        assert run("evaluate", "--rankings", str(rankings), "--gold", str(gold),
+                   "--k", "0,-3") == 2
+        captured = capsys.readouterr()
+        assert "recall cutoff -3 is below 1" in captured.err
+        assert "recall@" not in captured.out
+
 
     @pytest.mark.parametrize("gold_text, rankings_text, where, what", [
         ("0 10\nx 20\n", "0,10 11\n", "gold.txt:2", "id 'x' is not an integer"),

@@ -1,11 +1,12 @@
 """Encoder layer: sublayer-composition oracle, equivariance, determinism."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cmcrank.errors import InvalidShape
-from cmcrank.nn import encoder_layer_forward
+from cmcrank.nn import attention_backward, encoder_layer_backward, encoder_layer_forward
 from cmcrank.reranker import CmcParams
 from test_attention import layer, naive_attention
 
@@ -56,6 +57,22 @@ class TestEncoderLayer:
             encoder_layer_forward(np.empty((1, 0, 8), dtype=np.float32), params)
         with pytest.raises(InvalidShape):
             encoder_layer_forward(np.empty((0, 4, 8), dtype=np.float32), params)
+
+    @pytest.mark.parametrize("backward", [encoder_layer_backward, attention_backward])
+    @pytest.mark.parametrize("dy_shape", [(4, 8), (8,), (0, 4, 8), (1, 1, 4, 8)])
+    def test_backward_rejects_a_dy_that_is_not_a_stack(self, backward, dy_shape):
+        """A dy that is not a non-empty (B, L, d) stack raises InvalidShape
+        and leaves the tape as the forward left it."""
+        params = layer(8, 2)
+        tape: list = []
+        encoder_layer_forward(np.ones((1, 4, 8), dtype=np.float32), params, tape)
+        entries = list(tape)
+        grads = dataclasses.replace(params, **{
+            name: np.empty_like(a) for name, a in params.arrays().items()})
+        with pytest.raises(InvalidShape, match=r"\(B, L, d\)"):
+            backward(np.ones(dy_shape, dtype=np.float32), tape, grads)
+        assert len(tape) == len(entries)
+        assert all(a is b for a, b in zip(tape, entries))
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(6)

@@ -3,9 +3,8 @@ import numpy as np
 import pytest
 
 from cmcrank.errors import InvalidConfig, InvalidInput, UndefinedMetric
-from cmcrank.evaluation import (EvalRecord, SyntheticTaskSpec, bench_latency,
-                                compute_metrics, generate_synthetic,
-                                metrics_to_csv)
+from cmcrank.evaluation import (SyntheticTaskSpec, bench_latency, compute_metrics,
+                                generate_synthetic, gold_ranks, metrics_to_csv)
 from cmcrank.index import CandidateIndex, search_topk
 from cmcrank.reranker import CmcParams
 
@@ -18,29 +17,50 @@ def heldout_split(count: int, every: int = 5):
     return np.setdiff1d(idx, eval_idx), eval_idx
 
 
-def record(qid, gold, ranked, in_pool):
-    return EvalRecord(query_id=qid, gold_id=gold, ranked_ids=tuple(ranked),
-                      gold_in_pool=in_pool)
+def metrics_of(golds, rankings, k_values, in_pool=None, **kwargs):
+    return compute_metrics(gold_ranks(rankings, golds), k_values, in_pool=in_pool, **kwargs)
+
+
+class TestGoldRanks:
+    def test_one_based_rank_or_zero(self):
+        ranks = gold_ranks([[10, 11, 12], [21, 20], [31, 32], []], [10, 20, 30, 40])
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == [1, 2, 0, 0]
+
+    def test_ids_at_and_above_two_to_the_63(self):
+        top = 2 ** 64 - 1
+        assert gold_ranks([[5, top], [2 ** 63, 7]], [top, 2 ** 63]).tolist() == [2, 1]
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(InvalidInput, match="ranking 1 .* repeats id 3"):
+            gold_ranks([[1, 2], [3, 4, 3]], [1, 3])
+
+    @pytest.mark.parametrize("rankings, golds", [
+        ([[1, -2]], [1]), ([[1, 2]], [-1]), ([[1.5, 2]], [1])])
+    def test_bad_ids_rejected(self, rankings, golds):
+        with pytest.raises(InvalidInput):
+            gold_ranks(rankings, golds)
 
 
 class TestMetrics:
     def test_retrieval_footnote_fixture(self):
         """5 queries, gold retrieved for 3, reranker top-1 correct for 1:
         unnormalized 20%, normalized 33.3%."""
-        records = [
-            record(0, 10, [10, 11, 12], True),   # correct
-            record(1, 20, [21, 20, 22], True),   # gold present, ranked 2nd
-            record(2, 30, [31, 32, 30], True),   # gold present, ranked 3rd
-            record(3, 40, [41, 42, 43], False),  # gold missed retrieval
-            record(4, 50, [51, 52, 53], False),
+        rankings = [
+            [10, 11, 12],  # correct
+            [21, 20, 22],  # gold present, ranked 2nd
+            [31, 32, 30],  # gold present, ranked 3rd
+            [41, 42, 43],  # gold missed retrieval
+            [51, 52, 53],
         ]
-        metrics = compute_metrics(records, [1])
+        metrics = metrics_of([10, 20, 30, 40, 50], rankings, [1],
+                             in_pool=[True, True, True, False, False])
         assert metrics["accuracy_unnormalized"] == pytest.approx(0.20)
         assert metrics["accuracy_normalized"] == pytest.approx(1 / 3)
 
     def test_all_correct(self):
-        records = [record(i, i, [i, 99 + i], True) for i in range(4)]
-        metrics = compute_metrics(records, [1, 2])
+        metrics = metrics_of(range(4), [[i, 99 + i] for i in range(4)], [1, 2],
+                             in_pool=[True] * 4)
         assert metrics["recall@1"] == 1.0
         assert metrics["recall@2"] == 1.0
         assert metrics["accuracy_unnormalized"] == 1.0
@@ -48,8 +68,8 @@ class TestMetrics:
         assert metrics["mrr@10"] == 1.0
 
     def test_gold_always_second(self):
-        records = [record(i, i, [99 + i, i], True) for i in range(6)]
-        metrics = compute_metrics(records, [1, 2])
+        metrics = metrics_of(range(6), [[99 + i, i] for i in range(6)], [1, 2],
+                             in_pool=[True] * 6)
         assert metrics["mrr@10"] == pytest.approx(0.5)
         assert metrics["recall@1"] == 0.0
         assert metrics["recall@2"] == 1.0
@@ -57,68 +77,78 @@ class TestMetrics:
     def test_mrr_cutoff_at_ten(self):
         ranked = list(range(100, 112))
         ranked[10] = 7  # gold at rank 11
-        metrics = compute_metrics([record(0, 7, ranked, True)], [1])
+        metrics = metrics_of([7], [ranked], [1], in_pool=[True])
         assert metrics["mrr@10"] == 0.0
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(0)
-        records = []
+        golds, rankings = [], []
         for qid in range(60):
-            ranked = rng.permutation(30)[:10].tolist()
-            gold = int(rng.integers(30))
-            records.append(record(qid, gold, ranked, gold in ranked))
+            rankings.append(rng.permutation(30)[:10].tolist())
+            golds.append(int(rng.integers(30)))
         ks = [1, 3, 5, 10]
-        metrics = compute_metrics(records, ks, require_normalized=False)
-        n = len(records)
+        metrics = metrics_of(golds, rankings, ks, require_normalized=False)
+        n = len(golds)
         for k in ks:
-            expected = sum(1 for r in records
-                           if r.gold_id in r.ranked_ids[:k]) / n
+            expected = sum(1 for gold, ranked in zip(golds, rankings)
+                           if gold in ranked[:k]) / n
             assert metrics[f"recall@{k}"] == pytest.approx(expected)
         expected_mrr = 0.0
-        for r in records:
-            if r.gold_id in r.ranked_ids[:10]:
-                expected_mrr += 1.0 / (list(r.ranked_ids).index(r.gold_id) + 1)
+        for gold, ranked in zip(golds, rankings):
+            if gold in ranked[:10]:
+                expected_mrr += 1.0 / (ranked.index(gold) + 1)
         assert metrics["mrr@10"] == pytest.approx(expected_mrr / n)
 
     def test_recall_monotone_in_k(self):
         rng = np.random.default_rng(1)
         for trial in range(100):
-            records = []
+            golds, rankings = [], []
             for qid in range(20):
-                ranked = rng.permutation(40)[:15].tolist()
-                gold = int(rng.integers(40))
-                records.append(record(qid, gold, ranked, gold in ranked))
-            metrics = compute_metrics(records, range(1, 16),
-                                      require_normalized=False)
+                rankings.append(rng.permutation(40)[:15].tolist())
+                golds.append(int(rng.integers(40)))
+            metrics = metrics_of(golds, rankings, range(1, 16),
+                                 require_normalized=False)
             values = [metrics[f"recall@{k}"] for k in range(1, 16)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_normalized_at_least_unnormalized(self):
         rng = np.random.default_rng(2)
         for trial in range(50):
-            records = []
+            golds, rankings = [], []
             for qid in range(15):
-                ranked = rng.permutation(20)[:8].tolist()
-                gold = int(rng.integers(20))
-                records.append(record(qid, gold, ranked, gold in ranked))
-            if not any(r.gold_in_pool for r in records):
+                rankings.append(rng.permutation(20)[:8].tolist())
+                golds.append(int(rng.integers(20)))
+            if not any(gold in ranked for gold, ranked in zip(golds, rankings)):
                 continue
-            metrics = compute_metrics(records, [1])
+            metrics = metrics_of(golds, rankings, [1])
             assert metrics["accuracy_normalized"] >= metrics["accuracy_unnormalized"]
 
     def test_no_records_rejected(self):
         with pytest.raises(InvalidInput):
-            compute_metrics([], [1])
+            compute_metrics(gold_ranks([], []), [1])
 
     def test_normalized_undefined_without_pool_hits(self):
-        records = [record(0, 9, [1, 2], False)]
         with pytest.raises(UndefinedMetric):
-            compute_metrics(records, [1])
-        metrics = compute_metrics(records, [1], require_normalized=False)
+            metrics_of([9], [[1, 2]], [1], in_pool=[False])
+        metrics = metrics_of([9], [[1, 2]], [1], in_pool=[False], require_normalized=False)
         assert "accuracy_normalized" not in metrics
 
+    @pytest.mark.parametrize("k_values", [[0], [-3, 1], [0, -3]])
+    def test_cutoff_below_one_rejected(self, k_values):
+        with pytest.raises(InvalidConfig, match="below 1"):
+            metrics_of([1], [[1, 2]], k_values)
+
+    def test_mrr_is_a_python_sum_in_query_order(self):
+        """MRR adds 1/rank as Python floats in query order, then divides."""
+        ranks = np.array([3, 0, 7, 1, 2, 9, 11, 6, 0, 5, 10])
+        expected = 0.0
+        for rank in ranks.tolist():
+            if 0 < rank <= 10:
+                expected += 1.0 / rank
+        assert compute_metrics(ranks, [1])["mrr@10"] == expected / len(ranks)
+
     def test_csv_shape(self):
-        metrics = compute_metrics([record(0, 1, [1], True)], [1])
+        metrics = metrics_of([1], [[1]], [1], in_pool=[True])
         csv = metrics_to_csv(metrics)
         lines = csv.strip().split("\n")
         assert lines[0] == "metric,value"
@@ -180,6 +210,23 @@ class TestSyntheticTask:
             SyntheticTaskSpec(confusables=1)
         with pytest.raises(InvalidConfig):
             SyntheticTaskSpec(latent_dim=0)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_noise_not_finite_and_nonnegative_rejected(self, noise):
+        with pytest.raises(InvalidConfig, match="surface_noise"):
+            SyntheticTaskSpec(surface_noise=noise)
+
+    @pytest.mark.parametrize("field", ["corpus_size", "confusables", "surface_dim",
+                                       "latent_dim", "seed"])
+    @pytest.mark.parametrize("value", [5000.0, "8", None])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(InvalidConfig, match="must be integers"):
+            SyntheticTaskSpec(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = SyntheticTaskSpec(corpus_size=np.int64(40), confusables=np.int32(4),
+                                 surface_dim=6, latent_dim=2, seed=np.uint64(3))
+        assert len(generate_synthetic(spec).query_ids) == 10
 
     def test_heldout_split_disjoint(self):
         data = generate_synthetic(SyntheticTaskSpec(

@@ -160,6 +160,23 @@ class TestRunBatch:
         assert sorted(m for m in metrics if "recall@" in m) == [
             "recall@1", "recall@8", "retriever_recall@1", "retriever_recall@8"]
 
+    @pytest.mark.parametrize("mode", ["final", "intermediate"])
+    def test_normalized_accuracy_counts_golds_in_the_retrieved_pool(self, world, mode):
+        """``accuracy_normalized`` is the reranked top-1 accuracy over the
+        queries whose gold is among the K retrieved ids, not the K'
+        survivors; this world has golds that the rerank drops."""
+        data, pipe, golds, queries = world
+        cfg = PipelineConfig(k_retrieve=32, k_prime=4, mode=mode,
+                             final_scorer=noisy_oracle_scorer(golds, seed=1))
+        results, metrics, errors = pipe.run_batch(cfg, queries, gold_by_query=golds)
+        assert not errors
+        in_pool = [r for r in results if golds[r.query_id] in r.retrieved.ids.tolist()]
+        survived = [r for r in in_pool if golds[r.query_id] in r.reranked.ids.tolist()]
+        assert len(survived) < len(in_pool)
+        top1 = [int(r.reranked.ids[0]) == golds[r.query_id] for r in in_pool]
+        assert metrics["accuracy_normalized"] == sum(top1) / len(in_pool)
+        assert metrics["accuracy_normalized"] != sum(top1) / len(survived)
+
     def test_batch_of_one_equals_run_query(self, world):
         data, pipe, golds, queries = world
         cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="final")

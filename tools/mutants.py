@@ -115,6 +115,14 @@ MUTANTS = (
         "if ids.ndim != 1:",
         ("tests/test_index.py::TestSearch::test_ids_and_scores_of_different_shapes_rejected",),
     ),
+    Mutant(
+        "run_batch normalizes accuracy by the K' survivors, not the retrieved pool",
+        "src/cmcrank/pipeline.py",
+        "in_pool=retrieved > 0, ",
+        "",
+        ("tests/test_pipeline.py::TestRunBatch::"
+         "test_normalized_accuracy_counts_golds_in_the_retrieved_pool",),
+    ),
 )
 
 
