@@ -6,7 +6,8 @@ subcommands that read it (generate-synthetic, train, rerank, bench), and
 --threads by rerank.
 
 Exit codes: 0 success, 1 usage error (message on stderr), 2 data or format
-error.  Output files are written atomically; input files are never
+error.  Text inputs are read by ``fileio.text_records``, so an error names
+its ``path:line``.  Output files are written atomically; input files are never
 mutated.  Config precedence is flag > config file > built-in default;
 config-file values are parsed as flags placed before the command line's
 own, so argparse checks their types and choices.
@@ -20,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, training
-from .encoders import (EMBEDDING_MAGIC, EmbeddingTable, load_embedding_file,
+from .encoders import (EMBEDDING_MAGIC, EmbeddingTable, _parse_id, load_embedding_file,
                        load_embedding_text, save_embedding_file)
-from .errors import CmcRankError, DuplicateId, InvalidInput, NumericError
-from .fileio import atomic_write_text
+from .errors import CmcRankError, DuplicateId, FormatError, InvalidInput, NumericError
+from .fileio import atomic_write_text, text_records
 from .index import CandidateIndex, build_index, open_index
 from .pipeline import (MODE_FINAL, MODE_INTERMEDIATE, Pipeline, PipelineConfig,
                        gold_oracle_scorer, noisy_oracle_scorer)
@@ -51,13 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
+    for where, line in text_records(path):
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise UsageError(f"{where}: expected key=value, got {line!r}")
         values[key.strip().replace("-", "_")] = value.strip()
     return values
 
@@ -94,36 +92,19 @@ def _parse_int_list(text: str) -> list[int]:
 def _load_embeddings_any(path: str):
     """Binary embedding file, or the text form as a fallback."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == EMBEDDING_MAGIC:
-        return load_embedding_file(path)
-    return load_embedding_text(path)
+        binary = fh.read(4) == EMBEDDING_MAGIC
+    return (load_embedding_file if binary else load_embedding_text)(path)
 
 
-def _parse_id(text: str, where: str) -> int:
-    """A query or candidate id read from a text file; ``where`` is its
-    ``path:line``."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise InvalidInput(f"{where}: id {text!r} is not an integer") from None
-    if not 0 <= value < 2 ** 64:
-        raise InvalidInput(f"{where}: id {value} is not in [0, 2**64)")
-    return value
-
-
-def _load_gold(path: str) -> dict[int, int]:
+def _load_gold(path: str | Path) -> dict[int, int]:
     gold: dict[int, int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in text_records(path):
         parts = line.split()
         if len(parts) != 2:
-            raise CmcRankError(f"{path}:{lineno}: expected 'query_id gold_id'")
-        query_id, gold_id = (_parse_id(p, f"{path}:{lineno}") for p in parts)
+            raise FormatError(f"{where}: expected 'query_id gold_id', got {line!r}")
+        query_id, gold_id = (_parse_id(p, where) for p in parts)
         if query_id in gold:
-            raise DuplicateId(f"{path}:{lineno}: query id {query_id} appears more than once")
+            raise DuplicateId(f"{where}: query id {query_id} appears more than once")
         gold[query_id] = gold_id
     return gold
 
@@ -262,12 +243,8 @@ def _cmd_rerank(args) -> int:
 def _cmd_evaluate(args) -> int:
     gold = _load_gold(args.gold)
     rankings: dict[int, list[int]] = {}
-    for lineno, line in enumerate(Path(args.rankings).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
+    for where, line in text_records(args.rankings):
         qid_text, _, ranked_text = line.partition(",")
-        where = f"{args.rankings}:{lineno}"
         query_id = _parse_id(qid_text, where)
         if query_id in rankings:
             raise DuplicateId(f"{where}: query id {query_id} appears more than once")

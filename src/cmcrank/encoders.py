@@ -26,8 +26,9 @@ payload and streams the checksum over a read-only map;
 views of that map, leaving the values to their users: ``EmbeddingTable``
 checks candidate rows, and ``encode`` and ``train`` check queries.
 
-A line-oriented text form ("id v1,v2,..." per line) is accepted as an
-import source and converted to the same in-memory representation.
+The text form, one "id v1,v2,..." record per ``fileio.text_records``
+line, is an import source with the same in-memory representation.  Its
+ids, like those of gold and rankings files, are parsed by ``_parse_id``.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import (DuplicateId, FormatError, InvalidInput, InvalidShape,
                      MissingCandidate, NumericError)
-from .fileio import CHUNK_BYTES, read_checked, write_checked
+from .fileio import CHUNK_BYTES, read_checked, text_records, write_checked
 
 EMBEDDING_MAGIC = b"CMCE"
 EMBEDDING_VERSION = 2
@@ -82,6 +83,18 @@ def _as_ids(ids) -> np.ndarray:
     elif arr.min() < 0:
         raise InvalidInput(f"candidate id {int(arr.min())} is negative")
     return arr.astype(np.uint64)
+
+
+def _parse_id(text: str, where: str) -> int:
+    """An id read from the text record ``where`` (its ``path:line``); as in
+    :func:`_as_ids`, one that is not an integer in [0, 2**64) raises ``InvalidInput``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise InvalidInput(f"{where}: id {text!r} is not an integer") from None
+    if not 0 <= value < 2 ** 64:
+        raise InvalidInput(f"{where}: id {value} is not in [0, 2**64)")
+    return value
 
 
 def _sorted_ids(ids) -> tuple[np.ndarray, np.ndarray | None]:
@@ -131,30 +144,25 @@ def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_embedding_text(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Import the text form: one "id v1,v2,..." line per record."""
+    """Import the text form: one "id v1,v2,..." record per line, all of one width."""
     ids: list[int] = []
-    rows: list[np.ndarray] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: expected 'id values', got {line!r}")
-            try:
-                ids.append(int(parts[0]))
-                rows.append(np.asarray(
-                    [float(v) for v in parts[1].split(",")], dtype=np.float32))
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
+    rows: list[list[float]] = []
+    for where, line in text_records(path):
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise FormatError(f"{where}: expected 'id values', got {line!r}")
+        ids.append(_parse_id(parts[0], where))
+        try:
+            rows.append([float(v) for v in parts[1].split(",")])
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise FormatError(f"{where}: {len(rows[-1])} values, expected {len(rows[0])}")
     if not rows:
-        raise FormatError("text embedding file has no records")
-    dim = rows[0].shape[0]
-    for lineno, row in enumerate(rows, 1):
-        if row.shape[0] != dim:
-            raise FormatError(f"record {lineno} has {row.shape[0]} values, expected {dim}")
-    return _as_ids(ids), np.vstack(rows)
+        raise FormatError(f"{path}: text embedding file has no records")
+    ids = np.array(ids, dtype=np.uint64)
+    _sorted_ids(ids)
+    return ids, np.array(rows, dtype=np.float32)
 
 
 class EmbeddingTable:

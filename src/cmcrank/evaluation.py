@@ -67,7 +67,11 @@ def compute_metrics(ranks: np.ndarray, k_values: Iterable[int],
     if ks and ks[0] < 1:
         raise InvalidConfig(f"recall cutoff {ks[0]} is below 1")
     found = ranks > 0
-    pooled = ranks[found if in_pool is None else np.asarray(in_pool, dtype=bool)]
+    in_pool = found if in_pool is None else np.asarray(in_pool, dtype=bool)
+    if in_pool.shape != ranks.shape:
+        raise InvalidInput(f"in_pool has shape {in_pool.shape}, expected one flag "
+                           f"per rank {ranks.shape}")
+    pooled = ranks[in_pool]
 
     metrics = {f"recall@{k}": float(np.mean(found & (ranks <= k))) for k in ks}
     metrics["accuracy_unnormalized"] = float(np.mean(ranks == 1))

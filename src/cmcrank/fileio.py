@@ -1,4 +1,4 @@
-"""The one checked container behind every binary file, and atomic output.
+"""One checked container for every binary file, one text reader, atomic output.
 
 Every binary file (embedding files, of which an index file is one, and
 checkpoints) is a little-endian fixed header followed by a payload.  The
@@ -9,7 +9,7 @@ the exact payload size from those fields.  :func:`read_checked` checks the
 magic, the version and the file size before touching the payload, then
 maps the file read-only and streams the checksum over the map.  Writers go
 through :func:`atomic_write` so a crash never leaves a half-written file
-behind.
+behind.  Every text input is read by :func:`text_records`.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import FormatError
 
@@ -45,6 +45,14 @@ def atomic_write(path: str | Path, *chunks) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write(path, text.encode("utf-8"))
+
+
+def text_records(path: str | Path) -> Iterator[tuple[str, str]]:
+    """``("path:line", stripped line)`` per UTF-8 line not blank or a ``#`` comment."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if (line := line.strip()) and not line.startswith("#"):
+                yield f"{path}:{lineno}", line
 
 
 def write_checked(path: str | Path, header: struct.Struct, magic: bytes,

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoders import EmbeddingTable, load_embedding_file, save_embedding_file
+from .encoders import EmbeddingTable, _as_ids, load_embedding_file, save_embedding_file
 from .errors import InvalidShape, NumericError
 
 
@@ -43,11 +43,13 @@ class RankedList:
 def rank_by_score(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedList:
     """Exact top-k of 1-D ids and same-shape scores, by (score desc, id asc).
 
-    Returns exactly ``min(k, n)`` entries; raises ``InvalidShape`` for k < 0
-    or other shapes and ``NumericError`` when NaN scores leave fewer comparable ones."""
-    if k < 0:
-        raise InvalidShape(f"k must be nonnegative, got {k}")
-    ids, scores = np.asarray(ids, dtype=np.uint64), np.asarray(scores)
+    Returns exactly ``min(k, n)`` entries; raises ``InvalidShape`` for a k
+    that is not an integer of at least 0 or for other shapes, ``InvalidInput``
+    for ids that ``_as_ids`` rejects, and ``NumericError`` when NaN scores
+    leave fewer comparable ones."""
+    if not isinstance(k, int | np.integer) or k < 0:
+        raise InvalidShape(f"k must be a nonnegative integer, got {k!r}")
+    ids, scores = _as_ids(ids), np.asarray(scores)
     if ids.ndim != 1 or scores.shape != ids.shape:
         raise InvalidShape(f"ids {ids.shape} and scores {scores.shape} differ or are not 1-D")
     n = len(ids)

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .encoders import EmbeddingTable, encode
-from .errors import CmcRankError, DuplicateId, InvalidConfig, InvalidInput
+from .errors import CmcRankError, DuplicateId, InvalidConfig, InvalidInput, InvalidShape
 from .evaluation import compute_metrics, gold_ranks
 from .index import CandidateIndex, RankedList, rank_by_score, search_topk
 from .reranker import CmcParams, rerank
@@ -103,19 +103,20 @@ class PipelineResult:
 
 
 class Pipeline:
-    """Bound pipeline: an index, reranker params, and candidate embeddings."""
+    """Bound pipeline: an index, reranker params, and candidate embeddings, of
+    one dim (else ``InvalidShape``), since one query vector serves every stage."""
 
     def __init__(self, index: CandidateIndex, params: CmcParams,
                  candidates: EmbeddingTable):
+        if not index.dim == candidates.dim == params.model_dim:
+            raise InvalidShape(f"index dim {index.dim}, candidate dim {candidates.dim} "
+                               f"and model dim {params.model_dim} differ")
         self.index = index
         self.params = params
         self.candidates = candidates
 
     def run_query(self, cfg: PipelineConfig, query_id: int, query) -> PipelineResult:
-        """Run all stages for one query; per-stage wall time in microseconds.
-
-        The one query vector serves both stages, so the index dim and the
-        reranker's model dim must agree; the reranker checks its side."""
+        """Run all stages for one query; per-stage wall time in microseconds."""
         q = encode(query, self.index.dim)
 
         t0 = time.perf_counter()

@@ -4,8 +4,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from cmcrank.cli import run_command
+from cmcrank.cli import _load_gold, run_command
 from cmcrank.encoders import EmbeddingTable, load_embedding_file, save_embedding_file
+from cmcrank.errors import FormatError
 from cmcrank.reranker import CmcParams
 
 
@@ -132,6 +133,25 @@ class TestExitCodes:
         assert run("evaluate", "--rankings", str(rankings),
                    "--gold", str(gold_path), "--k", "1") == 2
         assert f"{gold_path}: no gold for query id {qid}\n" in capsys.readouterr().err
+
+    def test_model_dim_unlike_embeddings_serves_nothing(self, task_dir, tmp_path, capsys):
+        """A checkpoint of another dim is one data error before any query
+        runs, not one failed query per query."""
+        index_path, ckpt = tmp_path / "task.cmci", tmp_path / "model.cmcp"
+        embeddings = task_dir / "reranker_embeddings.cmce"
+        assert run("build-index", "--embeddings", str(embeddings),
+                   "--out", str(index_path)) == 0
+        dim = EmbeddingTable.from_file(embeddings).dim
+        CmcParams.init(model_dim=2 * dim, head_count=2, seed=1).save(ckpt)
+        results = tmp_path / "results.txt"
+        assert run("rerank", "--index", str(index_path), "--checkpoint", str(ckpt),
+                   "--embeddings", str(embeddings),
+                   "--queries", str(task_dir / "queries.cmce"),
+                   "--k-retrieve", "16", "--k-prime", "8", "--out", str(results)) == 2
+        captured = capsys.readouterr()
+        assert f"model dim {2 * dim} differ" in captured.err
+        assert "failed" not in captured.err and "reranked" not in captured.out
+        assert not results.exists()
 
     def test_intermediate_mode_needs_scorer(self, task_dir, tmp_path):
         assert run("rerank", "--index", "x", "--checkpoint", "y",
@@ -363,6 +383,35 @@ class TestEvaluateFixture:
                    "--gold", str(gold), "--k", "1") == 2
         err = capsys.readouterr().err
         assert f"{tmp_path / where}: {what}" in err
+
+    @pytest.mark.parametrize("text, line", [("0 10\n1 20 30\n", 2),
+                                            ("# query gold\n0 10\n\n1\n", 4)])
+    def test_malformed_gold_line_is_a_format_error(self, tmp_path, text, line):
+        """Lines are counted in the file, comments and blank lines included."""
+        gold = tmp_path / "gold.txt"
+        gold.write_text(text)
+        with pytest.raises(FormatError) as info:
+            _load_gold(gold)
+        assert str(info.value).startswith(f"{gold}:{line}: expected 'query_id gold_id'")
+
+    def test_comment_lines_skipped_in_every_text_input(self, tmp_path, capsys):
+        """A rankings file with ``#`` lines evaluates byte for byte like the
+        same file without them, as gold and config files do."""
+        (tmp_path / "gold.txt").write_text("0 10\n1 20\n2 30\n")
+        body = "0,10 11 12\n1,21 20 22\n2,31 32 33\n"
+        outputs = []
+        for name, text in (("plain", body),
+                           ("commented", "# produced by hand\n" + body + "\n# end\n")):
+            (tmp_path / f"{name}.txt").write_text(text)
+            (tmp_path / f"{name}.cfg").write_text("# cutoffs\n\nk = 1,2\n")
+            assert run("evaluate", "--rankings", str(tmp_path / f"{name}.txt"),
+                       "--gold", str(tmp_path / "gold.txt"),
+                       "--config", str(tmp_path / f"{name}.cfg"),
+                       "--out", str(tmp_path / f"{name}.csv")) == 0
+            outputs.append((capsys.readouterr().out,
+                            (tmp_path / f"{name}.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert "recall@2: 0.6667" in outputs[0][0]
 
 
 class TestBenchCommand:

@@ -158,6 +158,29 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError):
             load_embedding_text(path)
 
+    @pytest.mark.parametrize("text, error, where", [
+        ("# comment\n1 1,2\n\n2 1,2,3\n", FormatError, ":4: 3 values, expected 2"),
+        ("1 1,2\n-2 3,4\n", InvalidInput, ":2: id -2 is not in [0, 2**64)"),
+        ("1 1,2\n1.5 3,4\n", InvalidInput, ":2: id '1.5' is not an integer"),
+        ("1 1,2\n2\n", FormatError, ":2: expected 'id values', got '2'"),
+        ("1 1,x\n", FormatError, ":1: could not convert string to float"),
+        ("# only a comment\n\n", FormatError, ": text embedding file has no records"),
+    ])
+    def test_text_import_errors_name_path_and_line(self, tmp_path, text, error, where):
+        """Lines are counted in the file, comments and blank lines included."""
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            load_embedding_text(path)
+        assert str(info.value).startswith(f"{path}{where}")
+
+    def test_text_import_repeated_id_rejected(self, tmp_path):
+        """As in the binary loader, ids must be distinct."""
+        path = tmp_path / "dup.txt"
+        path.write_text("1 1,2\n1 3,4\n")
+        with pytest.raises(DuplicateId, match="candidate id 1 appears more than once"):
+            load_embedding_text(path)
+
 
 class TestEmbeddingTable:
     def test_lookup_and_batch(self):

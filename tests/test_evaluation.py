@@ -133,6 +133,11 @@ class TestMetrics:
         metrics = metrics_of([9], [[1, 2]], [1], in_pool=[False], require_normalized=False)
         assert "accuracy_normalized" not in metrics
 
+    @pytest.mark.parametrize("in_pool", [[True], [True, True, False], [[True, True]]])
+    def test_in_pool_needs_one_flag_per_rank(self, in_pool):
+        with pytest.raises(InvalidInput, match="one flag per rank"):
+            compute_metrics(np.array([1, 2]), [1], in_pool=in_pool)
+
     @pytest.mark.parametrize("k_values", [[0], [-3, 1], [0, -3]])
     def test_cutoff_below_one_rejected(self, k_values):
         with pytest.raises(InvalidConfig, match="below 1"):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from cmcrank.encoders import (HEADER_BYTES, load_embedding_file,
                               save_embedding_file)
-from cmcrank.errors import DuplicateId, FormatError, InvalidShape, NumericError
+from cmcrank.errors import (DuplicateId, FormatError, InvalidInput, InvalidShape,
+                            NumericError)
 from cmcrank.index import (CandidateIndex, build_index, open_index,
                            rank_by_score, search_topk)
 
@@ -184,6 +185,20 @@ class TestSearch:
             rank_by_score(index.ids, [0.5, 0.25], -1)
         assert len(rank_by_score(index.ids, [0.5, 0.25], 0)) == 0
         assert len(search_topk(index, query, 0)) == 0
+
+    @pytest.mark.parametrize("k", [3.0, 1.5, "3", None])
+    def test_non_integer_k_rejected(self, k):
+        index = CandidateIndex([1, 2], np.eye(2, dtype=np.float32))
+        with pytest.raises(InvalidShape, match="integer"):
+            search_topk(index, np.ones(2, dtype=np.float32), k)
+        with pytest.raises(InvalidShape, match="integer"):
+            rank_by_score(index.ids, [0.5, 0.25], k)
+
+    @pytest.mark.parametrize("ids", [np.array([-1, 5]), [-1, 5], [0.5, 5]])
+    def test_bad_ids_rejected_not_wrapped(self, ids):
+        """Ids are validated like every other id: -1 is not 2**64 - 1."""
+        with pytest.raises(InvalidInput, match="candidate id"):
+            rank_by_score(ids, np.array([1.0, 0.5]), 2)
 
     @pytest.mark.parametrize("id_shape, score_shape", [
         ((10,), (5,)), ((5,), (10,)), ((8,), (4, 2)), ((4,), (4, 1)),

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmcrank.encoders import EmbeddingTable
-from cmcrank.errors import DuplicateId, InvalidConfig, InvalidInput, NumericError
+from cmcrank.errors import (DuplicateId, InvalidConfig, InvalidInput, InvalidShape,
+                            NumericError)
 from cmcrank.evaluation import SyntheticTaskSpec, generate_synthetic
 from cmcrank.index import CandidateIndex
 from cmcrank.pipeline import (Pipeline, PipelineConfig, gold_oracle_scorer,
@@ -51,6 +52,20 @@ class TestConfig:
             PipelineConfig(**{"k_retrieve": 16, "k_prime": 4, **counts})
         cfg = PipelineConfig(k_retrieve=np.int64(16), k_prime=np.uint32(4))
         assert (cfg.k_retrieve, cfg.k_prime) == (16, 4)
+
+    def test_parts_of_different_dims_rejected(self, world):
+        """A dim mismatch is one configuration error, not a data error in
+        every query."""
+        _, pipe, _, _ = world
+        narrow = EmbeddingTable([1, 2], np.eye(2, dtype=np.float32))
+        for index, params, candidates in [
+                (pipe.index, CmcParams.init(model_dim=8, head_count=2, seed=1),
+                 pipe.candidates),
+                (pipe.index, pipe.params, narrow),
+                (CandidateIndex([1, 2], np.eye(2, dtype=np.float32)), pipe.params,
+                 pipe.candidates)]:
+            with pytest.raises(InvalidShape, match="differ"):
+                Pipeline(index, params, candidates)
 
 
 class TestRunQuery:

@@ -123,6 +123,23 @@ MUTANTS = (
         ("tests/test_pipeline.py::TestRunBatch::"
          "test_normalized_accuracy_counts_golds_in_the_retrieved_pool",),
     ),
+    Mutant(
+        "text_records keeps comment lines",
+        "src/cmcrank/fileio.py",
+        "if (line := line.strip()) and not line.startswith(\"#\"):",
+        "if (line := line.strip()):",
+        ("tests/test_cli.py::TestEvaluateFixture::"
+         "test_comment_lines_skipped_in_every_text_input",
+         "tests/test_encoders.py::TestEmbeddingFile::"
+         "test_text_import_errors_name_path_and_line"),
+    ),
+    Mutant(
+        "rank_by_score wraps negative ids into uint64",
+        "src/cmcrank/index.py",
+        "ids, scores = _as_ids(ids), np.asarray(scores)",
+        "ids, scores = np.asarray(ids, dtype=np.uint64), np.asarray(scores)",
+        ("tests/test_index.py::TestSearch::test_bad_ids_rejected_not_wrapped",),
+    ),
 )
 
 
