@@ -6,9 +6,10 @@ subcommands that read it (generate-synthetic, train, rerank, bench), and
 --threads by rerank.
 
 Exit codes: 0 success, 1 usage error (message on stderr), 2 data or format
-error.  Text inputs are read by ``fileio.text_records``, so an error names
-its ``path:line``.  Output files are written atomically; input files are never
-mutated.  Config precedence is flag > config file > built-in default;
+error.  Text inputs are read by ``fileio.text_records`` and binary ones by
+``fileio.read_checked``, so a format error names its path, and in a text
+input its ``path:line``.  Output files are written atomically; input files
+are never mutated.  Config precedence is flag > config file > built-in default;
 config-file values are parsed as flags placed before the command line's
 own, so argparse checks their types and choices.
 """

@@ -139,19 +139,26 @@ def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     ids = np.frombuffer(buf, dtype="<u8", count=count, offset=HEADER_BYTES)
     matrix = np.frombuffer(buf, dtype="<f4", count=count * dim,
                            offset=HEADER_BYTES + 8 * count).reshape(count, dim)
-    _sorted_ids(ids)
+    try:
+        _sorted_ids(ids)
+    except DuplicateId as exc:
+        raise DuplicateId(f"{path}: {exc}") from None
     return ids, matrix
 
 
 def load_embedding_text(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Import the text form: one "id v1,v2,..." record per line, all of one width."""
     ids: list[int] = []
+    seen: set[int] = set()
     rows: list[list[float]] = []
     for where, line in text_records(path):
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise FormatError(f"{where}: expected 'id values', got {line!r}")
         ids.append(_parse_id(parts[0], where))
+        if ids[-1] in seen:
+            raise DuplicateId(f"{where}: candidate id {ids[-1]} appears more than once")
+        seen.add(ids[-1])
         try:
             rows.append([float(v) for v in parts[1].split(",")])
         except ValueError as exc:
@@ -160,9 +167,7 @@ def load_embedding_text(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             raise FormatError(f"{where}: {len(rows[-1])} values, expected {len(rows[0])}")
     if not rows:
         raise FormatError(f"{path}: text embedding file has no records")
-    ids = np.array(ids, dtype=np.uint64)
-    _sorted_ids(ids)
-    return ids, np.array(rows, dtype=np.float32)
+    return np.array(ids, dtype=np.uint64), np.array(rows, dtype=np.float32)
 
 
 class EmbeddingTable:

@@ -48,9 +48,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def text_records(path: str | Path) -> Iterator[tuple[str, str]]:
-    """``("path:line", stripped line)`` per UTF-8 line not blank or a ``#`` comment."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    """``("path:line", stripped line)`` per UTF-8 line not blank or a ``#``
+    comment; a line that is not UTF-8 raises ``FormatError`` naming it."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}:{lineno}: not UTF-8 (byte "
+                                  f"{raw[exc.start]:#04x} at column {exc.start + 1})") from None
             if (line := line.strip()) and not line.startswith("#"):
                 yield f"{path}:{lineno}", line
 
@@ -71,23 +77,29 @@ def read_checked(path: str | Path, header: struct.Struct, magic: bytes,
 
     ``payload_bytes(*fields)`` gives the exact payload size for the header
     fields between the version and the CRC; it may raise ``FormatError``
-    for fields that contradict each other.  Returns ``(fields, map)``.
+    for fields that contradict each other.  Every ``FormatError`` raised
+    here starts with ``path``.  Returns ``(fields, map)``.
     """
     kind = magic.decode()
     with open(path, "rb") as fh:
         raw = fh.read(header.size)
         if raw[:4] != magic:
-            raise FormatError(f"bad magic: expected {magic!r}, got {raw[:4]!r}")
+            raise FormatError(f"{path}: bad magic: expected {magic!r}, got {raw[:4]!r}")
         got = int.from_bytes(raw[4:6], "little")
         if len(raw) >= 6 and got != version:
-            raise FormatError(f"unsupported {kind} version {got}; regenerate the file")
+            raise FormatError(f"{path}: unsupported {kind} version {got}; "
+                              "regenerate the file")
         if len(raw) != header.size:
-            raise FormatError(f"truncated {kind} header: {len(raw)} of {header.size} bytes")
+            raise FormatError(f"{path}: truncated {kind} header: "
+                              f"{len(raw)} of {header.size} bytes")
         _, _, *fields, stored_crc = header.unpack(raw)
-        expected = header.size + payload_bytes(*fields)
+        try:
+            expected = header.size + payload_bytes(*fields)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
-            raise FormatError(f"{kind} file is {size} bytes, expected {expected} "
+            raise FormatError(f"{path}: {kind} file is {size} bytes, expected {expected} "
                               f"for header fields {tuple(fields)}")
         buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     crc = 0
@@ -95,5 +107,5 @@ def read_checked(path: str | Path, header: struct.Struct, magic: bytes,
         for lo in range(header.size, size, CHUNK_BYTES):
             crc = zlib.crc32(view[lo:lo + CHUNK_BYTES], crc)
     if crc != stored_crc:
-        raise FormatError(f"{kind} file checksum mismatch (corrupt payload)")
+        raise FormatError(f"{path}: {kind} file checksum mismatch (corrupt payload)")
     return tuple(fields), buf

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from cmcrank.errors import InvalidConfig, InvalidShape
 from cmcrank.nn import attention_backward, multi_head_self_attention
 from cmcrank.nn import attention as attention_module
+from cmcrank.nn.attention import SCORE_MARGIN
+from cmcrank.nn.ops import exp_shifted_inplace
 from cmcrank.reranker import CmcParams
 
 #: The LayerParams fields that attention_backward writes.
@@ -139,6 +141,93 @@ class TestAttention:
         attn = tape[0][4]
         assert attn.shape == (heads, length, length)
         assert np.abs(attn.sum(axis=-1) - 1.0).max() <= 1e-6
+
+
+def naive_attention64(x, params):
+    """``naive_attention`` with the input and every weight in float64."""
+    params64 = dataclasses.replace(
+        params, **{name: a.astype(np.float64) for name, a in params.arrays().items()})
+    return naive_attention(x.astype(np.float64), params64)
+
+
+def scores_bounded_by(bound, length=6, dim=8, seed=0):
+    """An input and a one-head layer whose norm bound on the scores,
+    max_i |q_i| * max_j |k_j|, is ``bound``.  The query and key projections
+    are the identity, so the scaled self-score of the longest input row
+    reaches the bound itself."""
+    rng = np.random.default_rng(seed)
+    params = layer(dim, 1, rng)
+    params.w_q[:] = params.w_k[:] = np.eye(dim)
+    params.b_q[:] = params.b_k[:] = 0.0
+    x = rng.standard_normal((length, dim))
+    x *= math.sqrt(bound * math.sqrt(dim) / (x * x).sum(axis=1).max())
+    return x.astype(np.float32), params
+
+
+def by_hand(x, params, numerator):
+    """The forward's arithmetic for one row block (L <= _BLOCK_ROWS), with
+    ``numerator`` applied in place to the (heads, L, L) scores."""
+    h = params.head_count
+    length, dim = x.shape
+    head_dim = dim // h
+
+    def split(a):
+        return a.reshape(length, h, head_dim).swapaxes(0, 1)
+
+    q = x @ params.w_q
+    q += params.b_q
+    q *= 1.0 / math.sqrt(head_dim)
+    k = x @ params.w_k + params.b_k
+    v = x @ params.w_v + params.b_v
+    e = split(q) @ np.ascontiguousarray(split(k).transpose(0, 2, 1))
+    numerator(e)
+    va = np.concatenate([split(v), np.ones((h, length, 1), dtype=v.dtype)], axis=-1)
+    context = e @ va
+    out = context[..., :head_dim] / context[..., head_dim:]
+    return out.swapaxes(0, 1).reshape(length, dim) @ params.w_o + params.b_o
+
+
+def plain_exp(e):
+    np.exp(e, out=e)
+
+
+class TestScoreBound:
+    """The forward skips the max shift when its norm bound proves every
+    score at most ``SCORE_MARGIN`` and the values safe, and shifts
+    otherwise."""
+
+    @pytest.mark.parametrize("factor", [0.98, 1.02])
+    def test_either_side_of_the_margin_matches_naive_oracle(self, factor):
+        x, params = scores_bounded_by(factor * SCORE_MARGIN)
+        out = multi_head_self_attention(x, params)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, naive_attention64(x, params), rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("value_scale", [1e18, 1e30])
+    def test_huge_values_under_the_margin_stay_finite(self, value_scale):
+        """Scores of up to 0.9 * SCORE_MARGIN with values a few times
+        ``value_scale``: at 1e18 the squared value norms are finite and the
+        unshifted exp is safe; at 1e30 they are not, and an unshifted exp
+        of up to 5e11 would overflow the value product."""
+        x, params = scores_bounded_by(0.9 * SCORE_MARGIN)
+        eye = np.eye(x.shape[1])
+        params.w_v[:] = value_scale * eye
+        params.w_o[:] = eye / value_scale
+        out = multi_head_self_attention(x, params)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, naive_attention64(x, params), rtol=0, atol=1e-5)
+
+    def test_under_the_margin_runs_exp_over_it_the_shifted_exp(self):
+        """Bit for bit, a forward under the margin runs a plain exp and one
+        over it ``exp_shifted_inplace``; the two numerators give different
+        bits on these inputs."""
+        for bound, numerator, other in ((0.5, plain_exp, exp_shifted_inplace),
+                                        (40.0, exp_shifted_inplace, plain_exp)):
+            x, params = scores_bounded_by(bound)
+            for tape in (None, []):
+                out = multi_head_self_attention(x, params, tape)
+                assert out.tobytes() == by_hand(x, params, numerator).tobytes(), bound
+                assert out.tobytes() != by_hand(x, params, other).tobytes(), bound
 
 
 class TestStackedBackward:

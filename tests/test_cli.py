@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, reproducibility, file hygiene."""
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -59,6 +61,37 @@ class TestExitCodes:
         assert run("build-index", "--embeddings", str(bad),
                    "--out", str(tmp_path / "x.cmci")) == 2
         assert "error" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("kind, where, what", [
+        ("not UTF-8", ":2", "not UTF-8 (byte 0xff"),
+        ("repeated id", ":3", "candidate id 1 appears more than once"),
+        ("repeated binary id", "", "candidate id 1 appears more than once"),
+        ("truncated", "", "CMCE file is 48 bytes, expected 56"),
+        ("flipped payload byte", "", "CMCE file checksum mismatch")],
+        ids=["not-utf8", "repeated-text-id", "repeated-binary-id", "truncated", "flipped-byte"])
+    def test_input_error_names_its_file(self, tmp_path, capsys, kind, where, what):
+        """A bad embedding file exits 2 with its path (and line, for the
+        text form) in the message."""
+        path = tmp_path / "bad.emb"
+        save_embedding_file(path, [1, 2], np.ones((2, 2), dtype=np.float32))
+        binary = path.read_bytes()
+        # Ids 1, 1 with a matching CRC32: the 24-byte header ends with the
+        # CRC at bytes 18-21 and 2 pad bytes.
+        payload = binary[24:32] * 2 + binary[40:]
+        repeated = binary[:18] + struct.pack("<I", zlib.crc32(payload)) + b"\0\0" + payload
+        path.write_bytes({
+            "not UTF-8": b"1 0.5,0.5\n2 \xff.5,0.5\n",
+            "repeated id": b"1 0.5,0.5\n2 0.1,0.2\n1 0.3,0.4\n",
+            "repeated binary id": repeated,
+            "truncated": binary[:-8],
+            "flipped payload byte": binary[:-1] + bytes([binary[-1] ^ 1]),
+        }[kind])
+        assert run("build-index", "--embeddings", str(path),
+                   "--out", str(tmp_path / "x.cmci")) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}{where}: " in err
+        assert what in err
+        assert not (tmp_path / "x.cmci").exists()
 
     def test_missing_input_file(self, tmp_path):
         assert run("build-index", "--embeddings", str(tmp_path / "nope.cmce"),

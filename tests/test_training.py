@@ -798,14 +798,18 @@ class TestPinnedTraining:
     the CPU model below; on any other the test skips, naming it.  Summing
     the attention input gradient as q + (v + k) instead of (q + k) + v
     gives flat ``aa7aae344cc0ce49...`` and file ``b81e4f58116ef55d...``.
+    An attention forward that always shifts its scores by the row max,
+    as every call did before the ``SCORE_MARGIN`` guard, gives flat
+    ``49cba16468fc3778...``, file ``a5b5f5d6d4219460...`` and an epoch 2
+    loss of 1.1424092337106684.
     """
 
     NUMPY = "2.4.6"
     BLAS = "scipy-openblas 0.3.31"
     CPU = "Intel(R) Xeon(R) Processor"
-    FLAT = "49cba16468fc3778d2d50432399195cfe1fca6d284ef1eb5402038aadda022e3"
-    FILE = "a5b5f5d6d4219460477c6c941dddd6e79525cc7f695f53c9adc01f96472e42ed"
-    EPOCH_2_LOSS = 1.1424092337106684
+    FLAT = "f49346f62daf9aeb94f0e6d218c753798a0732628a0ff38115e4a7d5f30344f2"
+    FILE = "7151e0a7023695957d6ca7288ae1ff016f5c08159a9a5e6b335c751d2edc8aa2"
+    EPOCH_2_LOSS = 1.1424088113814148
 
     def test_trained_weights_and_checkpoint(self, tmp_path):
         for what, want, have in (("numpy", self.NUMPY, np.__version__),

@@ -53,6 +53,21 @@ MUTANTS = (
         ("tests/test_training.py::TestPinnedTraining",),
     ),
     Mutant(
+        "attention score guard always true: exp unshifted whatever the bound",
+        "src/cmcrank/nn/attention.py",
+        "    small = qq * kk <= SCORE_MARGIN ** 2 and vv < math.inf\n",
+        "    small = True\n",
+        ("tests/test_attention.py::TestScoreBound",),
+    ),
+    Mutant(
+        "attention score guard always false: every block max-shifted",
+        "src/cmcrank/nn/attention.py",
+        "    small = qq * kk <= SCORE_MARGIN ** 2 and vv < math.inf\n",
+        "    small = False\n",
+        ("tests/test_pipeline.py::TestPinnedServing",
+         "tests/test_training.py::TestPinnedTraining"),
+    ),
+    Mutant(
         "stacked bias gradient from the first example only",
         "src/cmcrank/nn/ops.py",
         "np.sum(g.sum(axis=1), axis=0, out=out)",
