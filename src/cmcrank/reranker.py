@@ -200,15 +200,17 @@ class CmcTape:
     def ctx(self) -> ContextualizedSet:
         return self._ctx
 
-    def backward(self, d_scores: np.ndarray):
+    def backward(self, d_scores: np.ndarray, grad: CmcParams | None = None):
         """Gradients of a scalar loss given dLoss/dScores, shaped like the
         (B, K) scores.  The backward runs every kernel once over the stack,
         each layer's attention backward included, which pops the B
         sequences' entries together.
 
         Returns (grad, d_query, d_candidates): ``grad`` holds the weights'
-        gradients, summed over the batch, in a new ``CmcParams`` (see
-        ``empty_like``), and the others are the input embeddings'.
+        gradients, summed over the batch, in ``grad``, every entry
+        overwritten, or else in a new ``CmcParams`` (see ``empty_like``),
+        and the others are the input embeddings'.  A given ``grad`` must be
+        laid out like the weights (``train`` makes it with ``empty_like``).
         """
         if self._spent:
             raise StateError("backward called twice on the same forward tape")
@@ -227,7 +229,8 @@ class CmcTape:
         d_seq[:, 1:, :] = d_scores[:, :, None] * hq[:, None, :]
         flush_tiny(d_seq)
 
-        grad = self._params.empty_like()
+        if grad is None:
+            grad = self._params.empty_like()
         d_out = d_seq
         for layer_grad in reversed(grad.layers):
             dx = encoder_layer_backward(d_out, self._tape, layer_grad)

@@ -32,7 +32,8 @@ the chunk's pools at once, and one lookup of the drawn ids in the table
 gives their rows.  A step runs one taped ``cmc_forward`` over its stacked
 (B, d) queries and (B, K, d) candidates, one ``cmc_score`` and one
 ``compute_loss`` over the (B, K) scores, and one ``CmcTape.backward``,
-whose gradient vector, laid out like ``CmcParams.flat``, goes to
+whose gradient vector, laid out like ``CmcParams.flat`` in one buffer
+per ``train`` call that every backward overwrites, goes to
 ``adamw_step`` as it is.  Draws, losses and summed gradients equal, bit for
 bit, those of a loop that samples, runs a forward and a backward per
 example and adds them in order.  ``compute_loss`` flushes tiny entries of
@@ -406,6 +407,7 @@ def train(cfg: TrainingConfig,
 
     log = TrainingLog()
     step = 0
+    grad_buffer = params.empty_like()  # every backward overwrites all of it
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         for lo in range(0, n, chunk_size):
@@ -424,7 +426,7 @@ def train(cfg: TrainingConfig,
                 # A running sum adds the losses one at a time, in example
                 # order.
                 batch_loss = float(np.cumsum(losses)[-1])
-                grad = tape.backward(d_scores)[0].flat
+                grad = tape.backward(d_scores, grad_buffer)[0].flat
                 grad *= 1.0 / size
                 # One sum covers the loss and every gradient entry: a NaN or
                 # inf anywhere, or a float32 squared norm past range, makes

@@ -1,4 +1,5 @@
 """Candidate index: exactness against a full-scan oracle, persistence."""
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,8 +11,8 @@ from cmcrank.encoders import (HEADER_BYTES, load_embedding_file,
                               save_embedding_file)
 from cmcrank.errors import (DuplicateId, FormatError, InvalidInput, InvalidShape,
                             NumericError)
-from cmcrank.index import (CandidateIndex, build_index, open_index,
-                           rank_by_score, search_topk)
+from cmcrank.index import (SPLIT_MIN_DIM, CandidateIndex, _block_rows, build_index,
+                           open_index, rank_by_score, search_topk)
 
 
 def naive_topk(ids, matrix, query, k):
@@ -288,3 +289,60 @@ class TestSearch:
         index = CandidateIndex([1], np.ones((1, 2), dtype=np.float32))
         with pytest.raises(InvalidShape):
             search_topk(index, np.ones(3, dtype=np.float32), 1)
+
+
+SPLIT_DIMS = list(range(1, 25)) + [32, 48, 64, 65, 128]
+# n one row below, at and one row above the edge of two or three blocks,
+# or past that edge by a multiple of 4 rows and 1 to 3 more.
+EDGES = ("below", "at", "above", "odd")
+
+
+class TestSplitScan:
+    """Scans of two row blocks or more, on both sides of every block edge."""
+
+    @pytest.mark.parametrize("dim, edge", [(dim, EDGES[i % 4]) for i, dim in enumerate(SPLIT_DIMS)])
+    def test_equals_one_product_bit_for_bit(self, tmp_path, dim, edge):
+        """Every score has the bits of ``matrix @ q``, in memory and in a
+        map only 8-byte aligned, and the order is the float64 lexsort's.
+        Where the scan splits, k = n checks every row, so no block may
+        leave a row unwritten."""
+        rng = np.random.default_rng(1000 + dim)
+        rows = _block_rows(dim)
+        assert rows % 4 == 0
+        n = int(rng.integers(2, 4)) * rows + {
+            "below": -1, "at": 0, "above": 1,
+            "odd": 4 * int(rng.integers(0, rows // 4)) + int(rng.integers(1, 4))}[edge]
+        ids = np.cumsum(rng.integers(1, 4, size=n))
+        built = build_index(ids, rng.standard_normal((n, dim)).astype(np.float32),
+                            tmp_path / "split.cmci")
+        mapped = open_index(tmp_path / "split.cmci")
+        assert mapped.matrix.ctypes.data % 8 == 0
+        q = rng.standard_normal(dim).astype(np.float32)
+        scores = built.matrix @ q
+        k = n if dim >= SPLIT_MIN_DIM else 128
+        order = np.lexsort((built.ids, -scores.astype(np.float64)))[:k]
+        for index in (built, mapped):
+            got = search_topk(index, q, k)
+            assert got.ids.tolist() == built.ids[order].tolist()
+            assert got.scores.tobytes() == scores[order].tobytes()
+
+    def test_concurrent_split_scans_equal_serial(self):
+        """More scanning threads than CPUs, switching every microsecond and
+        sharing the helpers, each get every score of their serial scan."""
+        rng = np.random.default_rng(7)
+        n = 2 * _block_rows(16) + 3
+        index = CandidateIndex(np.arange(n), rng.standard_normal((n, 16)).astype(np.float32))
+        queries = rng.standard_normal((8, 16)).astype(np.float32)
+        serial = [search_topk(index, q, n) for q in queries]
+        interval = sys.getswitchinterval()
+        pool = ThreadPoolExecutor(max_workers=4)
+        sys.setswitchinterval(1e-6)
+        try:
+            futures = [pool.submit(search_topk, index, q, n) for q in queries]
+            threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=False, cancel_futures=True)
+        for a, b in zip(serial, threaded):
+            assert a.ids.tobytes() == b.ids.tobytes()
+            assert a.scores.tobytes() == b.scores.tobytes()

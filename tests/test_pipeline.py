@@ -1,5 +1,9 @@
 """Pipeline orchestration: subset chain, oracle equivalences, parallelism."""
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from cmcrank.encoders import EmbeddingTable
 from cmcrank.errors import (DuplicateId, InvalidConfig, InvalidInput, InvalidShape,
                             NumericError)
 from cmcrank.evaluation import SyntheticTaskSpec, generate_synthetic
-from cmcrank.index import CandidateIndex
+from cmcrank import index as index_module
+from cmcrank.index import CandidateIndex, _block_rows, _usable_cpus
 from cmcrank.pipeline import (Pipeline, PipelineConfig, gold_oracle_scorer,
                               noisy_oracle_scorer)
 from cmcrank.reranker import CmcParams, cmc_forward, cmc_score
@@ -365,6 +370,121 @@ class TestRunBatch:
         with pytest.raises(InvalidConfig, match=f"threads must be 1 or more, got {threads}"):
             pipe.run_batch(cfg, queries[:5], threads=threads)
         assert calls == []
+
+
+# Searches an index of ``blocks`` scan blocks plus 3 rows at dim ``dim``
+# and prints the thread count before and after; with "fork", it searches
+# once, forks, and the child searches and prints; with "busy", every CPU
+# but the caller's is held as if by other scans.
+SCAN_SCRIPT = """
+import os, sys, threading
+import numpy as np
+from cmcrank import index as index_module
+from cmcrank.index import CandidateIndex, _block_rows, _usable_cpus, search_topk
+dim, blocks = int(sys.argv[1]), int(sys.argv[2])
+n = blocks * _block_rows(dim) + 3
+rng = np.random.default_rng(0)
+index = CandidateIndex(np.arange(n), rng.standard_normal((n, dim)).astype(np.float32))
+query = rng.standard_normal(dim).astype(np.float32)
+if sys.argv[3:] == ["fork"]:
+    search_topk(index, query, 5)
+    if os.fork():
+        sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+if sys.argv[3:] == ["busy"]:
+    index_module._cpus_held = _usable_cpus() - 1
+before = threading.active_count()
+search_topk(index, query, 5)
+print(before, threading.active_count())
+"""
+
+
+def scan_threads(dim: int, blocks: int, *fork: str, blas_threads: str = "1") -> tuple[int, int]:
+    """Thread counts around one search in a new interpreter, which must
+    exit within the timeout: idle helpers may not hold it open."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=blas_threads)
+    done = subprocess.run([sys.executable, "-c", SCAN_SCRIPT, str(dim), str(blocks), *fork],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    before, after = done.stdout.split()
+    return int(before), int(after)
+
+
+class TestSplitScan:
+    def test_threaded_batch_equals_serial_over_many_blocks(self):
+        """run_batch on 2 threads returns exactly the 1-thread results over
+        an index whose serial scans split (and, with more than 2 CPUs, whose
+        threaded scans share the helpers)."""
+        rng = np.random.default_rng(31)
+        n = 2 * _block_rows(16) + 5
+        ids = np.arange(n, dtype=np.uint64) * 3
+        matrix = rng.standard_normal((n, 16)).astype(np.float32)
+        pipe = Pipeline(CandidateIndex(ids, matrix),
+                        CmcParams.init(model_dim=16, head_count=4, seed=32),
+                        EmbeddingTable(ids, matrix))
+        queries = [(q, v) for q, v in enumerate(rng.standard_normal((12, 16)).astype(np.float32))]
+        golds = {q: int(ids[rng.integers(n)]) for q, _ in queries}
+        cfg = PipelineConfig(k_retrieve=16, k_prime=4, mode="final")
+        serial, m_serial, _ = pipe.run_batch(cfg, queries, gold_by_query=golds)
+        threaded, m_threaded, _ = pipe.run_batch(cfg, queries, gold_by_query=golds, threads=2)
+        assert m_serial == m_threaded and len(serial) == len(threaded) == 12
+        for a, b in zip(serial, threaded):
+            assert a.query_id == b.query_id and a.top1_id == b.top1_id
+            for x, y in ((a.retrieved, b.retrieved), (a.reranked, b.reranked)):
+                assert x.ids.tolist() == y.ids.tolist()
+                assert x.scores.tobytes() == y.scores.tobytes()
+
+    def test_batch_workers_leave_no_cpu_for_helpers(self, monkeypatch):
+        """On two CPUs, run_batch at 2 threads holds the CPU of the worker
+        that is not scanning, so no scan asks for a helper; run serially,
+        every scan asks for one."""
+        monkeypatch.setattr(index_module, "_usable_cpus", lambda: 2)
+        granted, hold = [], index_module._hold_cpus
+
+        def recorded(cpus, blocks):
+            pool, helpers = hold(cpus, blocks)
+            granted.append(helpers)
+            return pool, helpers
+
+        monkeypatch.setattr(index_module, "_hold_cpus", recorded)
+        rng = np.random.default_rng(33)
+        n = 2 * _block_rows(16) + 1
+        ids = np.arange(n, dtype=np.uint64)
+        matrix = rng.standard_normal((n, 16)).astype(np.float32)
+        pipe = Pipeline(CandidateIndex(ids, matrix),
+                        CmcParams.init(model_dim=16, head_count=4, seed=34),
+                        EmbeddingTable(ids, matrix))
+        queries = [(q, v) for q, v in enumerate(rng.standard_normal((8, 16)).astype(np.float32))]
+        cfg = PipelineConfig(k_retrieve=8, k_prime=4, mode="final")
+        pipe.run_batch(cfg, queries, threads=2)
+        assert granted == [0] * 8
+        granted.clear()
+        pipe.run_batch(cfg, queries)
+        assert granted == [1] * 8
+
+    @pytest.mark.parametrize("dim, blocks", [(64, 1), (15, 2)],
+                             ids=["one-block", "dim-below-floor"])
+    def test_unsplit_scan_starts_no_helper(self, dim, blocks):
+        before, after = scan_threads(dim, blocks)
+        assert after == before
+
+    def test_multithreaded_blas_keeps_one_product(self):
+        """With BLAS on two threads the one product already uses two CPUs,
+        and a split on top of it was slower, so the scan stays whole."""
+        before, after = scan_threads(64, 2, blas_threads="2")
+        assert after == before
+
+    def test_no_helper_for_cpus_other_scans_hold(self):
+        """Scans already running (run_batch workers, say) and their helpers
+        hold the other CPUs, so this scan runs whole on its own thread."""
+        before, after = scan_threads(64, 2, "busy")
+        assert after == before
+
+    @pytest.mark.parametrize("fork", [(), ("fork",)], ids=["process", "forked-child"])
+    def test_split_scan_starts_a_helper_and_exits(self, fork):
+        """A forked child, which has none of its parent's helpers, starts
+        its own instead of queueing blocks for threads that do not exist."""
+        before, after = scan_threads(64, 2, *fork)
+        assert after == before + (_usable_cpus() > 1)
 
 
 class TestStageLatency:

@@ -252,6 +252,21 @@ class TestGradientBuffer:
         assert d_q.tobytes() == clean[1].tobytes()
         assert d_c.tobytes() == clean[2].tobytes()
 
+    def test_given_buffer_is_overwritten_in_place(self):
+        """A NaN-filled buffer passed in comes back as the gradient, with
+        the bytes of a fresh one, and no new buffer is made."""
+        params, clean = self.backward((2,))
+        rng = np.random.default_rng(10)
+        hq = rng.standard_normal((2, 8)).astype(np.float32)
+        hc = rng.standard_normal((2, 5, 8)).astype(np.float32)
+        d_scores = rng.standard_normal((2, 5)).astype(np.float32)
+        buffer = params.empty_like()
+        buffer.flat.fill(np.nan)
+        grad, d_q, d_c = cmc_forward_recorded(params, hq, hc).backward(d_scores, buffer)
+        assert grad is buffer
+        assert grad.flat.tobytes() == clean[0].flat.tobytes()
+        assert d_q.tobytes() == clean[1].tobytes() and d_c.tobytes() == clean[2].tobytes()
+
     def test_layout_matches_the_weights(self):
         params, (grad, _, _) = self.backward()
         assert list(grad.arrays()) == list(params.arrays())

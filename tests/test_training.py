@@ -488,6 +488,19 @@ class TestTrain:
             hashes.append(path.read_bytes())
         assert hashes[0] != hashes[1]
 
+    def test_one_gradient_buffer_per_call(self, monkeypatch):
+        """Every step's backward writes into one buffer made per call."""
+        data, index, table = small_task()
+        params = CmcParams.init(model_dim=16, head_count=2, seed=1)
+        cfg = TrainingConfig(k_train=4, negative_pool_size=16, base_lr=1e-3,
+                             epochs=2, batch_size=8, seed=9)
+        made = []
+        empty_like = CmcParams.empty_like
+        monkeypatch.setattr(CmcParams, "empty_like",
+                            lambda self: made.append(empty_like(self)) or made[-1])
+        log = train(cfg, data.query_embeddings, data.gold_ids, index, table, params)
+        assert len(log.steps) > 2 and len(made) == 1
+
     def test_empty_dataset_rejected(self):
         data, index, table = small_task()
         params = CmcParams.init(model_dim=16, head_count=2)

@@ -124,6 +124,55 @@ MUTANTS = (
         ("tests/test_gradcheck.py", "tests/test_training.py::TestPinnedTraining"),
     ),
     Mutant(
+        "scan blocks start one row late",
+        "src/cmcrank/index.py",
+        "            lo = block * self.rows\n",
+        "            lo = block * self.rows + 1\n",
+        ("tests/test_index.py::TestSplitScan",),
+    ),
+    Mutant(
+        "scan leaves the remainder rows a block of their own",
+        "src/cmcrank/index.py",
+        "self.blocks = len(matrix) // rows",
+        "self.blocks = -(-len(matrix) // rows)",
+        ("tests/test_index.py::TestSplitScan",),
+    ),
+    Mutant(
+        "scan splits below the d floor",
+        "src/cmcrank/index.py",
+        " or dim < SPLIT_MIN_DIM or ",
+        " or ",
+        ("tests/test_pipeline.py::TestSplitScan::test_unsplit_scan_starts_no_helper",),
+    ),
+    Mutant(
+        "scan splits over a multi-threaded BLAS",
+        "src/cmcrank/index.py",
+        " or not _blas_single_threaded():",
+        ":",
+        ("tests/test_pipeline.py::TestSplitScan::test_multithreaded_blas_keeps_one_product",),
+    ),
+    Mutant(
+        "scan asks for helpers on CPUs other scans hold",
+        "src/cmcrank/index.py",
+        "min(cpus - _cpus_held - 1, blocks - 1)",
+        "min(cpus - 1, blocks - 1)",
+        ("tests/test_pipeline.py::TestSplitScan::test_no_helper_for_cpus_other_scans_hold",),
+    ),
+    Mutant(
+        "run_batch workers leave their CPUs to scan helpers",
+        "src/cmcrank/pipeline.py",
+        "with _workers_hold_cpus(threads - 1), ThreadPoolExecutor(threads) as pool:",
+        "with ThreadPoolExecutor(threads) as pool:",
+        ("tests/test_pipeline.py::TestSplitScan::test_batch_workers_leave_no_cpu_for_helpers",),
+    ),
+    Mutant(
+        "a forked child keeps its parent's helper pool",
+        "src/cmcrank/index.py",
+        "    os.register_at_fork(after_in_child=_forget_pool)\n",
+        "    pass\n",
+        ("tests/test_pipeline.py::TestSplitScan::test_split_scan_starts_a_helper_and_exits",),
+    ),
+    Mutant(
         "rank_by_score takes ids and scores of different lengths",
         "src/cmcrank/index.py",
         "if ids.ndim != 1 or scores.shape != ids.shape:",
