@@ -6,7 +6,8 @@ subcommands that read it (generate-synthetic, train, rerank, bench), and
 --threads by rerank.
 
 Exit codes: 0 success, 1 usage error (message on stderr), 2 data or format
-error.  Text inputs are read by ``fileio.text_records`` and binary ones by
+error or a missing or unreadable file.  Any other exception is a bug and
+ends with a traceback.  Text inputs are read by ``fileio.text_records`` and binary ones by
 ``fileio.read_checked``, so a format error names its path, and in a text
 input its ``path:line``.  Output files are written atomically; input files
 are never mutated.  Config precedence is flag > config file > built-in default;
@@ -400,7 +401,7 @@ def run_command(argv: list[str] | None = None) -> int:
     except CmcRankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except OSError as exc:  # a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,16 +19,43 @@ usable and the process's OpenBLAS reports one thread; any other scan is
 one ``matrix @ query`` product.  A block is a multiple of 4 rows filling
 about ``fileio.CHUNK_BYTES`` (16,384 rows at d = 64), and the last block
 also takes the rows left over.  The calling thread and helper threads
-claim blocks from one counter, and each writes its slice of one float32
-scores array.  The helpers come from one pool, started on the first
-split scan, with a thread per usable CPU beyond the first.  A scan asks
-only for CPUs that no other splittable scan, none of their helpers and
-no other ``Pipeline.run_batch`` worker holds, so it does not crowd CPUs
-that other work uses: over a 500k x 64 index, ``run_batch`` at 2 threads
-on 2 vCPUs served fewer queries with every scan split than with none in
-7 of 8 alternating pairs of processes (median 0.91x).  The caller waits
-only for blocks a helper has claimed, never for a task still queued, so
-nothing deadlocks and no block is left to a thread that has not started.
+claim blocks from one counter.  The helpers come from one pool, started
+on the first split scan, with a thread per usable CPU beyond the first.
+A scan asks only for CPUs that no other splittable scan, none of their
+helpers and no other ``Pipeline.run_batch`` worker holds, so it does not
+crowd CPUs that other work uses: over a 500k x 64 index, ``run_batch`` at
+2 threads on 2 vCPUs served fewer queries with every scan split than
+with none in 7 of 8 alternating pairs of processes (median 0.91x).  The
+caller waits only for blocks a helper has claimed, never for a task
+still queued, so nothing deadlocks and no block is left to a thread that
+has not started.
+
+The thread that scans a block also selects from it, so no n-length
+scores array is written and the ranking is split with the scan (the
+per-block k-selection of FAISS's exact search; Johnson et al.,
+arXiv:1702.08734).  Each thread writes a block's scores into one
+block-sized buffer that it reuses.  In its first block it finds the k-th
+largest score with an in-place partition of their negated copy and keeps
+every row scoring at or above it, ties included; a block with k rows or
+fewer, or fewer than k comparable scores (the k-th is NaN), keeps every
+row.  That k-th score is then the thread's bound: it is no higher than
+the k-th score over the whole index, so in the thread's later blocks only
+rows at or above it are candidates, found by one comparison, and a block
+with more than k of them keeps those at or above the k-th largest among
+them, which raises the bound.  So each block keeps at most its own top k
+plus ties, and no later block pays a partition of all its rows (at
+500k x 64, k = 32 that made ``search_topk`` 7-8% faster than a partition
+in every block, and at 50k x 64, k = 512 3-13%).  ``rank_by_score`` then
+orders the survivors.  That is exact: a row of the global top k, or tied
+with its k-th score, has fewer than k rows above it in its block and is
+at or above every bound, so it survives.  The survivors' scores are the
+block products' own float32 values, which have the bits of one product
+(below), so ids and score bytes are those of ranking all n scores.  When the whole index has fewer
+than k comparable scores, no block has k, so no thread sets a bound,
+every row survives and ``rank_by_score`` raises ``NumericError`` as it
+would over every score.  A scan of one product (one block, a d below the
+floor, a multi-threaded BLAS or no free CPU) keeps one ``rank_by_score``
+over all its scores, as a per-block select there would only add a pass.
 
 With one BLAS thread (measured on OpenBLAS 0.3.31) a split scan has the
 bits of the one product.  That product takes rows in groups of 4 and
@@ -59,7 +86,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoders import EmbeddingTable, _as_ids, load_embedding_file, save_embedding_file
+from .encoders import (EmbeddingTable, _as_ids, encode, load_embedding_file,
+                       save_embedding_file)
 from .errors import InvalidShape, NumericError
 from .fileio import CHUNK_BYTES
 
@@ -90,8 +118,7 @@ def rank_by_score(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedList:
     that is not an integer of at least 0 or for other shapes, ``InvalidInput``
     for ids that ``_as_ids`` rejects, and ``NumericError`` when NaN scores
     leave fewer comparable ones."""
-    if not isinstance(k, int | np.integer) or k < 0:
-        raise InvalidShape(f"k must be a nonnegative integer, got {k!r}")
+    _check_k(k)
     ids, scores = _as_ids(ids), np.asarray(scores)
     if ids.ndim != 1 or scores.shape != ids.shape:
         raise InvalidShape(f"ids {ids.shape} and scores {scores.shape} differ or are not 1-D")
@@ -111,6 +138,11 @@ def rank_by_score(ids: np.ndarray, scores: np.ndarray, k: int) -> RankedList:
     chosen = keep[order[:k]]
     return RankedList(ids=ids[chosen],
                       scores=scores[chosen].astype(np.float32, copy=False))
+
+
+def _check_k(k) -> None:
+    if not isinstance(k, int | np.integer) or k < 0:
+        raise InvalidShape(f"k must be a nonnegative integer, got {k!r}")
 
 
 class CandidateIndex(EmbeddingTable):
@@ -136,12 +168,12 @@ def open_index(path: str | Path) -> CandidateIndex:
 
 
 def search_topk(index: CandidateIndex, query: np.ndarray, k: int) -> RankedList:
-    """Exact top-k candidates by inner product against the query."""
-    query = np.asarray(query, dtype=np.float32)
-    if query.shape != (index.dim,):
-        raise InvalidShape(
-            f"query has shape {query.shape}, index dim is {index.dim}")
-    return rank_by_score(index.ids, _scan(index.matrix, query), k)
+    """Exact top-k candidates by inner product against the query, which
+    must be finite (``NumericError``) and of the index's dim (``InvalidShape``)."""
+    query = encode(query, index.dim)
+    _check_k(k)
+    rows, scores = _scan(index.matrix, query, k)
+    return rank_by_score(index.ids if rows is None else index.ids[rows], scores, k)
 
 
 def _block_rows(dim: int) -> int:
@@ -239,18 +271,24 @@ def _workers_hold_cpus(workers: int):
 
 
 class _BlockScan:
-    """One scan's row blocks, claimed in order by whichever thread asks."""
+    """One scan's row blocks, claimed in order by whichever thread asks;
+    each block keeps the rows of its own top k (see the module docstring)."""
 
-    def __init__(self, matrix: np.ndarray, query: np.ndarray, rows: int):
-        self.matrix, self.query, self.rows = matrix, query, rows
+    def __init__(self, matrix: np.ndarray, query: np.ndarray, rows: int, k: int):
+        self.matrix, self.query, self.rows, self.k = matrix, query, rows, k
         self.blocks = len(matrix) // rows
-        self.scores = np.empty(len(matrix), dtype=np.float32)
+        self.kept: list[tuple[np.ndarray, np.ndarray] | None] = [None] * self.blocks
         self.claimed = self.finished = 0
         self.error: Exception | None = None
         self.cond = threading.Condition(threading.Lock())
 
     def run(self) -> None:
-        """Scan blocks until every block is claimed."""
+        """Scan and select blocks until every block is claimed."""
+        n = len(self.matrix)
+        # The last block is the largest; every block reuses these two.
+        scores = np.empty(n - (self.blocks - 1) * self.rows, dtype=np.float32)
+        negated = np.empty_like(scores)
+        bound = None
         while True:
             with self.cond:
                 block = self.claimed
@@ -258,9 +296,12 @@ class _BlockScan:
                     return
                 self.claimed += 1
             lo = block * self.rows
-            hi = len(self.matrix) if block == self.blocks - 1 else lo + self.rows
+            hi = n if block == self.blocks - 1 else lo + self.rows
             try:
-                np.matmul(self.matrix[lo:hi], self.query, out=self.scores[lo:hi])
+                out = scores[:hi - lo]
+                np.matmul(self.matrix[lo:hi], self.query, out=out)
+                keep, bound = _block_top(out, negated[:hi - lo], self.k, bound)
+                self.kept[block] = (keep + lo, out[keep])
             except Exception as exc:  # raised to the caller by wait()
                 self.error = exc
             with self.cond:
@@ -268,26 +309,58 @@ class _BlockScan:
                 if self.finished == self.blocks:
                     self.cond.notify_all()
 
-    def wait(self) -> np.ndarray:
-        """The scores once every claimed block is written."""
+    def wait(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept rows and their scores once every claimed block is done."""
         with self.cond:
             self.cond.wait_for(lambda: self.finished == self.blocks)
         if self.error is not None:
             raise self.error
-        return self.scores
+        rows, scores = zip(*self.kept)
+        return np.concatenate(rows), np.concatenate(scores)
 
 
-def _scan(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """``matrix @ query``, split over row blocks as the module docstring says."""
+def _block_top(scores: np.ndarray, negated: np.ndarray, k: int,
+               bound: np.floating | None) -> tuple[np.ndarray, np.floating | None]:
+    """Positions in one block's ``scores`` that may hold the top k, and the
+    bound for the thread's next block (see the module docstring).
+
+    Without a bound, the block's k-th largest score is found by an
+    in-place partition of ``negated`` (scratch of the same length), and
+    every row at or above it is kept; with no comparable k-th score (k
+    rows or fewer, or a NaN k-th) every row is.  A bound is the k-th
+    largest score of an earlier block: only rows at or above it are
+    candidates, and of more than k, those at or above their k-th largest
+    are kept."""
+    if bound is None:
+        if 0 < k < len(scores):
+            np.negative(scores, out=negated)
+            negated.partition(k - 1)  # NaN sorts last
+            kth = -negated[k - 1]
+            if kth == kth:
+                return np.flatnonzero(scores >= kth), kth
+        return np.arange(len(scores)), None
+    keep = np.flatnonzero(scores >= bound)
+    if len(keep) > k:
+        values = scores[keep]
+        kth = -np.partition(-values, k - 1)[k - 1]
+        return keep[values >= kth], kth
+    return keep, bound
+
+
+def _scan(matrix: np.ndarray, query: np.ndarray,
+          k: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """The rows that may hold the top k, and their scores; rows is None
+    for one ``matrix @ query`` product over every row.  Split over row
+    blocks as the module docstring says."""
     n, dim = matrix.shape
     rows, cpus = _block_rows(dim), _usable_cpus()
     if n < 2 * rows or dim < SPLIT_MIN_DIM or cpus < 2 or not _blas_single_threaded():
-        return matrix @ query
+        return None, matrix @ query
     pool, helpers = _hold_cpus(cpus, n // rows)
     try:
         if not helpers:
-            return matrix @ query
-        scan = _BlockScan(matrix, query, rows)
+            return None, matrix @ query
+        scan = _BlockScan(matrix, query, rows, k)
         try:
             for _ in range(helpers):
                 pool.submit(scan.run)

@@ -166,7 +166,7 @@ class CmcParams:
             _checkpoint_payload_bytes)
         flat = np.frombuffer(buf, dtype="<f4", offset=_CHECKPOINT_HEADER.size)
         params = cls(flat.astype(np.float32), d, f, head_count)
-        params._check_finite("checkpoint weight {} is not finite")
+        params._check_finite(f"{path}: checkpoint weight {{}} is not finite")
         return params
 
 

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from cmcrank import cli
 from cmcrank.cli import _load_gold, run_command
 from cmcrank.encoders import EmbeddingTable, load_embedding_file, save_embedding_file
 from cmcrank.errors import FormatError
@@ -96,6 +97,64 @@ class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
         assert run("build-index", "--embeddings", str(tmp_path / "nope.cmce"),
                    "--out", str(tmp_path / "x.cmci")) == 2
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    @pytest.mark.parametrize("kind", ["text-embeddings", "binary-embeddings", "index",
+                                      "checkpoint", "reranker-embeddings", "queries",
+                                      "gold", "rankings", "config"])
+    def test_each_input_kind_missing_or_corrupt(self, task_dir, tmp_path, capsys, kind, damage):
+        """Every kind of input file, missing or corrupt (a truncated binary
+        file, a text line that is not UTF-8), exits 2 with its path in the
+        message and writes no output."""
+        index, ckpt = tmp_path / "task.cmci", tmp_path / "model.cmcp"
+        embeddings = task_dir / "reranker_embeddings.cmce"
+        assert run("build-index", "--embeddings", str(task_dir / "retriever_embeddings.cmce"),
+                   "--out", str(index)) == 0
+        CmcParams.init(model_dim=EmbeddingTable.from_file(embeddings).dim,
+                       head_count=2, seed=1).save(ckpt)
+        gold = task_dir / "gold.txt"
+        rankings, config = tmp_path / "rankings.txt", tmp_path / "run.cfg"
+        rankings.write_text(gold.read_text().splitlines()[0].replace(" ", ",") + "\n")
+        config.write_text("k_prime = 4\n")
+        text_embeddings = tmp_path / "embeddings.txt"
+        text_embeddings.write_text("1 0.5,0.25\n2 0.125,1\n")
+        rerank = ("rerank", "--index", index, "--checkpoint", ckpt, "--embeddings", embeddings,
+                  "--queries", task_dir / "queries.cmce", "--k-retrieve", "16",
+                  "--k-prime", "8")
+        bad, argv = {
+            "text-embeddings": (text_embeddings, ("build-index", "--embeddings", text_embeddings)),
+            "binary-embeddings": (embeddings, ("build-index", "--embeddings", embeddings)),
+            "index": (index, rerank),
+            "checkpoint": (ckpt, rerank),
+            "reranker-embeddings": (embeddings, rerank),
+            "queries": (task_dir / "queries.cmce", rerank),
+            "gold": (gold, ("evaluate", "--rankings", rankings, "--gold", gold)),
+            "rankings": (rankings, ("evaluate", "--rankings", rankings, "--gold", gold)),
+            "config": (config, rerank + ("--config", config)),
+        }[kind]
+        if damage == "missing":
+            bad.unlink()
+        elif bad.suffix in (".txt", ".cfg"):
+            bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        else:
+            bad.write_bytes(bad.read_bytes()[:-4])
+        out = tmp_path / "out.txt"
+        assert run(*map(str, argv), "--out", str(out)) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_programming_error_is_not_a_data_error(self, tmp_path, monkeypatch, error):
+        """Only a missing or unreadable file and cmcrank's own errors are
+        data errors; a ValueError or KeyError from a bug is a traceback."""
+        def broken(*args):
+            raise error("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "build_index", broken)
+        path = tmp_path / "e.cmce"
+        save_embedding_file(path, [1, 2], np.ones((2, 2), dtype=np.float32))
+        with pytest.raises(error, match="a bug"):
+            run("build-index", "--embeddings", str(path), "--out", str(tmp_path / "x.cmci"))
 
     def test_nan_learning_rate_is_data_error(self, task_dir, tmp_path, capsys):
         assert run("train", "--data-dir", str(task_dir),

@@ -4,9 +4,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from cmcrank import index as index_module
 from cmcrank.encoders import (HEADER_BYTES, load_embedding_file,
                               save_embedding_file)
 from cmcrank.errors import (DuplicateId, FormatError, InvalidInput, InvalidShape,
@@ -290,11 +291,164 @@ class TestSearch:
         with pytest.raises(InvalidShape):
             search_topk(index, np.ones(3, dtype=np.float32), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_query_rejected_before_any_scan(self, monkeypatch, bad):
+        """A NaN or infinite query entry is a NumericError up front, not
+        NaN scores (or, in part, silently wrong ones) from the scan."""
+        monkeypatch.setattr(index_module, "_scan", lambda *args: pytest.fail("scanned"))
+        index = CandidateIndex(np.arange(3), np.eye(3, dtype=np.float32))
+        with pytest.raises(NumericError, match="query"):
+            search_topk(index, np.array([1.0, bad, 0.0], dtype=np.float32), 2)
+
 
 SPLIT_DIMS = list(range(1, 25)) + [32, 48, 64, 65, 128]
 # n one row below, at and one row above the edge of two or three blocks,
 # or past that edge by a multiple of 4 rows and 1 to 3 more.
 EDGES = ("below", "at", "above", "odd")
+
+
+def search_split_and_whole(index, query, k, rows=None):
+    """``search_topk`` with the scan forced to split (two CPUs, one BLAS
+    thread; blocks of ``rows`` rows if given) and forced to one product
+    (one CPU), after checking that the split selected per block."""
+    results, selected = [], []
+    select = index_module._block_top
+    for cpus in (2, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(index_module, "_usable_cpus", lambda: cpus)
+            mp.setattr(index_module, "_blas_single_threaded", lambda: True)
+            mp.setattr(index_module, "_block_top",
+                       lambda *args: selected.append(cpus) or select(*args))
+            if rows is not None:
+                mp.setattr(index_module, "_block_rows", lambda dim: rows)
+            try:
+                results.append(search_topk(index, query, k))
+            except NumericError as exc:
+                results.append(exc)
+    assert set(selected) == {2}
+    return results
+
+
+def assert_exact_and_deterministic(index, query, k, rows=None):
+    """Split and whole scans give the float64 lexsort's top k over
+    ``matrix @ query``, ids and score bytes alike."""
+    scores = index.matrix @ query
+    order = np.lexsort((index.ids, -scores.astype(np.float64)))[:k]
+    for got in search_split_and_whole(index, query, k, rows):
+        assert got.ids.tolist() == index.ids[order].tolist()
+        assert got.scores.tobytes() == scores[order].tobytes()
+
+
+def tied_case(rng, n, dim, rows, values, block):
+    """A matrix and query whose scores tie across blocks: ``values`` is
+    "normal", "integer" (entries in -2..2, so scores are exact and tie in
+    bulk) or "zero-query" (integer rows, every score 0).  Block ``block``
+    holds a group of copies of one top-scoring row at random positions,
+    which a k below the group's size cuts through, and rows are copied
+    onto both sides of every block edge."""
+    draw = rng.standard_normal if values == "normal" else (
+        lambda shape: rng.integers(-2, 3, size=shape))
+    matrix, query = draw((n, dim)).astype(np.float32), draw(dim).astype(np.float32)
+    if values == "zero-query":
+        query[:] = 0
+    lo = rows * block
+    hi = n if lo + 2 * rows > n else lo + rows
+    group = rng.choice(np.arange(lo, hi), size=int(rng.integers(1, hi - lo + 1)), replace=False)
+    matrix[group] = 4 * query if values == "normal" else 2 * np.sign(query)
+    for edge in range(rows, n - rows + 1, rows):
+        for row in rng.choice(n, size=2, replace=False):
+            matrix[edge - 1:edge + 1] = matrix[row]
+    return matrix, query
+
+
+VALUES = ("normal", "integer", "zero-query")
+
+
+class TestBlockSelect:
+    """Each scan block keeps its own top k; the survivors are ranked once."""
+
+    @pytest.mark.parametrize("scores, k, bound, kept, next_bound", [
+        ([3, 1, 2, 2, 0], 2, None, [0, 2, 3], 2),
+        ([2, 2, 2, 2, 2], 3, None, [0, 1, 2, 3, 4], 2),
+        ([1, 2, 3], 3, None, [0, 1, 2], None),
+        ([np.nan, 5, np.nan, 4], 3, None, [0, 1, 2, 3], None),
+        ([0, 1, 5, 1, 1], 2, 1, [1, 2, 3, 4], 1),
+        ([0, 0, 0, 0, 0, 0], 2, 0, [0, 1, 2, 3, 4, 5], 0),
+        ([0, 4, 1, 3, 3, 3], 2, 1, [1, 3, 4, 5], 3),
+        ([0, 1, np.nan, 2], 5, 1, [1, 3], 1)],
+        ids=["ties-at-kth", "all-tied", "k-at-length", "nan-kth",
+             "few-candidates", "all-tied-under-bound", "bound-raised", "nan-under-bound"])
+    def test_keeps_every_row_tied_with_the_cut(self, scores, k, bound, kept, next_bound):
+        """One block's select, without a bound (a thread's first block)
+        and under one: rows tied with the cut are kept, a NaN k-th keeps
+        the block, and rows under the bound are not candidates."""
+        scores = np.array(scores, dtype=np.float32)
+        keep, got = index_module._block_top(scores, np.empty_like(scores), k,
+                                            None if bound is None else np.float32(bound))
+        assert keep.tolist() == kept
+        assert got == next_bound
+
+    # Without the shrink phase a failure reports in seconds, not minutes.
+    @settings(max_examples=150, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(data=st.data())
+    def test_exact_and_deterministic_across_block_edges(self, data):
+        """Small blocks (any multiple of 4 rows) and every k from 0 to n."""
+        rows = 4 * data.draw(st.integers(min_value=1, max_value=6), label="rows / 4")
+        n = data.draw(st.integers(min_value=2 * rows, max_value=5 * rows + 3), label="n")
+        dim = data.draw(st.sampled_from([SPLIT_MIN_DIM, 17, 31, 64]), label="dim")
+        values = data.draw(st.sampled_from(VALUES), label="values")
+        block = data.draw(st.integers(min_value=0, max_value=n // rows - 1), label="block")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        matrix, query = tied_case(rng, n, dim, rows, values, block)
+        index = CandidateIndex(rng.choice(10 ** 6, size=n, replace=False), matrix)
+        k = data.draw(st.integers(min_value=0, max_value=n), label="k")
+        assert_exact_and_deterministic(index, query, k, rows)
+
+    @pytest.mark.parametrize("block", [0, 2], ids=["group-in-first-block", "group-in-last"])
+    @pytest.mark.parametrize("values", VALUES)
+    @pytest.mark.parametrize("k", [1, 32, 512])
+    def test_exact_and_deterministic_at_the_real_block_size(self, values, k, block):
+        """Three blocks: the last is a later block of the thread that
+        claims it, so it is selected under that thread's bound."""
+        rng = np.random.default_rng(k)
+        rows = _block_rows(64)
+        n = 3 * rows + 7
+        matrix, query = tied_case(rng, n, 64, rows, values, block)
+        index = CandidateIndex(np.cumsum(rng.integers(1, 4, size=n)), matrix)
+        assert_exact_and_deterministic(index, query, k)
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("block", [0, 2])
+    def test_overflow_in_one_block_equals_ranking_every_score(self, block):
+        """A finite index whose products overflow in one block only (six
+        NaN scores, one +inf and one -inf), the first block a thread
+        scans or a later one: for every k the split scan returns what
+        ranking every score returns, and raises NumericError exactly
+        when that does."""
+        rng = np.random.default_rng(5)
+        matrix = rng.standard_normal((35, 16)).astype(np.float32)
+        big, lo = np.float32(3e38), 8 * block
+        matrix[lo:lo + 8] = 0
+        matrix[lo:lo + 6, :2] = (big, -big)
+        matrix[lo + 6, :2] = (big, big)
+        matrix[lo + 7, :2] = (-big, -big)
+        index = CandidateIndex(np.arange(35) * 5, matrix)
+        query = np.full(16, 2, dtype=np.float32)
+        scores = index.matrix @ query
+        assert np.isnan(scores[lo:lo + 6]).all()
+        assert scores[lo + 6] == np.inf and scores[lo + 7] == -np.inf
+        for k in range(len(index) + 1):
+            try:
+                expected = rank_by_score(index.ids, scores, k)
+            except NumericError:
+                expected = None
+            for got in search_split_and_whole(index, query, k, rows=8):
+                if expected is None:
+                    assert isinstance(got, NumericError), k
+                else:
+                    assert got.ids.tolist() == expected.ids.tolist(), k
+                    assert got.scores.tobytes() == expected.scores.tobytes(), k
 
 
 class TestSplitScan:

@@ -138,6 +138,35 @@ MUTANTS = (
         ("tests/test_index.py::TestSplitScan",),
     ),
     Mutant(
+        "block select keeps exactly k rows, not every row tied with the k-th",
+        "src/cmcrank/index.py",
+        "                return np.flatnonzero(scores >= kth), kth\n",
+        "                return np.argpartition(-scores, k - 1)[:k], kth\n",
+        ("tests/test_index.py::TestBlockSelect",),
+    ),
+    Mutant(
+        "block select keeps nothing when its k-th score is NaN",
+        "src/cmcrank/index.py",
+        "            if kth == kth:\n                return np.flatnonzero(scores >= kth), kth\n",
+        "            return np.flatnonzero(scores >= kth), kth\n",
+        ("tests/test_index.py::TestBlockSelect::"
+         "test_overflow_in_one_block_equals_ranking_every_score",),
+    ),
+    Mutant(
+        "block select under a bound keeps exactly k candidates, not their ties",
+        "src/cmcrank/index.py",
+        "        return keep[values >= kth], kth\n",
+        "        return keep[np.argpartition(-values, k - 1)[:k]], kth\n",
+        ("tests/test_index.py::TestBlockSelect",),
+    ),
+    Mutant(
+        "block select takes its bound from the block's top score, not its k-th",
+        "src/cmcrank/index.py",
+        "                return np.flatnonzero(scores >= kth), kth\n",
+        "                return np.flatnonzero(scores >= kth), scores.max()\n",
+        ("tests/test_index.py::TestBlockSelect",),
+    ),
+    Mutant(
         "scan splits below the d floor",
         "src/cmcrank/index.py",
         " or dim < SPLIT_MIN_DIM or ",
@@ -203,6 +232,13 @@ MUTANTS = (
         "ids, scores = _as_ids(ids), np.asarray(scores)",
         "ids, scores = np.asarray(ids, dtype=np.uint64), np.asarray(scores)",
         ("tests/test_index.py::TestSearch::test_bad_ids_rejected_not_wrapped",),
+    ),
+    Mutant(
+        "run_command reports a ValueError or KeyError as a data error",
+        "src/cmcrank/cli.py",
+        "    except OSError as exc:  # a missing or unreadable file\n",
+        "    except (OSError, ValueError, KeyError) as exc:\n",
+        ("tests/test_cli.py::TestExitCodes::test_programming_error_is_not_a_data_error",),
     ),
 )
 
