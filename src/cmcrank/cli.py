@@ -6,8 +6,10 @@ subcommands that read it (generate-synthetic, train, rerank, bench), and
 --threads by rerank.
 
 Exit codes: 0 success, 1 usage error (message on stderr), 2 data or format
-error or a missing or unreadable file.  Any other exception is a bug and
-ends with a traceback.  Text inputs are read by ``fileio.text_records`` and binary ones by
+error or a missing or unreadable file, 3 a ``bench`` run in which some K
+failed (its row says why; the table and report are still written).  Any
+other exception is a bug and ends with a traceback.  Text inputs are read
+by ``fileio.text_records`` and binary ones by
 ``fileio.read_checked``, so a format error names its path, and in a text
 input its ``path:line``.  Output files are written atomically; input files
 are never mutated.  Config precedence is flag > config file > built-in default;
@@ -23,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, training
-from .encoders import (EMBEDDING_MAGIC, EmbeddingTable, _parse_id, load_embedding_file,
-                       load_embedding_text, save_embedding_file)
+from .encoders import (EMBEDDING_MAGIC, EmbeddingTable, _naming_file, _parse_id,
+                       load_embedding_file, load_embedding_text, save_embedding_file)
 from .errors import CmcRankError, DuplicateId, FormatError, InvalidInput, NumericError
 from .fileio import atomic_write_text, text_records
 from .index import CandidateIndex, build_index, open_index
@@ -84,11 +86,16 @@ def _show_config(args: argparse.Namespace) -> None:
             print(f"{key} = {getattr(args, key)}")
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """The integers of a comma-separated ``flag`` value: at least one."""
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
+        raise UsageError(f"{flag}: expected a comma-separated integer list, "
+                         f"got {text!r}") from exc
+    if not values:
+        raise UsageError(f"{flag}: expected at least one integer, got {text!r}")
+    return values
 
 
 def _load_embeddings_any(path: str):
@@ -125,7 +132,8 @@ def _golds_for(query_ids, gold: dict[int, int], path: str | Path) -> list[int]:
 
 def _cmd_build_index(args) -> int:
     ids, matrix = _load_embeddings_any(args.embeddings)
-    build_index(ids, matrix, args.out)
+    with _naming_file(args.embeddings):
+        build_index(ids, matrix, args.out)
     print(f"indexed {len(ids)} candidates of dim {matrix.shape[1]} -> {args.out}")
     return 0
 
@@ -157,7 +165,7 @@ def _cmd_train(args) -> int:
     if args.holdout_every < 0:
         raise UsageError(f"--holdout-every must be 0 or more, got {args.holdout_every}")
     data_dir = Path(args.data_dir)
-    index = CandidateIndex(*load_embedding_file(data_dir / RETRIEVER_EMBEDDINGS))
+    index = CandidateIndex.from_file(data_dir / RETRIEVER_EMBEDDINGS)
     candidates = EmbeddingTable.from_file(data_dir / RERANKER_EMBEDDINGS)
     qids, queries = load_embedding_file(data_dir / QUERY_EMBEDDINGS)
     gold = _load_gold(data_dir / GOLD_FILE)
@@ -243,6 +251,7 @@ def _cmd_rerank(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    cutoffs = _parse_int_list(args.k, "--k")
     gold = _load_gold(args.gold)
     rankings: dict[int, list[int]] = {}
     for where, line in text_records(args.rankings):
@@ -253,7 +262,7 @@ def _cmd_evaluate(args) -> int:
         rankings[query_id] = [_parse_id(c, where) for c in ranked_text.split()]
     gold_ids = _golds_for(rankings, gold, args.gold)
     metrics = evaluation.compute_metrics(
-        evaluation.gold_ranks(list(rankings.values()), gold_ids), _parse_int_list(args.k))
+        evaluation.gold_ranks(list(rankings.values()), gold_ids), cutoffs)
     if args.out:
         atomic_write_text(args.out, evaluation.metrics_to_csv(metrics))
     for name, value in metrics.items():
@@ -265,15 +274,20 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    ks = _parse_int_list(args.k, "--k")
     if args.checkpoint:
         params = CmcParams.load(args.checkpoint)
     else:
         params = CmcParams.init(model_dim=args.dim, seed=args.seed)
-    report = evaluation.bench_latency(params, _parse_int_list(args.k),
-                                      repeats=args.repeats, seed=args.seed)
+    report = evaluation.bench_latency(params, ks, repeats=args.repeats, seed=args.seed)
     atomic_write_text(args.out, report.to_csv())
     print(report.to_table())
     print(f"report -> {args.out}")
+    failed = [row.k for row in report.rows if row.error is not None]
+    if failed:
+        print(f"error: {len(failed)} of {len(ks)} K values failed: "
+              f"{', '.join(map(str, failed))}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -33,6 +33,7 @@ ids, like those of gold and rankings files, are parsed by ``_parse_id``.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -170,6 +171,16 @@ def load_embedding_text(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ids, dtype=np.uint64), np.array(rows, dtype=np.float32)
 
 
+@contextmanager
+def _naming_file(path: str | Path):
+    """Prefix ``path`` to a ``NumericError`` raised inside, such as that of
+    a non-finite row of a table built from the file's rows."""
+    try:
+        yield
+    except NumericError as exc:
+        raise NumericError(f"{path}: {exc}") from None
+
+
 class EmbeddingTable:
     """Id-addressable rows: ``ids`` sorted ascending, ``matrix`` row-aligned
     and finite (``NumericError`` names the smallest id of a bad row)."""
@@ -192,7 +203,11 @@ class EmbeddingTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EmbeddingTable":
-        return cls(*load_embedding_file(path))
+        """The table of a binary embedding file; a non-finite row's
+        ``NumericError`` names ``path``."""
+        ids, matrix = load_embedding_file(path)
+        with _naming_file(path):
+            return cls(ids, matrix)
 
     @property
     def dim(self) -> int:

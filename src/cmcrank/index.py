@@ -14,21 +14,17 @@ loads it like any embedding file, so the checksum is streamed over a
 read-only memory map and the index keeps that aligned map, not a copy.
 
 The scan of ``search_topk`` runs in row blocks when the matrix holds two
-blocks or more, d is at least ``SPLIT_MIN_DIM``, more than one CPU is
-usable and the process's OpenBLAS reports one thread; any other scan is
-one ``matrix @ query`` product.  A block is a multiple of 4 rows filling
-about ``fileio.CHUNK_BYTES`` (16,384 rows at d = 64), and the last block
-also takes the rows left over.  The calling thread and helper threads
-claim blocks from one counter.  The helpers come from one pool, started
-on the first split scan, with a thread per usable CPU beyond the first.
-A scan asks only for CPUs that no other splittable scan, none of their
-helpers and no other ``Pipeline.run_batch`` worker holds, so it does not
-crowd CPUs that other work uses: over a 500k x 64 index, ``run_batch`` at
-2 threads on 2 vCPUs served fewer queries with every scan split than
-with none in 7 of 8 alternating pairs of processes (median 0.91x).  The
-caller waits only for blocks a helper has claimed, never for a task
-still queued, so nothing deadlocks and no block is left to a thread that
-has not started.
+blocks or more and d is at least ``SPLIT_MIN_DIM``, on the calling thread
+and on helpers from the package's one pool, through
+``parallel.run_blocks``; any other scan, and any scan that module grants
+no helper (one usable CPU, a BLAS that is not single-threaded OpenBLAS,
+or every other CPU held), is one ``matrix @ query`` product.  A block is
+a multiple of 4 rows filling about ``fileio.CHUNK_BYTES`` (16,384 rows at
+d = 64), and the last block also takes the rows left over.  The CPU
+ledger of ``cmcrank.parallel`` keeps scans off CPUs that other work uses:
+over a 500k x 64 index, ``run_batch`` at 2 threads on 2 vCPUs served
+fewer queries with every scan split than with none in 7 of 8 alternating
+pairs of processes (median 0.91x).
 
 The thread that scans a block also selects from it, so no n-length
 scores array is written and the ranking is split with the scan (the
@@ -67,27 +63,19 @@ while from d = 9 to 24 every trial matched; hence the floor of 16.  With
 more BLAS threads the library splits the one product itself, so there
 are no fixed bits to match, and a split only adds threads: on 2 vCPUs
 with OpenBLAS's default of 2 threads, a 500k x 64 scan took 7.1-8.3 ms
-as one product and 8.1-9.7 ms split.  So the split asks OpenBLAS for its
-thread count (``openblas_get_num_threads``, found in the libraries this
-process has mapped), and where that cannot be asked (another BLAS, or no
-``/proc/self/maps``) the scan stays one product.
+as one product and 8.1-9.7 ms split.  Hence the single-threaded-BLAS rule
+of ``cmcrank.parallel``.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .encoders import (EmbeddingTable, _as_ids, encode, load_embedding_file,
-                       save_embedding_file)
+from . import parallel
+from .encoders import EmbeddingTable, _as_ids, encode, save_embedding_file
 from .errors import InvalidShape, NumericError
 from .fileio import CHUNK_BYTES
 
@@ -164,7 +152,7 @@ def build_index(ids: Sequence[int] | np.ndarray, embeddings: np.ndarray,
 def open_index(path: str | Path) -> CandidateIndex:
     """Open an index read-only.  With sorted ids, as ``build_index`` writes
     them, the matrix is the immutable memory map itself, not a copy."""
-    return CandidateIndex(*load_embedding_file(path))
+    return CandidateIndex.from_file(path)
 
 
 def search_topk(index: CandidateIndex, query: np.ndarray, k: int) -> RankedList:
@@ -181,140 +169,35 @@ def _block_rows(dim: int) -> int:
     return max(4, CHUNK_BYTES // (16 * dim) * 4)
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_OPENBLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                            "scipy_openblas_get_num_threads64_")
-
-
-@functools.cache
-def _openblas_threads():
-    """OpenBLAS's thread-count getter from the libraries mapped into this
-    process, or None if there is no such library or no such listing."""
-    paths = []
-    try:
-        with open("/proc/self/maps") as maps:
-            for line in maps:
-                path = line.split(maxsplit=5)[5:]
-                if path and "openblas" in path[0] and path[0].strip() not in paths:
-                    paths.append(path[0].strip())
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_THREAD_GETTERS:
-            if (getter := getattr(lib, name, None)) is not None:
-                getter.restype = ctypes.c_int
-                return getter
-    return None
-
-
-def _blas_single_threaded() -> bool:
-    getter = _openblas_threads()
-    return getter is not None and getter() == 1
-
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-_cpus_held = 0  # by splittable scans, their helpers and other run_batch workers
-
-
-def _forget_pool() -> None:
-    """A forked child has none of the parent's threads: it starts its own
-    pool, under a lock that no parent thread can hold, and holds no CPU."""
-    global _pool, _pool_lock, _cpus_held
-    _pool, _pool_lock, _cpus_held = None, threading.Lock(), 0
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _hold_cpus(cpus: int, blocks: int) -> tuple[ThreadPoolExecutor | None, int]:
-    """Hold a CPU for the caller and one for each helper it may ask for:
-    at most one per block after the first, and none that is held
-    already.  Returns the pool and the helper count."""
-    global _pool, _cpus_held
-    with _pool_lock:
-        helpers = max(0, min(cpus - _cpus_held - 1, blocks - 1))
-        _cpus_held += 1 + helpers
-        if helpers and _pool is None:
-            _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="cmcrank-scan")
-        return _pool, helpers
-
-
-def _release_cpus(held: int) -> None:
-    global _cpus_held
-    with _pool_lock:
-        _cpus_held -= held
-
-
-@contextmanager
-def _workers_hold_cpus(workers: int):
-    """Hold a CPU for each of ``workers`` threads that run alongside the
-    scanning one (``Pipeline.run_batch``'s other workers), so no scan
-    splits onto them."""
-    global _cpus_held
-    with _pool_lock:
-        _cpus_held += workers
-    try:
-        yield
-    finally:
-        _release_cpus(workers)
-
-
 class _BlockScan:
-    """One scan's row blocks, claimed in order by whichever thread asks;
-    each block keeps the rows of its own top k (see the module docstring)."""
+    """One scan's row blocks; each block keeps the rows of its own top k
+    (see the module docstring)."""
 
     def __init__(self, matrix: np.ndarray, query: np.ndarray, rows: int, k: int):
         self.matrix, self.query, self.rows, self.k = matrix, query, rows, k
         self.blocks = len(matrix) // rows
         self.kept: list[tuple[np.ndarray, np.ndarray] | None] = [None] * self.blocks
-        self.claimed = self.finished = 0
-        self.error: Exception | None = None
-        self.cond = threading.Condition(threading.Lock())
 
-    def run(self) -> None:
-        """Scan and select blocks until every block is claimed."""
+    def start(self):
+        """One thread's block select: its buffers and its bound."""
         n = len(self.matrix)
         # The last block is the largest; every block reuses these two.
         scores = np.empty(n - (self.blocks - 1) * self.rows, dtype=np.float32)
         negated = np.empty_like(scores)
         bound = None
-        while True:
-            with self.cond:
-                block = self.claimed
-                if block == self.blocks:
-                    return
-                self.claimed += 1
+
+        def select(block: int) -> None:
+            nonlocal bound
             lo = block * self.rows
             hi = n if block == self.blocks - 1 else lo + self.rows
-            try:
-                out = scores[:hi - lo]
-                np.matmul(self.matrix[lo:hi], self.query, out=out)
-                keep, bound = _block_top(out, negated[:hi - lo], self.k, bound)
-                self.kept[block] = (keep + lo, out[keep])
-            except Exception as exc:  # raised to the caller by wait()
-                self.error = exc
-            with self.cond:
-                self.finished += 1
-                if self.finished == self.blocks:
-                    self.cond.notify_all()
+            out = scores[:hi - lo]
+            np.matmul(self.matrix[lo:hi], self.query, out=out)
+            keep, bound = _block_top(out, negated[:hi - lo], self.k, bound)
+            self.kept[block] = (keep + lo, out[keep])
+        return select
 
-    def wait(self) -> tuple[np.ndarray, np.ndarray]:
-        """The kept rows and their scores once every claimed block is done."""
-        with self.cond:
-            self.cond.wait_for(lambda: self.finished == self.blocks)
-        if self.error is not None:
-            raise self.error
+    def survivors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept rows and their scores, once every block has run."""
         rows, scores = zip(*self.kept)
         return np.concatenate(rows), np.concatenate(scores)
 
@@ -353,20 +236,9 @@ def _scan(matrix: np.ndarray, query: np.ndarray,
     for one ``matrix @ query`` product over every row.  Split over row
     blocks as the module docstring says."""
     n, dim = matrix.shape
-    rows, cpus = _block_rows(dim), _usable_cpus()
-    if n < 2 * rows or dim < SPLIT_MIN_DIM or cpus < 2 or not _blas_single_threaded():
-        return None, matrix @ query
-    pool, helpers = _hold_cpus(cpus, n // rows)
-    try:
-        if not helpers:
-            return None, matrix @ query
+    rows = _block_rows(dim)
+    if n >= 2 * rows and dim >= SPLIT_MIN_DIM:
         scan = _BlockScan(matrix, query, rows, k)
-        try:
-            for _ in range(helpers):
-                pool.submit(scan.run)
-        except RuntimeError:  # no thread can start (at exit, say): scan alone
-            pass
-        scan.run()
-        return scan.wait()
-    finally:
-        _release_cpus(1 + helpers)
+        if parallel.run_blocks(scan.blocks, scan.start):
+            return scan.survivors()
+    return None, matrix @ query

@@ -27,6 +27,17 @@ Milakov & Gimelshein, arXiv:1805.02867):
 - the (heads, L, d_h) context is divided by the denominators, instead of
   the (heads, block, L) probabilities.
 
+The query-row blocks are independent, so a forward of ``SPLIT_MIN_BLOCKS``
+blocks or more runs them on every usable core, the way FlashAttention-2
+(Dao, arXiv:2307.08691) splits attention over query blocks: the caller
+and helpers from the package's one pool claim blocks from one counter,
+under the CPU ledger and the single-threaded-BLAS rule of
+``cmcrank.parallel``.  Untaped, each thread writes its blocks' scores into
+a (heads, block, L) scratch of its own; taped, the threads write disjoint
+rows of the full buffer.  Every block runs the same three products on the
+same shapes as in one thread, so the split moves no bit.  Training's
+sequences (L = 17) and short served ones stay on the calling thread.
+
 Normalized probabilities exist only on the tape.  A caller that passes a
 ``tape`` list gets the entry that ``attention_backward`` consumes appended
 to it: the block is written straight into the full (heads, L, L) buffer
@@ -45,6 +56,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .. import parallel
 from ..errors import InvalidConfig, InvalidShape
 from .ops import exp_shifted_inplace, flush_tiny, linear_backward
 
@@ -59,6 +71,19 @@ if TYPE_CHECKING:
 # at L = 1025, and faster at 2049), so the block could follow L if long
 # sequences come to matter.
 _BLOCK_ROWS = 64
+
+SPLIT_MIN_BLOCKS = 7
+"""The fewest query-row blocks whose forward is split across cores.
+
+Waking an idle pool thread took 170-190 us at the median (210-240 us at
+p90, 400 wakes after 3 ms idle each), so a short forward runs faster
+alone.  With 4 heads of 12 dims, split against
+unsplit time (medians of 10 alternating rounds of 40 calls, one process,
+single-threaded OpenBLAS, 2-vCPU Xeon) was 1.80x at L = 129 (3 blocks),
+1.24x at L = 257 (5 blocks), 1.00-1.17x at L = 321 and 353 (6 blocks),
+0.82-0.94x at L = 385 and 417 (7 blocks), 0.79x at L = 513 (9 blocks)
+and 0.65x at L = 1,025.
+"""
 
 SCORE_MARGIN = 30.0
 """Largest bound on |score| for which a call skips the max shift.
@@ -149,23 +174,33 @@ def multi_head_self_attention(x: np.ndarray, params: "LayerParams",
     va[..., head_dim] = 1.0
 
     block = min(_BLOCK_ROWS, length)
-    if tape is None:
-        attn = None
-        scratch = np.empty((h, block, length), dtype=qh.dtype)
-    else:
-        attn = np.empty((h, length, length), dtype=qh.dtype)
+    blocks = -(-length // block)
+    attn = None if tape is None else np.empty((h, length, length), dtype=qh.dtype)
     context = np.empty_like(va)
-    for start in range(0, length, block):
-        rows = slice(start, start + block)
-        e = scratch[:, :length - start] if attn is None else attn[:, rows]
-        np.matmul(qh[:, rows], kt, out=e)
-        if small:
-            np.exp(e, out=e)
-        else:
-            exp_shifted_inplace(e)
-        np.matmul(e, va, out=context[:, rows])
-        if attn is not None:
-            e /= context[:, rows, head_dim:]
+
+    def start():
+        """One thread's share of the query-row blocks; untaped, it writes
+        each block's scores into a (heads, block, L) scratch of its own."""
+        scratch = np.empty((h, block, length), dtype=qh.dtype) if attn is None else None
+
+        def run(b: int) -> None:
+            lo = b * block
+            rows = slice(lo, lo + block)
+            e = attn[:, rows] if scratch is None else scratch[:, :length - lo]
+            np.matmul(qh[:, rows], kt, out=e)
+            if small:
+                np.exp(e, out=e)
+            else:
+                exp_shifted_inplace(e)
+            np.matmul(e, va, out=context[:, rows])
+            if attn is not None:
+                e /= context[:, rows, head_dim:]
+        return run
+
+    if blocks < SPLIT_MIN_BLOCKS or not parallel.run_blocks(blocks, start):
+        run = start()
+        for b in range(blocks):
+            run(b)
     out = np.empty_like(q)
     np.divide(context[..., :head_dim], context[..., head_dim:],
               out=_split_heads(out, h))

@@ -29,8 +29,8 @@ from numpy.typing import ArrayLike
 from .encoders import EmbeddingTable, encode
 from .errors import CmcRankError, DuplicateId, InvalidConfig, InvalidInput, InvalidShape
 from .evaluation import compute_metrics, gold_ranks
-from .index import (CandidateIndex, RankedList, _workers_hold_cpus, rank_by_score,
-                    search_topk)
+from .index import CandidateIndex, RankedList, rank_by_score, search_topk
+from .parallel import workers_hold_cpus
 from .reranker import CmcParams, rerank
 
 MODE_FINAL = "final"
@@ -190,7 +190,7 @@ class Pipeline:
                 errors[query_id] = exc
 
         if threads > 1 and len(queries) > 1:
-            with _workers_hold_cpus(threads - 1), ThreadPoolExecutor(threads) as pool:
+            with workers_hold_cpus(threads - 1), ThreadPoolExecutor(threads) as pool:
                 list(pool.map(one, range(len(queries))))
         else:
             for i in range(len(queries)):

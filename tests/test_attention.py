@@ -1,16 +1,21 @@
 """Multi-head self-attention: oracle agreement and permutation behavior."""
 import dataclasses
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from cmcrank import parallel
 from cmcrank.errors import InvalidConfig, InvalidShape
 from cmcrank.nn import attention_backward, multi_head_self_attention
 from cmcrank.nn import attention as attention_module
-from cmcrank.nn.attention import SCORE_MARGIN
+from cmcrank.nn.attention import SCORE_MARGIN, SPLIT_MIN_BLOCKS
 from cmcrank.nn.ops import exp_shifted_inplace
 from cmcrank.reranker import CmcParams
 
@@ -278,3 +283,141 @@ class TestStackedBackward:
                 total += g[name]
             assert grad.dtype == dtype
             assert grad.tobytes() == total.tobytes(), name
+
+
+def split_across_two_threads(mp, floor=2):
+    """Make forwards of ``floor`` query-row blocks or more split as on two
+    CPUs with one BLAS thread, the caller and its helper each claiming a
+    block before either runs one, so the helper runs at least one block.
+    Returns the list that collects run_blocks' results."""
+    mp.setattr(parallel, "usable_cpus", lambda: 2)
+    mp.setattr(parallel, "blas_single_threaded", lambda: True)
+    mp.setattr(attention_module, "SPLIT_MIN_BLOCKS", floor)
+    barrier, run_blocks, split = threading.Barrier(2, timeout=30), parallel.run_blocks, []
+
+    def in_step(blocks, start):
+        def start_with_both_claimed():
+            work = start()
+            barrier.wait()
+            return work
+        split.append(run_blocks(blocks, start_with_both_claimed))
+        return split[-1]
+
+    mp.setattr(parallel, "run_blocks", in_step)
+    return split
+
+
+def one_thread_and_split(x, params, taped):
+    """The forward's output (and taped probabilities) on one thread and
+    split across two, each as bytes."""
+    results = []
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            if cpus == 1:
+                mp.setattr(parallel, "usable_cpus", lambda: 1)
+            else:
+                split = split_across_two_threads(mp)
+            tape = [] if taped else None
+            y = multi_head_self_attention(x, params, tape)
+            results.append((y.tobytes(), tape and tape[0][4].tobytes()))
+    assert split == [True]
+    return results
+
+
+class TestSplitForward:
+    """Query-row blocks run on the caller and a helper thread, bit for
+    bit as on one thread."""
+
+    # Without the shrink phase a failure reports in seconds, not minutes.
+    @settings(max_examples=120, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(data=st.data())
+    def test_equals_one_thread_bit_for_bit(self, data):
+        """Blocks of 4-16 rows, two blocks or more, taped and untaped,
+        float32 and float64, under the score margin (plain exp) and over
+        it (shifted exp)."""
+        rows = data.draw(st.integers(4, 16), label="block rows")
+        length = data.draw(st.integers(rows + 1, 6 * rows), label="L")
+        heads = data.draw(st.integers(1, 4), label="heads")
+        head_dim = data.draw(st.integers(1, 8), label="head dim")
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        shifted = data.draw(st.booleans(), label="shifted")
+        taped = data.draw(st.booleans(), label="taped")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        dim = heads * head_dim
+        params = layer(dim, heads, rng)
+        params = dataclasses.replace(
+            params, **{name: (a + 0.3 * rng.standard_normal(a.shape)).astype(dtype)
+                       for name, a in params.arrays().items()})
+        x = rng.standard_normal((length, dim)).astype(dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(attention_module, "_BLOCK_ROWS", rows)
+            mp.setattr(attention_module, "SCORE_MARGIN", 0.0 if shifted else math.inf)
+            (y1, attn1), (y2, attn2) = one_thread_and_split(x, params, taped)
+        assert y1 == y2
+        assert attn1 == attn2
+
+    def test_each_thread_scores_into_its_own_scratch(self, monkeypatch):
+        """The caller and the helper both hold a scored block before
+        either takes its exp: a scratch they shared would hold only the
+        scores written last."""
+        x, params = scores_bounded_by(40.0, length=SPLIT_MIN_BLOCKS * 64)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        expected = multi_head_self_attention(x, params)
+        barrier = threading.Barrier(2, timeout=30)
+        calls = []
+
+        def exp_when_both_scored(e):
+            calls.append(None)
+            if len(calls) <= 2:
+                barrier.wait()
+            exp_shifted_inplace(e)
+
+        split = split_across_two_threads(monkeypatch, SPLIT_MIN_BLOCKS)
+        monkeypatch.setattr(attention_module, "exp_shifted_inplace", exp_when_both_scored)
+        got = multi_head_self_attention(x, params)
+        assert split == [True]
+        assert got.tobytes() == expected.tobytes()
+
+    def test_concurrent_forwards_equal_serial(self, monkeypatch):
+        """More calling threads than CPUs, switching every microsecond and
+        sharing the helper, each get the bytes of their serial forward."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "blas_single_threaded", lambda: True)
+        rng = np.random.default_rng(8)
+        params = layer(16, 4, rng)
+        xs = rng.standard_normal((8, SPLIT_MIN_BLOCKS * 64, 16)).astype(np.float32)
+        serial = [multi_head_self_attention(x, params).tobytes() for x in xs]
+        interval = sys.getswitchinterval()
+        pool = ThreadPoolExecutor(max_workers=4)
+        sys.setswitchinterval(1e-6)
+        try:
+            futures = [pool.submit(multi_head_self_attention, x, params) for x in xs]
+            threaded = [f.result(timeout=60).tobytes() for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=False, cancel_futures=True)
+        assert threaded == serial
+        assert parallel._cpus_held == 0
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        """A block that fails on the helper fails the call, and the
+        blocks nobody has claimed yet are not run."""
+        x, params = scores_bounded_by(40.0, length=SPLIT_MIN_BLOCKS * 64)
+        threads, raised = [], threading.Event()
+
+        def fails_on_the_helper(e):
+            threads.append(threading.current_thread())
+            if threading.current_thread() is not threading.main_thread():
+                raised.set()
+                raise MemoryError("helper block")
+            assert raised.wait(30)
+            time.sleep(0.05)  # for the helper to give up the unclaimed blocks
+            exp_shifted_inplace(e)
+
+        split_across_two_threads(monkeypatch, SPLIT_MIN_BLOCKS)
+        monkeypatch.setattr(attention_module, "exp_shifted_inplace", fails_on_the_helper)
+        with pytest.raises(MemoryError, match="helper block"):
+            multi_head_self_attention(x, params)
+        assert len(threads) == 2 and threading.main_thread() in threads
+        assert parallel._cpus_held == 0

@@ -98,14 +98,19 @@ class TestExitCodes:
         assert run("build-index", "--embeddings", str(tmp_path / "nope.cmce"),
                    "--out", str(tmp_path / "x.cmci")) == 2
 
-    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
-    @pytest.mark.parametrize("kind", ["text-embeddings", "binary-embeddings", "index",
+    @pytest.mark.parametrize("kind, damage", [
+        *((kind, damage) for kind in ("text-embeddings", "binary-embeddings", "index",
                                       "checkpoint", "reranker-embeddings", "queries",
-                                      "gold", "rankings", "config"])
+                                      "gold", "rankings", "config")
+          for damage in ("missing", "corrupt")),
+        *((kind, "nan-row") for kind in ("text-embeddings", "binary-embeddings", "index",
+                                         "reranker-embeddings"))],
+        ids=lambda value: value)
     def test_each_input_kind_missing_or_corrupt(self, task_dir, tmp_path, capsys, kind, damage):
         """Every kind of input file, missing or corrupt (a truncated binary
-        file, a text line that is not UTF-8), exits 2 with its path in the
-        message and writes no output."""
+        file, a text line that is not UTF-8), and every embedding input
+        with a NaN row, exits 2 with its path in the message and writes no
+        output."""
         index, ckpt = tmp_path / "task.cmci", tmp_path / "model.cmcp"
         embeddings = task_dir / "reranker_embeddings.cmce"
         assert run("build-index", "--embeddings", str(task_dir / "retriever_embeddings.cmce"),
@@ -134,13 +139,24 @@ class TestExitCodes:
         }[kind]
         if damage == "missing":
             bad.unlink()
+        elif damage == "nan-row" and bad.suffix == ".txt":
+            bad.write_text("1 0.5,0.25\n2 nan,1\n")
+        elif damage == "nan-row":
+            ids, matrix = load_embedding_file(bad)
+            matrix = matrix.copy()
+            matrix[len(ids) // 2, 0] = np.nan
+            save_embedding_file(bad, ids, matrix)
         elif bad.suffix in (".txt", ".cfg"):
             bad.write_bytes(bad.read_bytes() + b"\xff\n")
         else:
             bad.write_bytes(bad.read_bytes()[:-4])
         out = tmp_path / "out.txt"
         assert run(*map(str, argv), "--out", str(out)) == 2
-        assert str(bad) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        if damage == "nan-row":
+            assert f"error: {bad}: embedding of candidate id " in err
+            assert "is not finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("error", [ValueError, KeyError])
@@ -524,6 +540,38 @@ class TestBenchCommand:
         assert run("bench", "--k", "4", "--repeats", "5",
                    "--checkpoint", str(ckpt),
                    "--out", str(tmp_path / "b.csv")) == 0
+
+    def test_failed_k_exits_3_after_writing_report(self, tmp_path, capsys, monkeypatch):
+        """A K that runs out of memory keeps its 'failed' row in the table
+        and the report, and the command exits 3, not 0."""
+        forward = cli.evaluation.cmc_forward
+
+        def out_of_memory_at_16(params, h_query, h_cands):
+            if h_cands.shape[1] == 16:
+                raise MemoryError("cannot allocate")
+            return forward(params, h_query, h_cands)
+
+        monkeypatch.setattr(cli.evaluation, "cmc_forward", out_of_memory_at_16)
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--k", "4,16", "--dim", "16",
+                   "--repeats", "5", "--out", str(out)) == 3
+        lines = out.read_text().strip().split("\n")
+        assert lines[1].startswith("4,") and lines[2] == "16,,,out of memory: cannot allocate"
+        captured = capsys.readouterr()
+        assert "failed: out of memory" in captured.out
+        assert "error: 1 of 2 K values failed: 16" in captured.err
+
+    @pytest.mark.parametrize("command", ["bench", "evaluate"])
+    @pytest.mark.parametrize("k", [" ", ",", ""])
+    def test_empty_k_list_is_usage_error(self, tmp_path, capsys, command, k):
+        argv = {"bench": ("bench", "--dim", "16", "--out", str(tmp_path / "b.csv")),
+                "evaluate": ("evaluate", "--rankings", str(tmp_path / "r.txt"),
+                             "--gold", str(tmp_path / "g.txt"))}[command]
+        assert run(*argv, "--k", k) == 1
+        captured = capsys.readouterr()
+        assert f"--k: expected at least one integer, got {k!r}" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "b.csv").exists()
 
 
 class TestConfigHandling:

@@ -129,15 +129,16 @@ class TestEmbeddingFile:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_row_rejected_on_load(self, tmp_path, bad):
         """The loader checks the container; the table built on it checks
-        the rows."""
+        the rows, and names the file and the row's id."""
         path = tmp_path / "nan.cmce"
         matrix = np.ones((5, 3), dtype=np.float32)
         matrix[3, 1] = bad
         save_embedding_file(path, [10, 20, 30, 40, 50], matrix)
         assert load_embedding_file(path)[1].tobytes() == matrix.tobytes()
         for load in (EmbeddingTable.from_file, open_index):
-            with pytest.raises(NumericError, match="id 40 "):
+            with pytest.raises(NumericError) as raised:
                 load(path)
+            assert str(raised.value) == f"{path}: embedding of candidate id 40 is not finite"
 
     def test_text_nan_rejected(self, tmp_path):
         path = tmp_path / "nan.txt"

@@ -8,6 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cmcrank import index as index_module
+from cmcrank import parallel
 from cmcrank.encoders import (HEADER_BYTES, load_embedding_file,
                               save_embedding_file)
 from cmcrank.errors import (DuplicateId, FormatError, InvalidInput, InvalidShape,
@@ -315,8 +316,8 @@ def search_split_and_whole(index, query, k, rows=None):
     select = index_module._block_top
     for cpus in (2, 1):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(index_module, "_usable_cpus", lambda: cpus)
-            mp.setattr(index_module, "_blas_single_threaded", lambda: True)
+            mp.setattr(parallel, "usable_cpus", lambda: cpus)
+            mp.setattr(parallel, "blas_single_threaded", lambda: True)
             mp.setattr(index_module, "_block_top",
                        lambda *args: selected.append(cpus) or select(*args))
             if rows is not None:

@@ -14,8 +14,9 @@ from cmcrank.encoders import EmbeddingTable
 from cmcrank.errors import (DuplicateId, InvalidConfig, InvalidInput, InvalidShape,
                             NumericError)
 from cmcrank.evaluation import SyntheticTaskSpec, generate_synthetic
-from cmcrank import index as index_module
-from cmcrank.index import CandidateIndex, _block_rows, _usable_cpus
+from cmcrank import parallel
+from cmcrank.index import CandidateIndex, _block_rows
+from cmcrank.nn.attention import SPLIT_MIN_BLOCKS
 from cmcrank.pipeline import (Pipeline, PipelineConfig, gold_oracle_scorer,
                               noisy_oracle_scorer)
 from cmcrank.reranker import CmcParams, cmc_forward, cmc_score
@@ -372,39 +373,52 @@ class TestRunBatch:
         assert calls == []
 
 
-# Searches an index of ``blocks`` scan blocks plus 3 rows at dim ``dim``
-# and prints the thread count before and after; with "fork", it searches
-# once, forks, and the child searches and prints; with "busy", every CPU
-# but the caller's is held as if by other scans.
-SCAN_SCRIPT = """
+# With "scan", searches an index of ``blocks`` scan blocks plus 3 rows at
+# dim ``dim``; with "attention", runs the attention forward over a
+# sequence of ``blocks`` query-row blocks at dim ``dim``.  Prints the
+# thread count before and after; with "fork", it runs once, forks, and the
+# child runs and prints; with "busy", every CPU but the caller's is held
+# as if by other splits.
+SPLIT_SCRIPT = """
 import os, sys, threading
 import numpy as np
-from cmcrank import index as index_module
-from cmcrank.index import CandidateIndex, _block_rows, _usable_cpus, search_topk
-dim, blocks = int(sys.argv[1]), int(sys.argv[2])
-n = blocks * _block_rows(dim) + 3
+from cmcrank import parallel
+from cmcrank.index import CandidateIndex, _block_rows, search_topk
+from cmcrank.nn import attention
+from cmcrank.reranker import CmcParams
+kind, dim, blocks = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 rng = np.random.default_rng(0)
-index = CandidateIndex(np.arange(n), rng.standard_normal((n, dim)).astype(np.float32))
-query = rng.standard_normal(dim).astype(np.float32)
-if sys.argv[3:] == ["fork"]:
-    search_topk(index, query, 5)
+if kind == "scan":
+    n = blocks * _block_rows(dim) + 3
+    index = CandidateIndex(np.arange(n), rng.standard_normal((n, dim)).astype(np.float32))
+    query = rng.standard_normal(dim).astype(np.float32)
+    run = lambda: search_topk(index, query, 5)
+else:
+    x = rng.standard_normal((blocks * attention._BLOCK_ROWS, dim)).astype(np.float32)
+    layer = CmcParams.init(model_dim=dim, head_count=4).layers[0]
+    run = lambda: attention.multi_head_self_attention(x, layer)
+if sys.argv[4:] == ["fork"]:
+    run()
     if os.fork():
         sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
-if sys.argv[3:] == ["busy"]:
-    index_module._cpus_held = _usable_cpus() - 1
+if sys.argv[4:] == ["busy"]:
+    parallel._cpus_held = parallel.usable_cpus() - 1
 before = threading.active_count()
-search_topk(index, query, 5)
+run()
 print(before, threading.active_count())
 """
 
 
-def scan_threads(dim: int, blocks: int, *fork: str, blas_threads: str = "1") -> tuple[int, int]:
-    """Thread counts around one search in a new interpreter, which must
-    exit within the timeout: idle helpers may not hold it open."""
+def split_threads(kind: str, dim: int, blocks: int, *mode: str,
+                  blas_threads: str = "1") -> tuple[int, int]:
+    """Thread counts around one search or attention forward in a new
+    interpreter, which must exit within the timeout: idle helpers may not
+    hold it open."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=blas_threads)
-    done = subprocess.run([sys.executable, "-c", SCAN_SCRIPT, str(dim), str(blocks), *fork],
-                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    done = subprocess.run(
+        [sys.executable, "-c", SPLIT_SCRIPT, kind, str(dim), str(blocks), *mode],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
     before, after = done.stdout.split()
     return int(before), int(after)
 
@@ -437,15 +451,15 @@ class TestSplitScan:
         """On two CPUs, run_batch at 2 threads holds the CPU of the worker
         that is not scanning, so no scan asks for a helper; run serially,
         every scan asks for one."""
-        monkeypatch.setattr(index_module, "_usable_cpus", lambda: 2)
-        granted, hold = [], index_module._hold_cpus
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        granted, hold = [], parallel.hold_cpus
 
         def recorded(cpus, blocks):
             pool, helpers = hold(cpus, blocks)
             granted.append(helpers)
             return pool, helpers
 
-        monkeypatch.setattr(index_module, "_hold_cpus", recorded)
+        monkeypatch.setattr(parallel, "hold_cpus", recorded)
         rng = np.random.default_rng(33)
         n = 2 * _block_rows(16) + 1
         ids = np.arange(n, dtype=np.uint64)
@@ -464,27 +478,80 @@ class TestSplitScan:
     @pytest.mark.parametrize("dim, blocks", [(64, 1), (15, 2)],
                              ids=["one-block", "dim-below-floor"])
     def test_unsplit_scan_starts_no_helper(self, dim, blocks):
-        before, after = scan_threads(dim, blocks)
+        before, after = split_threads("scan", dim, blocks)
         assert after == before
 
     def test_multithreaded_blas_keeps_one_product(self):
         """With BLAS on two threads the one product already uses two CPUs,
         and a split on top of it was slower, so the scan stays whole."""
-        before, after = scan_threads(64, 2, blas_threads="2")
+        before, after = split_threads("scan", 64, 2, blas_threads="2")
         assert after == before
 
     def test_no_helper_for_cpus_other_scans_hold(self):
         """Scans already running (run_batch workers, say) and their helpers
         hold the other CPUs, so this scan runs whole on its own thread."""
-        before, after = scan_threads(64, 2, "busy")
+        before, after = split_threads("scan", 64, 2, "busy")
         assert after == before
 
     @pytest.mark.parametrize("fork", [(), ("fork",)], ids=["process", "forked-child"])
     def test_split_scan_starts_a_helper_and_exits(self, fork):
         """A forked child, which has none of its parent's helpers, starts
         its own instead of queueing blocks for threads that do not exist."""
-        before, after = scan_threads(64, 2, *fork)
-        assert after == before + (_usable_cpus() > 1)
+        before, after = split_threads("scan", 64, 2, *fork)
+        assert after == before + (parallel.usable_cpus() > 1)
+
+
+class TestSplitAttention:
+    """The served attention forward splits its query-row blocks under the
+    scan's rules: the same pool, the same CPU ledger."""
+
+    def test_batch_workers_leave_no_cpu_for_attention_helpers(self, monkeypatch):
+        """On two CPUs, run_batch at 2 threads holds the CPU of the worker
+        that is not in a forward, so no K = 512 forward asks for a helper;
+        run serially, every forward asks for one."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "blas_single_threaded", lambda: True)
+        granted, hold = [], parallel.hold_cpus
+
+        def recorded(cpus, blocks):
+            pool, helpers = hold(cpus, blocks)
+            granted.append(helpers)
+            return pool, helpers
+
+        monkeypatch.setattr(parallel, "hold_cpus", recorded)
+        rng = np.random.default_rng(35)
+        n = 600  # one scan block: only the forwards ask for helpers
+        ids = np.arange(n, dtype=np.uint64)
+        matrix = rng.standard_normal((n, 16)).astype(np.float32)
+        params = CmcParams.init(model_dim=16, head_count=4, seed=36)
+        pipe = Pipeline(CandidateIndex(ids, matrix), params, EmbeddingTable(ids, matrix))
+        queries = [(q, v) for q, v in enumerate(rng.standard_normal((6, 16)).astype(np.float32))]
+        cfg = PipelineConfig(k_retrieve=512, k_prime=4, mode="final")
+        threaded, _, _ = pipe.run_batch(cfg, queries, threads=2)
+        assert granted == [0] * (6 * len(params.layers))
+        granted.clear()
+        serial, _, _ = pipe.run_batch(cfg, queries)
+        assert granted == [1] * (6 * len(params.layers))
+        for a, b in zip(serial, threaded):
+            assert a.reranked.ids.tolist() == b.reranked.ids.tolist()
+            assert a.reranked.scores.tobytes() == b.reranked.scores.tobytes()
+
+    def test_below_the_floor_starts_no_helper(self):
+        before, after = split_threads("attention", 16, SPLIT_MIN_BLOCKS - 1)
+        assert after == before
+
+    @pytest.mark.parametrize("fork", [(), ("fork",)], ids=["process", "forked-child"])
+    def test_split_starts_a_helper_and_exits(self, fork):
+        """At the floor a forward splits; a forked child starts its own
+        helpers and exits.  A helper that finds no block left may be
+        reused, so more than two CPUs may start fewer than one each."""
+        before, after = split_threads("attention", 16, SPLIT_MIN_BLOCKS, *fork)
+        assert (after > before) == (parallel.usable_cpus() > 1)
+        assert after - before <= parallel.usable_cpus() - 1
+
+    def test_no_helper_for_cpus_other_splits_hold(self):
+        before, after = split_threads("attention", 16, SPLIT_MIN_BLOCKS, "busy")
+        assert after == before
 
 
 class TestStageLatency:

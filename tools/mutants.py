@@ -169,20 +169,20 @@ MUTANTS = (
     Mutant(
         "scan splits below the d floor",
         "src/cmcrank/index.py",
-        " or dim < SPLIT_MIN_DIM or ",
-        " or ",
+        " and dim >= SPLIT_MIN_DIM:",
+        ":",
         ("tests/test_pipeline.py::TestSplitScan::test_unsplit_scan_starts_no_helper",),
     ),
     Mutant(
         "scan splits over a multi-threaded BLAS",
-        "src/cmcrank/index.py",
-        " or not _blas_single_threaded():",
+        "src/cmcrank/parallel.py",
+        " or not blas_single_threaded():",
         ":",
         ("tests/test_pipeline.py::TestSplitScan::test_multithreaded_blas_keeps_one_product",),
     ),
     Mutant(
         "scan asks for helpers on CPUs other scans hold",
-        "src/cmcrank/index.py",
+        "src/cmcrank/parallel.py",
         "min(cpus - _cpus_held - 1, blocks - 1)",
         "min(cpus - 1, blocks - 1)",
         ("tests/test_pipeline.py::TestSplitScan::test_no_helper_for_cpus_other_scans_hold",),
@@ -190,16 +190,47 @@ MUTANTS = (
     Mutant(
         "run_batch workers leave their CPUs to scan helpers",
         "src/cmcrank/pipeline.py",
-        "with _workers_hold_cpus(threads - 1), ThreadPoolExecutor(threads) as pool:",
+        "with workers_hold_cpus(threads - 1), ThreadPoolExecutor(threads) as pool:",
         "with ThreadPoolExecutor(threads) as pool:",
         ("tests/test_pipeline.py::TestSplitScan::test_batch_workers_leave_no_cpu_for_helpers",),
     ),
     Mutant(
         "a forked child keeps its parent's helper pool",
-        "src/cmcrank/index.py",
+        "src/cmcrank/parallel.py",
         "    os.register_at_fork(after_in_child=_forget_pool)\n",
         "    pass\n",
         ("tests/test_pipeline.py::TestSplitScan::test_split_scan_starts_a_helper_and_exits",),
+    ),
+    Mutant(
+        "a helper writes its query-row block one row late",
+        "src/cmcrank/nn/attention.py",
+        "            lo = b * block\n",
+        "            lo = b * block + (\"helper\" in __import__(\"threading\").current_thread().name)\n",
+        ("tests/test_attention.py::TestSplitForward::test_equals_one_thread_bit_for_bit",),
+    ),
+    Mutant(
+        "attention splits below the block floor",
+        "src/cmcrank/nn/attention.py",
+        "    if blocks < SPLIT_MIN_BLOCKS or not parallel.run_blocks(blocks, start):\n",
+        "    if not parallel.run_blocks(blocks, start):\n",
+        ("tests/test_pipeline.py::TestSplitAttention::test_below_the_floor_starts_no_helper",),
+    ),
+    Mutant(
+        "attention asks for helpers on CPUs the ledger holds",
+        "src/cmcrank/parallel.py",
+        "min(cpus - _cpus_held - 1, blocks - 1)",
+        "min(cpus - 1, blocks - 1)",
+        ("tests/test_pipeline.py::TestSplitAttention::"
+         "test_batch_workers_leave_no_cpu_for_attention_helpers",),
+    ),
+    Mutant(
+        "attention helpers share one score scratch",
+        "src/cmcrank/nn/attention.py",
+        "        scratch = np.empty((h, block, length), dtype=qh.dtype) if attn is None else None\n",
+        "        scratch = start.__dict__.setdefault(\"shared\", np.empty((h, block, length), "
+        "dtype=qh.dtype)) if attn is None else None\n",
+        ("tests/test_attention.py::TestSplitForward::"
+         "test_each_thread_scores_into_its_own_scratch",),
     ),
     Mutant(
         "rank_by_score takes ids and scores of different lengths",
